@@ -40,10 +40,10 @@ MC_VERIFY_EPSILON = 0.05
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with code 2 on usage problems; the interface contract wants 1."""
+    """argparse exits with code 2 on usage problems; the interface contract
+    wants 1, with a one-line message (``-h`` prints the usage)."""
 
     def error(self, message: str) -> None:  # type: ignore[override]
-        self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
@@ -91,7 +91,7 @@ def _emit_json(payload: Any, out: str | None) -> None:
 def _positive_int(text: str) -> int:
     # Accepts scientific notation like 1e7 for convenience.
     value = float(text)
-    if value < 1 or value != int(value):
+    if not math.isfinite(value) or value < 1 or value != int(value):
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return int(value)
 
@@ -174,6 +174,8 @@ def cmd_noise(args: argparse.Namespace) -> int:
 def _round_grid(n_min: int, n_max: int, per_decade: int) -> list[int]:
     if n_min < 10 or n_max <= n_min:
         raise ConfigError(f"need 10 <= n-min < n-max, got {n_min}, {n_max}")
+    if per_decade < 1:
+        raise ConfigError(f"--per-decade must be >= 1, got {per_decade}")
     values = []
     exponent = math.log10(n_min)
     top = math.log10(n_max)

@@ -1,14 +1,20 @@
-"""Round-level Monte Carlo of the entanglement-based protocol.
+"""Seeded Monte Carlo of the entanglement-based protocol.
 
-Rounds are simulated at the symbol level: one symbol per link is drawn from
-its distribution and the chain's honest swaps fold them by XOR. Measurement
-statistics follow from the exact two-qubit picture (certified against the
+Rounds are i.i.d.: each carries the XOR of one symbol per link, so its
+end-to-end symbol follows the folded distribution. Measurement statistics
+follow from the exact two-qubit picture (certified against the
 density-matrix reference in the test suite): on a round carrying symbol
 ``(bt, ph)``, Z-basis outcomes disagree iff bt = 1 and X-basis outcomes
 disagree iff ph = 1, so disagreement frequencies are bit means.
 
-Words are held as numpy arrays of symbol indices; at the default sizes a
-Python-object word per round would dominate the runtime.
+Every statistic the simulations read is a count: how many test or hidden
+rounds carry each symbol, how many revealed phase bits are set, how many of
+them an honest station flips. Because rounds are i.i.d. and the test subset
+is uniform and independent of them, those counts have closed-form laws
+(multinomial, binomial, hypergeometric), and drawing the counts directly is
+exact in distribution and costs O(1) per run or trial instead of O(rounds).
+``sample_rounds`` keeps the literal per-link round sampler as the oracle
+that certifies the count path.
 """
 
 from __future__ import annotations
@@ -21,10 +27,12 @@ import numpy as np
 
 from .bell import BellDiagonal, BellSymbol, symbol_from_index
 from .keyrate import RateParams, RateReport, finite_rate
-from .noise import ChainSpec, noise_report
-from .sampling import deviation_for_failure, hoeffding_deviation
+from .noise import ChainSpec, end_to_end_dist, noise_report
+from .sampling import MAX_TRIALS, deviation_for_failure, hoeffding_deviation
 
-MAX_ROUNDS = 10**7
+#: Upper end of the round counts the analytic sweeps cover; a simulation
+#: costs the same at any round count.
+MAX_ROUNDS = 10**12
 
 
 @dataclass(frozen=True)
@@ -48,8 +56,8 @@ class TrialConfig:
             raise ValueError(
                 f"test sample must satisfy 1 <= m <= rounds/2, got m={self.sample_size}, rounds={self.rounds}"
             )
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if not (1 <= self.trials <= MAX_TRIALS):
+            raise ValueError(f"trials must be in 1..{MAX_TRIALS}, got {self.trials}")
         if self.p_star_override is not None and not (0.0 <= self.p_star_override < 0.5):
             raise ValueError(f"p_star_override must be in [0, 0.5), got {self.p_star_override!r}")
 
@@ -92,38 +100,52 @@ def sample_round(spec: ChainSpec, rng: np.random.Generator) -> BellSymbol:
     return symbol_from_index(int(sample_rounds(spec, 1, rng)[0]))
 
 
-def simulate_e91(cfg: TrialConfig) -> MCReport:
-    """Simulate one run: sample rounds, reveal a random test subset, rate the rest.
+def symbol_counts(spec: ChainSpec, rounds: int, rng: np.random.Generator) -> np.ndarray:
+    """How many of ``rounds`` i.i.d. rounds carry each end-to-end symbol, by index.
 
-    Identical configs (including the seed) reproduce the report bit for bit.
+    One multinomial draw: the same law as ``np.bincount`` of
+    ``sample_rounds(spec, rounds, rng)``, without materializing the rounds.
+    """
+    return rng.multinomial(rounds, end_to_end_dist(spec).probs)
+
+
+def simulate_e91(cfg: TrialConfig) -> MCReport:
+    """Simulate one run: reveal a uniformly random test subset, rate the rest.
+
+    The test rounds are ``m`` i.i.d. rounds and the hidden rounds ``n - m``
+    more, independent of them, so the run is drawn as two symbol-count
+    vectors, Multinomial(m, end_to_end) then Multinomial(n - m, end_to_end).
+    qx_hat is the test rounds' phase-error fraction (symbols with ph = 1,
+    index & 1), qz_hat the hidden rounds' bit-error fraction (bt = 1,
+    index >> 1), and the subset check compares the test and hidden phase
+    weights. Identical configs (including the seed) reproduce the report bit
+    for bit.
     """
     rng = np.random.default_rng(cfg.seed)
-    symbols = sample_rounds(cfg.spec, cfg.rounds, rng)
-    ph_bits = symbols & 1
-    bt_bits = symbols >> 1
-    test_mask = np.zeros(cfg.rounds, dtype=bool)
-    test_mask[rng.choice(cfg.rounds, size=cfg.sample_size, replace=False)] = True
+    n, m = cfg.rounds, cfg.sample_size
+    test = symbol_counts(cfg.spec, m, rng)
+    hidden = symbol_counts(cfg.spec, n - m, rng)
 
-    qx_hat = float(ph_bits[test_mask].mean())
-    qz_hat = float(bt_bits[~test_mask].mean())
+    qx_hat = int(test[1] + test[3]) / m
+    qz_hat = int(hidden[2] + hidden[3]) / (n - m)
     report = noise_report(cfg.spec)
     p_star = report.p_star if cfg.p_star_override is None else cfg.p_star_override
 
-    delta = deviation_for_failure(cfg.epsilon, cfg.sample_size, cfg.rounds)
-    hidden_qx = float(ph_bits[~test_mask].mean())
+    delta = deviation_for_failure(cfg.epsilon, m, n)
+    hidden_qx = int(hidden[1] + hidden[3]) / (n - m)
     violations = int(abs(qx_hat - hidden_qx) > delta)
 
     params = RateParams(
-        n=cfg.rounds,
-        m=cfg.sample_size,
+        n=n,
+        m=m,
         epsilon=cfg.epsilon,
         p_star=p_star,
         ec_factor=cfg.ec_factor,
         strict_leak=cfg.strict_leak,
     )
     return MCReport(
-        rounds=cfg.rounds,
-        sample_size=cfg.sample_size,
+        rounds=n,
+        sample_size=m,
         seed=cfg.seed,
         qx_hat=qx_hat,
         qz_hat=qz_hat,
@@ -160,12 +182,6 @@ class ConcentrationSummary:
         return self.sampling_ok and self.hoeffding_ok
 
 
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    # Per-trial generators depend only on (seed, trial index), so any split of
-    # trials across workers reproduces the same totals.
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
-
-
 def verify_concentration(
     cfg: TrialConfig,
     epsilon: float,
@@ -173,47 +189,49 @@ def verify_concentration(
 ) -> ConcentrationSummary:
     """Measure how often the deviation bounds at ``epsilon`` are violated.
 
-    Per trial: a word's phase bits are drawn i.i.d. from the chain's
-    end-to-end phase marginal (rounds are independent, and both checked
-    statistics depend on phase bits only), or taken verbatim from
-    ``injected_ph`` to model an adversarially fixed word. The subset check
-    compares revealed and hidden weights against the subset-sampling
-    tolerance; the mean check redraws an independent honest-noise sample
-    against the i.i.d. tolerance. Frequencies must stay within bound plus
-    three binomial standard deviations.
+    Each trial reveals a uniformly random size-``m`` subset of an ``n``-bit
+    phase word. Both checked statistics depend only on how many phase bits
+    are set in the revealed and hidden parts and on how many revealed bits
+    the honest noise flips, so all trials are drawn at once as counts, from
+    one generator seeded with ``cfg.seed``:
+
+    * honest chain: the word's bits are i.i.d. with the chain's end-to-end
+      phase-error rate qx, so the revealed and hidden weights are independent
+      Binomial(m, qx) and Binomial(n - m, qx);
+    * ``injected_ph``, an adversarially fixed word of weight K: the revealed
+      weight is Hypergeometric(K, n - K, m) and the hidden weight the rest;
+    * honest flips at rate p*: Binomial(ones, p*) of the revealed ones and
+      Binomial(m - ones, p*) of the revealed zeros flip.
+
+    The subset check compares revealed and hidden weights against the
+    subset-sampling tolerance; the mean check compares the flipped revealed
+    mean with its expectation against the i.i.d. tolerance. Frequencies must
+    stay within bound plus three binomial standard deviations.
     """
     report = noise_report(cfg.spec)
     p_star = report.p_star if cfg.p_star_override is None else cfg.p_star_override
-    n, m = cfg.rounds, cfg.sample_size
+    n, m, trials = cfg.rounds, cfg.sample_size, cfg.trials
     delta = deviation_for_failure(epsilon, m, n)
     delta_prime = hoeffding_deviation(epsilon, m)
 
-    fixed_word = None
-    if injected_ph is not None:
+    rng = np.random.default_rng(cfg.seed)
+    if injected_ph is None:
+        ones = rng.binomial(m, report.observed_qx, size=trials)
+        rest_ones = rng.binomial(n - m, report.observed_qx, size=trials)
+    else:
         fixed_word = np.asarray(list(injected_ph), dtype=np.uint8)
         if fixed_word.shape != (n,) or np.any(fixed_word > 1):
             raise ValueError(f"injected word must be {n} bits")
+        weight = int(fixed_word.sum())
+        ones = rng.hypergeometric(weight, n - weight, m, size=trials)
+        rest_ones = weight - ones
+    w_sample = ones / m
+    w_rest = rest_ones / (n - m)
+    sampling_violations = int(np.count_nonzero(np.abs(w_sample - w_rest) > delta))
 
-    sampling_violations = 0
-    hoeffding_violations = 0
-    for trial in range(cfg.trials):
-        rng = _trial_rng(cfg.seed, trial)
-        if fixed_word is None:
-            ph_bits = (rng.random(n) < report.observed_qx).astype(np.uint8)
-        else:
-            ph_bits = fixed_word
-        picked = rng.choice(n, size=m, replace=False)
-        ones_in_sample = int(ph_bits[picked].sum())
-        w_sample = ones_in_sample / m
-        w_rest = (int(ph_bits.sum()) - ones_in_sample) / (n - m)
-        if abs(w_sample - w_rest) > delta:
-            sampling_violations += 1
-
-        honest = rng.random(m) < p_star
-        flipped_mean = float((honest ^ ph_bits[picked].astype(bool)).mean())
-        expected = w_sample * (1.0 - p_star) + (1.0 - w_sample) * p_star
-        if abs(flipped_mean - expected) > delta_prime:
-            hoeffding_violations += 1
+    flipped_ones = ones - rng.binomial(ones, p_star) + rng.binomial(m - ones, p_star)
+    expected = w_sample * (1.0 - p_star) + (1.0 - w_sample) * p_star
+    hoeffding_violations = int(np.count_nonzero(np.abs(flipped_ones / m - expected) > delta_prime))
 
     def limit(bound: float) -> float:
         return bound + 3.0 * math.sqrt(bound * (1.0 - bound) / cfg.trials)

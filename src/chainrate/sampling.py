@@ -6,8 +6,8 @@ revealed part's. ``sampling_failure_bound`` is the analytic tail bound for
 that estimate; ``deviation_for_failure`` inverts it so a target failure
 probability picks the deviation tolerance. ``hoeffding_deviation`` is the
 standard i.i.d. mean bound used for the honest-noise contribution. The
-empirical estimators below exist to check the analytic bounds against direct
-simulation and exhaustive enumeration.
+estimators below exist to check the analytic bounds against seeded sampling
+and exhaustive enumeration.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ from .bell import BellWord
 
 # Guard for exhaustive subset enumeration.
 MAX_EXHAUSTIVE_SUBSETS = 5_000_000
+#: Most seeded trials one scan may draw; trial arrays take O(trials) memory.
+MAX_TRIALS = 10**6
 
 
 @dataclass(frozen=True)
@@ -122,26 +124,23 @@ def empirical_failure_bits(
 ) -> float:
     """Monte Carlo frequency of |w(sample) - w(rest)| > delta over uniform subsets.
 
-    Operates on a fixed binary word; subsets are drawn without replacement
-    from a generator seeded with ``seed``, so results are reproducible.
+    Operates on a fixed binary word of weight K. The test depends on a subset
+    only through how many ones it holds, which is Hypergeometric(K, n - K, m)
+    for a uniform size-``m`` subset drawn without replacement, so all trials
+    are one hypergeometric draw from a generator seeded with ``seed``;
+    results are reproducible.
     """
     bits = _as_bits(bits)
     n = int(bits.size)
     if not (1 <= m < n):
         raise ValueError(f"sample size must satisfy 1 <= m < n, got m={m}, n={n}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    rng = np.random.default_rng(seed)
+    if not (1 <= trials <= MAX_TRIALS):
+        raise ValueError(f"trials must be in 1..{MAX_TRIALS}, got {trials}")
     total_ones = int(bits.sum())
-    failures = 0
-    for _ in range(trials):
-        picked = rng.choice(n, size=m, replace=False)
-        ones_in_sample = int(bits[picked].sum())
-        w_sample = ones_in_sample / m
-        w_rest = (total_ones - ones_in_sample) / (n - m)
-        if abs(w_sample - w_rest) > delta:
-            failures += 1
-    return failures / trials
+    ones_in_sample = np.random.default_rng(seed).hypergeometric(total_ones, n - total_ones, m, size=trials)
+    w_sample = ones_in_sample / m
+    w_rest = (total_ones - ones_in_sample) / (n - m)
+    return int(np.count_nonzero(np.abs(w_sample - w_rest) > delta)) / trials
 
 
 def empirical_failure(

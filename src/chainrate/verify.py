@@ -331,9 +331,15 @@ def check_measurement_semantics() -> CheckResult:
     return CheckResult("measurement_semantics", worst <= 1e-12, f"max deviation {worst:.3e}")
 
 
+#: Chi-square with 3 degrees of freedom exceeds this with probability ~1e-4.
+CHI2_3DOF_P1E4 = 21.1
+
+
 def check_round_sampler(seed: int = 20260817, draws: int = 200_000) -> CheckResult:
     """Sampled end-to-end symbols follow the folded distribution (4-sigma gate),
-    and a noiseless chain yields only the identity symbol."""
+    the symbol counts the simulator draws agree with the per-link sampler's
+    (two-sample chi-square, 3 dof, gate at p = 1e-4), and a noiseless chain
+    yields only the identity symbol."""
     spec = noise.uniform_chain(5, 0.03, 2, 2)
     rng = np.random.default_rng(seed)
     symbols = montecarlo.sample_rounds(spec, draws, rng)
@@ -344,10 +350,18 @@ def check_round_sampler(seed: int = 20260817, draws: int = 200_000) -> CheckResu
         freq = float(np.mean(symbols == index))
         sigma = math.sqrt(p * (1.0 - p) / draws)
         worst_sigma = max(worst_sigma, abs(freq - p) / sigma)
+    # Equal sample sizes: sum over cells of (a - b)**2 / (a + b).
+    per_link = np.bincount(symbols, minlength=4).astype(float)
+    counted = montecarlo.symbol_counts(spec, draws, rng).astype(float)
+    chi2 = float(np.sum((per_link - counted) ** 2 / (per_link + counted)))
     noiseless = noise.uniform_chain(2, 0.0, 1, 1)
     clean = montecarlo.sample_rounds(noiseless, 1000, np.random.default_rng(seed))
-    ok = worst_sigma <= 4.0 and not np.any(clean)
-    return CheckResult("round_sampler", ok, f"worst cell deviation {worst_sigma:.2f} sigma")
+    ok = worst_sigma <= 4.0 and chi2 <= CHI2_3DOF_P1E4 and not np.any(clean)
+    return CheckResult(
+        "round_sampler",
+        ok,
+        f"worst cell deviation {worst_sigma:.2f} sigma, two-sample chi2 {chi2:.2f} (gate {CHI2_3DOF_P1E4})",
+    )
 
 
 def check_concentration(seed: int = 20260817, trials: int = 1500) -> CheckResult:

@@ -9,6 +9,7 @@ import pytest
 
 from chainrate.cli import main
 from chainrate.keyrate import RateParams, finite_rate
+from chainrate.montecarlo import MAX_TRIALS
 from chainrate.noise import noise_parameter, observed_qx, uniform_chain
 from chainrate.sampling import deviation_for_failure, hoeffding_deviation
 
@@ -165,6 +166,37 @@ def test_simulate_accepts_p_star_override(capsys, tmp_path):
     rc, out, _ = run(capsys, "simulate", "--config", config, "--rounds", "1e4", "--seed", "1")
     assert rc == 0
     assert json.loads(out)["p_star"] == 0.01
+
+
+def test_simulate_at_a_trillion_rounds(capsys):
+    rc, out, err = run(capsys, "simulate", "--rounds", "1e12", "--seed", "3")
+    assert rc == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["rounds"] == 10**12
+    qx, m = payload["qx_analytic"], payload["sample_size"]
+    assert abs(payload["qx_hat"] - qx) <= 6 * math.sqrt(qx * (1 - qx) / m)
+
+
+def test_trial_count_over_the_cap_exits_one(capsys):
+    rc, out, err = run(capsys, "mc-verify", "--trials", str(MAX_TRIALS + 1))
+    assert rc == 1 and out == ""
+    assert "trials" in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("rounds", ["inf", "1e400", "nan"])
+def test_non_finite_round_count_is_a_one_line_error(capsys, rounds):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["simulate", "--rounds", rounds])
+    assert exit_info.value.code == 1
+    err = capsys.readouterr().err
+    assert "--rounds" in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("per_decade", ["0", "-1"])
+def test_per_decade_must_be_positive(capsys, per_decade):
+    rc, out, err = run(capsys, "rate-finite", "--per-decade", per_decade)
+    assert rc == 1 and out == ""
+    assert "per-decade" in err and len(err.splitlines()) == 1
 
 
 def test_mc_verify_passes_on_honest_chain(capsys):

@@ -1,4 +1,4 @@
-"""Round-level simulation: sampler law, determinism, concentration scans."""
+"""Monte Carlo: per-link sampler law, count-level simulation, concentration scans."""
 
 import math
 
@@ -8,17 +8,24 @@ import pytest
 from chainrate.bell import BellSymbol
 from chainrate.montecarlo import (
     MAX_ROUNDS,
+    MAX_TRIALS,
     ConcentrationSummary,
     MCReport,
     TrialConfig,
     sample_round,
     sample_rounds,
     simulate_e91,
+    symbol_counts,
     verify_concentration,
 )
-from chainrate.noise import end_to_end_dist, observed_qx, uniform_chain
+from chainrate.noise import end_to_end_dist, noise_report, observed_qx, uniform_chain
+from chainrate.sampling import deviation_for_failure, empirical_failure_bits, hoeffding_deviation
 
 PRESET = uniform_chain(5, 0.03, 2, 2)
+# qx ~0.44 and p* ~0.38: at epsilon 0.9 both bounds are violated in
+# ~6% (subset) and ~19% (mean) of trials, so a wrong count law shows.
+NOISY = uniform_chain(5, 0.3, 2, 2)
+LOOSE_EPSILON = 0.9
 
 
 def test_trial_config_validation():
@@ -34,6 +41,9 @@ def test_trial_config_validation():
         TrialConfig(spec=PRESET, rounds=100, sample_size=0, seed=0)
     with pytest.raises(ValueError):
         TrialConfig(spec=PRESET, rounds=100, sample_size=50, seed=0, trials=0)
+    with pytest.raises(ValueError):
+        TrialConfig(spec=PRESET, rounds=100, sample_size=50, seed=0, trials=MAX_TRIALS + 1)
+    assert TrialConfig(spec=PRESET, rounds=MAX_ROUNDS, sample_size=10, seed=0, trials=MAX_TRIALS).rounds == MAX_ROUNDS
     with pytest.raises(ValueError):
         TrialConfig(spec=PRESET, rounds=100, sample_size=50, seed=0, p_star_override=0.5)
 
@@ -98,6 +108,17 @@ def test_simulate_report_statistics():
     assert report.rate_from_observation.delta > 0.0
 
 
+def test_symbol_counts_follow_the_analytic_law():
+    spec = uniform_chain(2, 0.2, 1, 0)
+    n = 200_000
+    counts = symbol_counts(spec, n, np.random.default_rng(5))
+    assert counts.sum() == n
+    expected = end_to_end_dist(spec).probs
+    for index in range(4):
+        sigma = math.sqrt(expected[index] * (1 - expected[index]) / n)
+        assert abs(counts[index] / n - expected[index]) < 4.5 * sigma
+
+
 def test_simulate_p_star_override_feeds_the_rate():
     # Epsilon mild enough that the entropy bound is not saturated at this size.
     cfg = TrialConfig(spec=PRESET, rounds=10**4, sample_size=700, seed=2, epsilon=1e-6, p_star_override=0.0)
@@ -107,18 +128,6 @@ def test_simulate_p_star_override_feeds_the_rate():
     report2 = simulate_e91(cfg2)
     assert report2.p_star == 0.04
     assert report2.rate_from_observation.rate > report.rate_from_observation.rate
-
-
-def test_trial_rng_is_split_invariant():
-    from chainrate.montecarlo import _trial_rng
-
-    # Trial generators depend only on (seed, index), never on visit order.
-    late = _trial_rng(7, 5).random(4)
-    early = _trial_rng(7, 5).random(4)
-    assert np.array_equal(late, early)
-    expected = np.random.default_rng(np.random.SeedSequence(entropy=7, spawn_key=(5,))).random(4)
-    assert np.array_equal(late, expected)
-    assert not np.array_equal(_trial_rng(7, 6).random(4), late)
 
 
 def test_concentration_honest_words_within_bounds():
@@ -172,3 +181,57 @@ def test_summary_ok_property():
     assert ConcentrationSummary(**base, sampling_ok=True, hoeffding_ok=True).ok
     assert not ConcentrationSummary(**base, sampling_ok=True, hoeffding_ok=False).ok
     assert not ConcentrationSummary(**base, sampling_ok=False, hoeffding_ok=True).ok
+
+
+# Count-level scans against a literal per-trial reference: a word of phase
+# bits (i.i.d. at qx, or fixed), an rng.choice subset, rng.random flips.
+SCAN_N, SCAN_M = 2_000, 140
+HALF_WORD = np.tile(np.array([1, 0], dtype=np.uint8), SCAN_N // 2)
+COUNT_TRIALS = 100_000
+LITERAL_TRIALS = 10_000
+
+
+def _literal_scan(word, seed):
+    """(subset violations, mean violations) over LITERAL_TRIALS trials on NOISY."""
+    n, m = SCAN_N, SCAN_M
+    delta = deviation_for_failure(LOOSE_EPSILON, m, n)
+    delta_prime = hoeffding_deviation(LOOSE_EPSILON, m)
+    report = noise_report(NOISY)
+    qx, p_star = report.observed_qx, report.p_star
+    rng = np.random.default_rng(seed)
+    sampling = hoeffding = 0
+    for _ in range(LITERAL_TRIALS):
+        bits = word if word is not None else (rng.random(n) < qx).astype(np.uint8)
+        picked = bits[rng.choice(n, size=m, replace=False)]
+        w_sample = picked.sum() / m
+        w_rest = (bits.sum() - picked.sum()) / (n - m)
+        sampling += abs(w_sample - w_rest) > delta
+        flipped = (rng.random(m) < p_star) ^ picked.astype(bool)
+        expected = w_sample * (1 - p_star) + (1 - w_sample) * p_star
+        hoeffding += abs(flipped.mean() - expected) > delta_prime
+    return int(sampling), int(hoeffding)
+
+
+def _two_proportion_z(hits_a, n_a, hits_b, n_b):
+    pooled = (hits_a + hits_b) / (n_a + n_b)
+    se = math.sqrt(pooled * (1 - pooled) * (1 / n_a + 1 / n_b))
+    return (hits_a / n_a - hits_b / n_b) / se
+
+
+@pytest.mark.parametrize("word", [None, HALF_WORD], ids=["honest", "injected"])
+def test_concentration_count_law_matches_literal_trials(word):
+    cfg = TrialConfig(spec=NOISY, rounds=SCAN_N, sample_size=SCAN_M, seed=21, trials=COUNT_TRIALS)
+    summary = verify_concentration(cfg, LOOSE_EPSILON, injected_ph=word)
+    sampling, hoeffding = _literal_scan(word, seed=22)
+    assert summary.sampling_violations > 0.03 * COUNT_TRIALS
+    assert summary.hoeffding_violations > 0.1 * COUNT_TRIALS
+    assert abs(_two_proportion_z(summary.sampling_violations, COUNT_TRIALS, sampling, LITERAL_TRIALS)) <= 4.0
+    assert abs(_two_proportion_z(summary.hoeffding_violations, COUNT_TRIALS, hoeffding, LITERAL_TRIALS)) <= 4.0
+
+
+def test_empirical_failure_count_law_matches_literal_subsets():
+    delta = deviation_for_failure(LOOSE_EPSILON, SCAN_M, SCAN_N)
+    freq = empirical_failure_bits(HALF_WORD, SCAN_M, delta, trials=COUNT_TRIALS, seed=23)
+    sampling, _ = _literal_scan(HALF_WORD, seed=24)
+    assert freq > 0.03
+    assert abs(_two_proportion_z(round(freq * COUNT_TRIALS), COUNT_TRIALS, sampling, LITERAL_TRIALS)) <= 4.0

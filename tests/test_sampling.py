@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from chainrate.bell import BellWord
 from chainrate.sampling import (
+    MAX_TRIALS,
     EpsilonLedger,
     SamplingParams,
     deviation_for_failure,
@@ -190,6 +191,8 @@ def test_empirical_validation():
         empirical_failure_bits([1, 0, 1], 3, 0.1, trials=10, seed=0)
     with pytest.raises(ValueError):
         empirical_failure_bits([1, 0, 1], 1, 0.1, trials=0, seed=0)
+    with pytest.raises(ValueError):
+        empirical_failure_bits([1, 0, 1], 1, 0.1, trials=MAX_TRIALS + 1, seed=0)
 
 
 def test_bits_conversion_rejects_non_bits():
