@@ -5,115 +5,8 @@ distributions (:mod:`chainrate.bell`), an exact density-matrix reference that
 certifies it (:mod:`chainrate.dm_oracle`), the chain noise model
 (:mod:`chainrate.noise`), finite-sample estimation bounds
 (:mod:`chainrate.sampling`), the key-rate formulas (:mod:`chainrate.keyrate`),
-a round-level simulator (:mod:`chainrate.montecarlo`), and a self-verification
+a seeded count-level simulator (:mod:`chainrate.montecarlo`), and a self-verification
 suite (:mod:`chainrate.verify`) surfaced by the CLI (:mod:`chainrate.cli`).
 """
 
-from .bell import (
-    BellDiagonal,
-    BellSymbol,
-    BellWord,
-    bit_error_prob,
-    convolve,
-    fold_convolve,
-    phase_error_prob,
-    ph_weight,
-    bt_weight,
-    symbol_add,
-    word_add,
-)
-from .config import ChainConfig, ConfigError, default_chain_config, load_chain_config, parse_chain_config
-from .keyrate import (
-    RateParams,
-    RateReport,
-    asymptotic_rate,
-    bb84_asymptotic,
-    bb84_finite,
-    binary_entropy,
-    capped_entropy,
-    corrected_phase,
-    finite_rate,
-    noise_tolerance,
-)
-from .montecarlo import MCReport, TrialConfig, sample_round, sample_rounds, simulate_e91, verify_concentration
-from .noise import (
-    ChainSpec,
-    NoiseReport,
-    balanced_honest_chain,
-    depolarizing_dist,
-    end_to_end_dist,
-    honest_marginals,
-    noise_parameter,
-    noise_report,
-    observed_qx,
-    observed_qz,
-    strength_for_observed_qx,
-    uniform_chain,
-)
-from .sampling import (
-    EpsilonLedger,
-    SamplingParams,
-    deviation_for_failure,
-    empirical_failure,
-    epsilon_ledger,
-    exhaustive_failure,
-    hoeffding_deviation,
-    sampling_failure_bound,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BellDiagonal",
-    "BellSymbol",
-    "BellWord",
-    "ChainConfig",
-    "ChainSpec",
-    "ConfigError",
-    "EpsilonLedger",
-    "MCReport",
-    "NoiseReport",
-    "RateParams",
-    "RateReport",
-    "SamplingParams",
-    "TrialConfig",
-    "asymptotic_rate",
-    "balanced_honest_chain",
-    "bb84_asymptotic",
-    "bb84_finite",
-    "binary_entropy",
-    "bit_error_prob",
-    "bt_weight",
-    "capped_entropy",
-    "convolve",
-    "corrected_phase",
-    "default_chain_config",
-    "depolarizing_dist",
-    "deviation_for_failure",
-    "empirical_failure",
-    "end_to_end_dist",
-    "epsilon_ledger",
-    "exhaustive_failure",
-    "finite_rate",
-    "fold_convolve",
-    "hoeffding_deviation",
-    "honest_marginals",
-    "load_chain_config",
-    "noise_parameter",
-    "noise_report",
-    "noise_tolerance",
-    "observed_qx",
-    "observed_qz",
-    "parse_chain_config",
-    "phase_error_prob",
-    "ph_weight",
-    "sample_round",
-    "sample_rounds",
-    "sampling_failure_bound",
-    "simulate_e91",
-    "strength_for_observed_qx",
-    "symbol_add",
-    "uniform_chain",
-    "verify_concentration",
-    "word_add",
-]

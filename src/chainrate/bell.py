@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, Sequence
+from typing import Iterable
 
 # Distributions must sum to 1 within this tolerance; entries must be >= 0.
 NORMALIZATION_TOL = 1e-12
@@ -48,80 +48,9 @@ SYMBOLS: tuple[BellSymbol, ...] = (
 IDENTITY_SYMBOL = SYMBOLS[0]
 
 
-def symbol_from_index(index: int) -> BellSymbol:
-    """Inverse of :attr:`BellSymbol.index`."""
-    if index not in (0, 1, 2, 3):
-        raise ValueError(f"symbol index must be in 0..3, got {index!r}")
-    return SYMBOLS[index]
-
-
 def symbol_add(a: BellSymbol, b: BellSymbol) -> BellSymbol:
     """Coordinate-wise XOR of two symbols."""
     return SYMBOLS[a.index ^ b.index]
-
-
-@dataclass(frozen=True)
-class BellWord:
-    """A finite sequence of symbols, added position-wise."""
-
-    symbols: tuple[BellSymbol, ...]
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.symbols, tuple):
-            object.__setattr__(self, "symbols", tuple(self.symbols))
-        for s in self.symbols:
-            if not isinstance(s, BellSymbol):
-                raise TypeError(f"word entries must be BellSymbol, got {type(s).__name__}")
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "BellWord":
-        return cls(tuple(BellSymbol(b, p) for b, p in pairs))
-
-    @classmethod
-    def from_indices(cls, indices: Iterable[int]) -> "BellWord":
-        return cls(tuple(symbol_from_index(int(i)) for i in indices))
-
-    def __len__(self) -> int:
-        return len(self.symbols)
-
-    def __getitem__(self, i: int) -> BellSymbol:
-        return self.symbols[i]
-
-    def __add__(self, other: "BellWord") -> "BellWord":
-        return word_add(self, other)
-
-    def bt_bits(self) -> tuple[int, ...]:
-        return tuple(s.bt for s in self.symbols)
-
-    def ph_bits(self) -> tuple[int, ...]:
-        return tuple(s.ph for s in self.symbols)
-
-    def subword(self, indices: Sequence[int]) -> "BellWord":
-        """Entries at the given positions, in the given order."""
-        return BellWord(tuple(self.symbols[i] for i in indices))
-
-
-def word_add(u: BellWord, v: BellWord) -> BellWord:
-    """Position-wise symbol addition; words must have equal length."""
-    if len(u) != len(v):
-        raise ValueError(f"word lengths differ: {len(u)} vs {len(v)}")
-    return BellWord(tuple(symbol_add(a, b) for a, b in zip(u.symbols, v.symbols)))
-
-
-def _relative_weight(bits: Sequence[int]) -> float:
-    if len(bits) == 0:
-        raise ValueError("weight of the empty word is undefined")
-    return sum(bits) / len(bits)
-
-
-def bt_weight(word: BellWord) -> float:
-    """Fraction of positions with bt = 1."""
-    return _relative_weight(word.bt_bits())
-
-
-def ph_weight(word: BellWord) -> float:
-    """Fraction of positions with ph = 1."""
-    return _relative_weight(word.ph_bits())
 
 
 @dataclass(frozen=True)

@@ -6,13 +6,28 @@ Subcommands:
 * ``rate-finite``      sweep round count or observed noise, tabulate finite-size rates vs. the baseline
 * ``rate-asymptotic``  sweep observed noise, tabulate asymptotic rates vs. the baseline
 * ``bounds``           print the deviation tolerances and failure-term ledger for one setting
-* ``simulate``         run one round-level simulation, print its report as JSON
+* ``simulate``         run one count-level simulation, print its report as JSON
 * ``mc-verify``        run the concentration scan, print its summary as JSON
 * ``verify``           run the full self-verification suite
 
-Tables are CSV with a header row, ordered by the sweep column, numbers at 12
-significant digits; reports are JSON. Exit codes: 0 success, 1 validation
-error, 2 verification failure. All randomness flows from ``--seed``.
+What each command takes from the chain configuration (``--config``; without
+it, the preset: 5 stations, identical 3% depolarizing links, 2+2 honest):
+
+* the q and qx sweeps (``noise``, ``rate-asymptotic``, ``rate-finite --sweep
+  qx``) use identical links of the configured size at the swept strength;
+* the N sweep, ``simulate`` and ``mc-verify`` use the configured links;
+  ``rate-finite --sweep N --q Q`` gives the preset identical links of
+  strength Q instead, and ``--q`` is refused with ``--config`` or ``--sweep qx``;
+* sweeps over ``--honest`` split each count evenly (the left end takes the
+  odd station); ``simulate`` and ``mc-verify`` use the configured split;
+* ``p_star_override`` replaces the computed honest-zone parameter everywhere
+  except the ``noise`` table, which shows the computed one.
+
+``bounds`` and ``verify`` read no configuration. Each subcommand accepts only
+the flags it reads (``chainrate CMD -h``). Tables are CSV with a header row,
+ordered by the sweep column, numbers at 12 significant digits; reports are
+JSON. Exit codes: 0 success, 1 validation error, 2 verification failure. All
+randomness flows from ``--seed``.
 """
 
 from __future__ import annotations
@@ -27,16 +42,32 @@ import sys
 from typing import Any, Sequence
 
 from . import verify as verify_mod
+from .bell import BellDiagonal
 from .config import ChainConfig, ConfigError, default_chain_config, load_chain_config
 from .keyrate import RateParams, asymptotic_rate, bb84_asymptotic, bb84_finite, finite_rate, noise_tolerance
 from .montecarlo import TrialConfig, simulate_e91, verify_concentration
-from .noise import ChainSpec, noise_parameter, observed_qx, strength_for_observed_qx, uniform_chain
-from .sampling import deviation_for_failure, epsilon_ledger, hoeffding_deviation, sampling_failure_bound
+from .noise import (
+    balanced_honest_chain,
+    noise_parameter,
+    observed_qx,
+    resolve_p_star,
+    strength_for_observed_qx,
+    uniform_chain,
+)
+from .sampling import (
+    deviation_for_failure,
+    epsilon_ledger,
+    hoeffding_deviation,
+    require_admissible,
+    sampling_failure_bound,
+)
 
 DEFAULT_EPSILON = 1e-36
 # The concentration scan tests the bound at its own epsilon; the key-rate
 # default would put the target frequency at 1e-72.
 MC_VERIFY_EPSILON = 0.05
+#: Most rows one table may have; both grids check it before building anything.
+MAX_ROWS = 10_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -85,7 +116,7 @@ def _json_default(value: Any) -> Any:
 def _emit_json(payload: Any, out: str | None) -> None:
     if dataclasses.is_dataclass(payload) and not isinstance(payload, type):
         payload = dataclasses.asdict(payload)
-    _emit(json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n", out)
+    _emit(json.dumps(payload, indent=2, sort_keys=True, default=_json_default, allow_nan=False) + "\n", out)
 
 
 def _positive_int(text: str) -> int:
@@ -112,22 +143,15 @@ def _load_config(args: argparse.Namespace) -> ChainConfig:
     return load_chain_config(args.config)
 
 
-def _epsilon(args: argparse.Namespace, fallback: float = DEFAULT_EPSILON) -> float:
-    return fallback if args.epsilon is None else args.epsilon
-
-
-def _sample_size(rounds: int, fraction: float) -> int:
+def _sample_size(rounds: int, fraction: float, epsilon: float) -> int:
     if not (0.0 < fraction < 1.0):
         raise ConfigError(f"--m-fraction must be in (0, 1), got {fraction}")
     size = max(1, round(fraction * rounds))
-    if 2 * size > rounds:
-        raise ConfigError(f"--m-fraction {fraction} gives sample {size} > half of {rounds} rounds")
+    try:
+        require_admissible(epsilon=epsilon, m=size, n=rounds)
+    except ValueError as exc:
+        raise ConfigError(f"{rounds} rounds at --m-fraction {fraction}: {exc}") from exc
     return size
-
-
-def _balanced_split(honest_total: int) -> tuple[int, int]:
-    left = (honest_total + 1) // 2
-    return left, honest_total - left
 
 
 def _resolve_honest(
@@ -147,16 +171,25 @@ def _resolve_honest(
     return counts
 
 
+def _p_star(config: ChainConfig, links: Sequence[BellDiagonal], count: int) -> float:
+    """Honest-zone parameter of ``count`` honest stations split evenly over ``links``."""
+    return resolve_p_star(balanced_honest_chain(links, count), config.p_star_override)
+
+
+def _qx_links(repeaters: int, qx: float) -> tuple[BellDiagonal, ...]:
+    """Identical links of the configured size whose end-to-end phase noise is ``qx``."""
+    return uniform_chain(repeaters, strength_for_observed_qx(qx, repeaters + 1), 0, 0).links
+
+
 def _grid(lo: float, hi: float, steps: int) -> list[float]:
-    if steps < 2 or hi <= lo:
-        raise ConfigError(f"need at least 2 steps and max > min, got [{lo}, {hi}] x {steps}")
+    if not (2 <= steps <= MAX_ROWS) or hi <= lo:
+        raise ConfigError(f"need 2..{MAX_ROWS} steps and max > min, got [{lo}, {hi}] x {steps}")
     span = hi - lo
     return [lo + span * i / (steps - 1) for i in range(steps)]
 
 
 def cmd_noise(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    repeaters = config.spec.repeaters
+    repeaters = _load_config(args).spec.repeaters
     honest = _resolve_honest(args.honest, repeaters, (1, 2, 3, 4))
     header = ["q", "qx_total"] + [f"p_star_h{count}" for count in honest]
     rows = []
@@ -164,8 +197,7 @@ def cmd_noise(args: argparse.Namespace) -> int:
         chain = uniform_chain(repeaters, q, 0, 0)
         row: list[Any] = [q, observed_qx(chain)]
         for count in honest:
-            left, right = _balanced_split(count)
-            row.append(noise_parameter(uniform_chain(repeaters, q, left, right)))
+            row.append(noise_parameter(balanced_honest_chain(chain.links, count)))
         rows.append(row)
     _emit_csv(header, rows, args.out)
     return 0
@@ -176,9 +208,11 @@ def _round_grid(n_min: int, n_max: int, per_decade: int) -> list[int]:
         raise ConfigError(f"need 10 <= n-min < n-max, got {n_min}, {n_max}")
     if per_decade < 1:
         raise ConfigError(f"--per-decade must be >= 1, got {per_decade}")
-    values = []
     exponent = math.log10(n_min)
     top = math.log10(n_max)
+    if (top - exponent) * per_decade + 1 > MAX_ROWS:
+        raise ConfigError(f"--per-decade {per_decade} over [{n_min}, {n_max}] gives more than {MAX_ROWS} rows")
+    values = []
     step = 1.0 / per_decade
     while exponent <= top + 1e-9:
         values.append(int(round(10**exponent)))
@@ -186,111 +220,68 @@ def _round_grid(n_min: int, n_max: int, per_decade: int) -> list[int]:
     return sorted(set(values))
 
 
-def _rate_columns(honest: Sequence[int]) -> list[str]:
-    header = []
-    for count in honest:
-        header += [f"rate_h{count}", f"rate_h{count}_clamped"]
-    return header + ["rate_bb84f", "rate_bb84f_clamped"]
+def _finite_row(args: argparse.Namespace, key: Any, qx: float, rounds: int, p_stars: Sequence[float]) -> list[Any]:
+    """``key``, then the rate per honest-zone parameter and the baseline, each raw and clamped."""
+    sample = _sample_size(rounds, args.m_fraction, args.epsilon)
+    row = [key]
+    for p_star in p_stars:
+        params = RateParams(
+            n=rounds,
+            m=sample,
+            epsilon=args.epsilon,
+            p_star=p_star,
+            ec_factor=args.ec_factor,
+            strict_leak=args.strict_leak,
+        )
+        report = finite_rate(qx, params)
+        row += [report.rate, report.rate_clamped]
+    baseline = bb84_finite(qx, rounds, sample, args.epsilon)
+    return row + [baseline, max(0.0, baseline)]
 
 
 def cmd_rate_finite(args: argparse.Namespace) -> int:
+    if args.q is not None and (args.config is not None or args.sweep == "qx"):
+        raise ConfigError("--q sets the preset's links for --sweep N; it cannot be combined with --config or --sweep qx")
     config = _load_config(args)
-    spec = config.spec
-    repeaters = spec.repeaters
-    n_links = repeaters + 1
+    repeaters = config.spec.repeaters
     honest = _resolve_honest(args.honest, repeaters, (0, 2, 4))
-    epsilon = _epsilon(args)
     rows: list[list[Any]] = []
-
     if args.sweep == "N":
-        if args.config is None and args.q is not None:
-            spec = uniform_chain(repeaters, args.q, spec.honest_left, spec.honest_right)
+        spec = config.spec if args.q is None else uniform_chain(repeaters, args.q, 0, 0)
         qx = observed_qx(spec)
-        p_stars = []
-        for count in honest:
-            left, right = _balanced_split(count)
-            sub = ChainSpec(repeaters, left, right, spec.links)
-            p_stars.append(noise_parameter(sub) if config.p_star_override is None else config.p_star_override)
+        p_stars = [_p_star(config, spec.links, count) for count in honest]
         for rounds in _round_grid(args.n_min, args.n_max, args.per_decade):
-            sample = _sample_size(rounds, args.m_fraction)
-            row: list[Any] = [rounds]
-            for p_star in p_stars:
-                report = finite_rate(
-                    qx,
-                    RateParams(
-                        n=rounds,
-                        m=sample,
-                        epsilon=epsilon,
-                        p_star=p_star,
-                        ec_factor=args.ec_factor,
-                        strict_leak=args.strict_leak,
-                    ),
-                )
-                row += [report.rate, report.rate_clamped]
-            baseline = bb84_finite(qx, rounds, sample, epsilon)
-            row += [baseline, max(0.0, baseline)]
-            rows.append(row)
-        _emit_csv(["N"] + _rate_columns(honest), rows, args.out)
-        return 0
-
-    # qx sweep at fixed round count: each grid point is realized by an
-    # identical-strength chain of the configured size hitting that end-to-end noise.
-    rounds = args.rounds
-    sample = _sample_size(rounds, args.m_fraction)
-    for qx in _grid(args.qx_min, args.qx_max, args.steps):
-        if not (0.0 <= qx < 0.5):
-            raise ConfigError(f"observed-noise sweep must stay in [0, 0.5), got {qx}")
-        strength = strength_for_observed_qx(qx, n_links)
-        row = [qx]
-        for count in honest:
-            left, right = _balanced_split(count)
-            chain = uniform_chain(repeaters, strength, left, right)
-            p_star = noise_parameter(chain) if config.p_star_override is None else config.p_star_override
-            report = finite_rate(
-                qx,
-                RateParams(
-                    n=rounds,
-                    m=sample,
-                    epsilon=epsilon,
-                    p_star=p_star,
-                    ec_factor=args.ec_factor,
-                    strict_leak=args.strict_leak,
-                ),
-            )
-            row += [report.rate, report.rate_clamped]
-        baseline = bb84_finite(qx, rounds, sample, epsilon)
-        row += [baseline, max(0.0, baseline)]
-        rows.append(row)
-    _emit_csv(["qx"] + _rate_columns(honest), rows, args.out)
+            rows.append(_finite_row(args, rounds, qx, rounds, p_stars))
+    else:
+        for qx in _grid(args.qx_min, args.qx_max, args.steps):
+            links = _qx_links(repeaters, qx)
+            rows.append(_finite_row(args, qx, qx, args.rounds, [_p_star(config, links, count) for count in honest]))
+    header = [args.sweep]
+    for count in honest:
+        header += [f"rate_h{count}", f"rate_h{count}_clamped"]
+    _emit_csv(header + ["rate_bb84f", "rate_bb84f_clamped"], rows, args.out)
     return 0
 
 
 def cmd_rate_asymptotic(args: argparse.Namespace) -> int:
     config = _load_config(args)
     repeaters = config.spec.repeaters
-    n_links = repeaters + 1
     honest = _resolve_honest(args.honest, repeaters, (0, 2, 4))
 
-    def p_star_at(qx: float, count: int) -> float:
-        if config.p_star_override is not None:
-            return config.p_star_override
-        left, right = _balanced_split(count)
-        strength = strength_for_observed_qx(qx, n_links)
-        return noise_parameter(uniform_chain(repeaters, strength, left, right))
+    def rate_at(qx: float, count: int) -> float:
+        return asymptotic_rate(qx, _p_star(config, _qx_links(repeaters, qx), count))
 
     header = ["qx"] + [f"rate_h{count}" for count in honest] + ["rate_bb84a"]
     rows: list[list[Any]] = []
     for qx in _grid(args.qx_min, args.qx_max, args.steps):
-        if not (0.0 <= qx < 0.5):
-            raise ConfigError(f"observed-noise sweep must stay in [0, 0.5), got {qx}")
         row: list[Any] = [qx]
         for count in honest:
-            row.append(asymptotic_rate(qx, p_star_at(qx, count)))
+            row.append(rate_at(qx, count))
         row.append(bb84_asymptotic(qx))
         rows.append(row)
     threshold_row: list[Any] = ["threshold"]
     for count in honest:
-        threshold_row.append(noise_tolerance(lambda qx: asymptotic_rate(qx, p_star_at(qx, count))))
+        threshold_row.append(noise_tolerance(lambda qx: rate_at(qx, count)))
     threshold_row.append(noise_tolerance(bb84_asymptotic))
     rows.append(threshold_row)
     _emit_csv(header, rows, args.out)
@@ -298,9 +289,9 @@ def cmd_rate_asymptotic(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    epsilon = _epsilon(args)
+    epsilon = args.epsilon
     rounds = args.rounds
-    sample = _sample_size(rounds, args.m_fraction)
+    sample = _sample_size(rounds, args.m_fraction, epsilon)
     delta = deviation_for_failure(epsilon, sample, rounds)
     ledger = epsilon_ledger(epsilon)
     payload = {
@@ -318,37 +309,27 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def _trial_config(args: argparse.Namespace, **fields: Any) -> TrialConfig:
+    """The configured chain and split at ``--rounds``, ``--m-fraction``, ``--epsilon`` and ``--seed``."""
     config = _load_config(args)
-    rounds = args.rounds
-    cfg = TrialConfig(
+    return TrialConfig(
         spec=config.spec,
-        rounds=rounds,
-        sample_size=_sample_size(rounds, args.m_fraction),
+        rounds=args.rounds,
+        sample_size=_sample_size(args.rounds, args.m_fraction, args.epsilon),
         seed=args.seed,
-        epsilon=_epsilon(args),
-        ec_factor=args.ec_factor,
-        strict_leak=args.strict_leak,
+        epsilon=args.epsilon,
         p_star_override=config.p_star_override,
+        **fields,
     )
-    _emit_json(simulate_e91(cfg), args.out)
+
+
+def cmd_simulate(args: argparse.Namespace) -> int:
+    _emit_json(simulate_e91(_trial_config(args, ec_factor=args.ec_factor, strict_leak=args.strict_leak)), args.out)
     return 0
 
 
 def cmd_mc_verify(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    rounds = args.rounds
-    cfg = TrialConfig(
-        spec=config.spec,
-        rounds=rounds,
-        sample_size=_sample_size(rounds, args.m_fraction),
-        seed=args.seed,
-        trials=args.trials,
-        ec_factor=args.ec_factor,
-        strict_leak=args.strict_leak,
-        p_star_override=config.p_star_override,
-    )
-    summary = verify_concentration(cfg, epsilon=_epsilon(args, fallback=MC_VERIFY_EPSILON))
+    summary = verify_concentration(_trial_config(args, trials=args.trials), epsilon=args.epsilon)
     _emit_json(summary, args.out)
     return 0 if summary.ok else 2
 
@@ -365,20 +346,26 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if passed == len(results) else 2
 
 
+def _protocol_flags(epsilon: float) -> argparse.ArgumentParser:
+    """``--epsilon`` with this command's default, and ``--m-fraction``."""
+    parent = _Parser(add_help=False)
+    parent.add_argument("--epsilon", type=float, default=epsilon, help=f"failure target (default {epsilon:g})")
+    parent.add_argument("--m-fraction", type=float, default=0.07, help="test-sample fraction of rounds (default 0.07)")
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument("--config", metavar="FILE", help="JSON chain configuration")
-    common.add_argument("--out", metavar="FILE", help="write output here instead of stdout")
-    common.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    common.add_argument(
-        "--epsilon",
-        type=float,
-        default=None,
-        help=f"failure target (default {DEFAULT_EPSILON:g}; mc-verify defaults to {MC_VERIFY_EPSILON})",
-    )
-    common.add_argument("--m-fraction", type=float, default=0.07, help="test-sample fraction of rounds (default 0.07)")
-    common.add_argument("--ec-factor", type=float, default=1.2, help="error-correction inefficiency (default 1.2)")
-    common.add_argument(
+    # One parent per group of flags; each subcommand takes the groups it reads.
+    config = _Parser(add_help=False)
+    config.add_argument("--config", metavar="FILE", help="JSON chain configuration (default: the preset)")
+    out = _Parser(add_help=False)
+    out.add_argument("--out", metavar="FILE", help="write output here instead of stdout")
+    seed = _Parser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+    protocol = _protocol_flags(DEFAULT_EPSILON)
+    leak = _Parser(add_help=False)
+    leak.add_argument("--ec-factor", type=float, default=1.2, help="error-correction inefficiency (default 1.2)")
+    leak.add_argument(
         "--strict-leak",
         action="store_true",
         help="charge error correction on all rounds instead of the kept fraction",
@@ -387,14 +374,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="chainrate", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_noise = sub.add_parser("noise", parents=[common], help="sweep link strength")
+    p_noise = sub.add_parser("noise", parents=[config, out], help="sweep link strength")
     p_noise.add_argument("--q-min", type=float, default=0.0)
     p_noise.add_argument("--q-max", type=float, default=0.12)
     p_noise.add_argument("--steps", type=int, default=61)
     p_noise.add_argument("--honest", type=_honest_list, default=None, help="comma-separated honest counts (default 1..4, capped at the chain)")
     p_noise.set_defaults(handler=cmd_noise)
 
-    p_finite = sub.add_parser("rate-finite", parents=[common], help="finite-size rate sweep")
+    p_finite = sub.add_parser("rate-finite", parents=[config, out, protocol, leak], help="finite-size rate sweep")
     p_finite.add_argument("--sweep", choices=("N", "qx"), default="N")
     p_finite.add_argument("--n-min", type=_positive_int, default=10**5)
     p_finite.add_argument("--n-max", type=_positive_int, default=10**12)
@@ -403,31 +390,31 @@ def build_parser() -> argparse.ArgumentParser:
     p_finite.add_argument("--qx-min", type=float, default=0.0)
     p_finite.add_argument("--qx-max", type=float, default=0.15)
     p_finite.add_argument("--steps", type=int, default=151)
-    p_finite.add_argument("--q", type=float, default=None, help="link strength when no config is given (default 0.03)")
+    p_finite.add_argument("--q", type=float, default=None, help="identical link strength of the preset for the N sweep (default: the preset's 0.03)")
     p_finite.add_argument("--honest", type=_honest_list, default=None, help="comma-separated honest counts (default 0,2,4)")
     p_finite.set_defaults(handler=cmd_rate_finite)
 
-    p_asym = sub.add_parser("rate-asymptotic", parents=[common], help="asymptotic rate sweep")
+    p_asym = sub.add_parser("rate-asymptotic", parents=[config, out], help="asymptotic rate sweep")
     p_asym.add_argument("--qx-min", type=float, default=0.0)
     p_asym.add_argument("--qx-max", type=float, default=0.25)
     p_asym.add_argument("--steps", type=int, default=126)
     p_asym.add_argument("--honest", type=_honest_list, default=None, help="comma-separated honest counts (default 0,2,4)")
     p_asym.set_defaults(handler=cmd_rate_asymptotic)
 
-    p_bounds = sub.add_parser("bounds", parents=[common], help="deviation tolerances and failure ledger")
+    p_bounds = sub.add_parser("bounds", parents=[out, protocol], help="deviation tolerances and failure ledger")
     p_bounds.add_argument("--rounds", type=_positive_int, default=10**7)
     p_bounds.set_defaults(handler=cmd_bounds)
 
-    p_sim = sub.add_parser("simulate", parents=[common], help="round-level simulation")
+    p_sim = sub.add_parser("simulate", parents=[config, out, seed, protocol, leak], help="count-level simulation")
     p_sim.add_argument("--rounds", type=_positive_int, default=10**6)
     p_sim.set_defaults(handler=cmd_simulate)
 
-    p_mc = sub.add_parser("mc-verify", parents=[common], help="concentration-bound scan")
+    p_mc = sub.add_parser("mc-verify", parents=[config, out, seed, _protocol_flags(MC_VERIFY_EPSILON)], help="concentration-bound scan")
     p_mc.add_argument("--rounds", type=_positive_int, default=2000)
     p_mc.add_argument("--trials", type=_positive_int, default=2000)
     p_mc.set_defaults(handler=cmd_mc_verify)
 
-    p_verify = sub.add_parser("verify", parents=[common], help="self-verification suite")
+    p_verify = sub.add_parser("verify", parents=[out, seed], help="self-verification suite")
     p_verify.add_argument("--inject-fault", choices=("convolve",), default=None, help="negative control")
     p_verify.set_defaults(handler=cmd_verify)
 
@@ -435,13 +422,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "rate-finite" and args.config is None and args.q is None:
-        args.q = 0.03
+    args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"chainrate: error: {exc}", file=sys.stderr)
         return 1
 

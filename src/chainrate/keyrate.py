@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .sampling import deviation_for_failure, epsilon_ledger, hoeffding_deviation
+from .sampling import deviation_for_failure, epsilon_ledger, hoeffding_deviation, require_admissible
 
 ARG_CLAMPED_LOW = "arg_clamped_low"
 ARG_CLAMPED_HIGH = "arg_clamped_high"
@@ -78,10 +78,11 @@ def corrected_phase(
 class RateParams:
     """Protocol parameters for the finite-size rate.
 
-    ``n`` total rounds, ``m`` of them revealed for testing (m <= n/2),
-    ``p_star`` the honest-zone noise parameter, ``ec_factor`` the
-    error-correction inefficiency, ``strict_leak`` charges error correction on
-    all rounds instead of the kept ones.
+    ``n`` total rounds, ``m`` of them revealed for testing (admissible as
+    ``sampling.require_admissible`` decides), ``p_star`` the honest-zone noise
+    parameter, ``ec_factor`` the finite error-correction inefficiency,
+    ``strict_leak`` charges error correction on all rounds instead of the
+    kept ones.
     """
 
     n: int
@@ -92,16 +93,11 @@ class RateParams:
     strict_leak: bool = False
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"round count must be >= 2, got {self.n}")
-        if not (1 <= self.m) or 2 * self.m > self.n:
-            raise ValueError(f"test sample must satisfy 1 <= m <= n/2, got m={self.m}, n={self.n}")
-        if not (0.0 < self.epsilon < 1.0):
-            raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon!r}")
+        require_admissible(epsilon=self.epsilon, m=self.m, n=self.n)
         if not (0.0 <= self.p_star < 0.5):
             raise ValueError(f"honest-zone parameter must be in [0, 0.5), got {self.p_star!r}")
-        if not (self.ec_factor > 0.0):
-            raise ValueError(f"error-correction factor must be > 0, got {self.ec_factor!r}")
+        if not (0.0 < self.ec_factor < math.inf):
+            raise ValueError(f"error-correction factor must be positive and finite, got {self.ec_factor!r}")
 
 
 @dataclass(frozen=True)
@@ -169,10 +165,7 @@ def bb84_finite(qx: float, n: int, m: int, epsilon: float) -> float:
     """
     if not (0.0 <= qx <= 1.0):
         raise ValueError(f"observed phase rate must be in [0, 1], got {qx!r}")
-    if n < 2 or not (1 <= m < n):
-        raise ValueError(f"need 1 <= m < n with n >= 2, got m={m}, n={n}")
-    if not (0.0 < epsilon < 1.0):
-        raise ValueError(f"epsilon must be in (0, 1), got {epsilon!r}")
+    require_admissible(epsilon=epsilon, m=m, n=n)
     kept = n - m
     nu = math.sqrt(n * (m + 1) * math.log(2.0 / epsilon) / (m * m * kept))
     pessimistic = capped_entropy(min(1.0, qx + nu))

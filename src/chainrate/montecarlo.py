@@ -25,14 +25,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .bell import BellDiagonal, BellSymbol, symbol_from_index
+from .bell import BellDiagonal, bit_error_prob, phase_error_prob
 from .keyrate import RateParams, RateReport, finite_rate
-from .noise import ChainSpec, end_to_end_dist, noise_report
-from .sampling import MAX_TRIALS, deviation_for_failure, hoeffding_deviation
-
-#: Upper end of the round counts the analytic sweeps cover; a simulation
-#: costs the same at any round count.
-MAX_ROUNDS = 10**12
+from .noise import ChainSpec, end_to_end_dist, observed_qx, resolve_p_star
+from .sampling import MAX_TRIALS, deviation_for_failure, hoeffding_deviation, require_admissible
 
 
 @dataclass(frozen=True)
@@ -50,12 +46,7 @@ class TrialConfig:
     p_star_override: float | None = None
 
     def __post_init__(self) -> None:
-        if not (2 <= self.rounds <= MAX_ROUNDS):
-            raise ValueError(f"rounds must be in 2..{MAX_ROUNDS}, got {self.rounds}")
-        if not (1 <= self.sample_size) or 2 * self.sample_size > self.rounds:
-            raise ValueError(
-                f"test sample must satisfy 1 <= m <= rounds/2, got m={self.sample_size}, rounds={self.rounds}"
-            )
+        require_admissible(epsilon=self.epsilon, m=self.sample_size, n=self.rounds)
         if not (1 <= self.trials <= MAX_TRIALS):
             raise ValueError(f"trials must be in 1..{MAX_TRIALS}, got {self.trials}")
         if self.p_star_override is not None and not (0.0 <= self.p_star_override < 0.5):
@@ -95,11 +86,6 @@ def sample_rounds(spec: ChainSpec, rounds: int, rng: np.random.Generator) -> np.
     return folded
 
 
-def sample_round(spec: ChainSpec, rng: np.random.Generator) -> BellSymbol:
-    """Draw a single end-to-end symbol."""
-    return symbol_from_index(int(sample_rounds(spec, 1, rng)[0]))
-
-
 def symbol_counts(spec: ChainSpec, rounds: int, rng: np.random.Generator) -> np.ndarray:
     """How many of ``rounds`` i.i.d. rounds carry each end-to-end symbol, by index.
 
@@ -128,8 +114,8 @@ def simulate_e91(cfg: TrialConfig) -> MCReport:
 
     qx_hat = int(test[1] + test[3]) / m
     qz_hat = int(hidden[2] + hidden[3]) / (n - m)
-    report = noise_report(cfg.spec)
-    p_star = report.p_star if cfg.p_star_override is None else cfg.p_star_override
+    dist = end_to_end_dist(cfg.spec)
+    p_star = resolve_p_star(cfg.spec, cfg.p_star_override)
 
     delta = deviation_for_failure(cfg.epsilon, m, n)
     hidden_qx = int(hidden[1] + hidden[3]) / (n - m)
@@ -149,8 +135,8 @@ def simulate_e91(cfg: TrialConfig) -> MCReport:
         seed=cfg.seed,
         qx_hat=qx_hat,
         qz_hat=qz_hat,
-        qx_analytic=report.observed_qx,
-        qz_analytic=report.observed_qz,
+        qx_analytic=phase_error_prob(dist),
+        qz_analytic=bit_error_prob(dist),
         p_star=p_star,
         sampling_violations=violations,
         rate_from_observation=finite_rate(qx_hat, params),
@@ -208,16 +194,16 @@ def verify_concentration(
     mean with its expectation against the i.i.d. tolerance. Frequencies must
     stay within bound plus three binomial standard deviations.
     """
-    report = noise_report(cfg.spec)
-    p_star = report.p_star if cfg.p_star_override is None else cfg.p_star_override
+    p_star = resolve_p_star(cfg.spec, cfg.p_star_override)
     n, m, trials = cfg.rounds, cfg.sample_size, cfg.trials
     delta = deviation_for_failure(epsilon, m, n)
     delta_prime = hoeffding_deviation(epsilon, m)
 
     rng = np.random.default_rng(cfg.seed)
     if injected_ph is None:
-        ones = rng.binomial(m, report.observed_qx, size=trials)
-        rest_ones = rng.binomial(n - m, report.observed_qx, size=trials)
+        qx = observed_qx(cfg.spec)
+        ones = rng.binomial(m, qx, size=trials)
+        rest_ones = rng.binomial(n - m, qx, size=trials)
     else:
         fixed_word = np.asarray(list(injected_ph), dtype=np.uint8)
         if fixed_word.shape != (n,) or np.any(fixed_word > 1):

@@ -12,6 +12,7 @@ both segments because their noise is attributed to the adversary.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .bell import (
     SYMBOLS,
@@ -65,15 +66,15 @@ def uniform_chain(repeaters: int, q: float, honest_left: int, honest_right: int)
     return ChainSpec(repeaters, honest_left, honest_right, (depolarizing_dist(q),) * (repeaters + 1))
 
 
-def balanced_honest_chain(repeaters: int, q: float, honest_total: int) -> ChainSpec:
-    """Identical-link chain with ``honest_total`` honest stations split evenly.
+def balanced_honest_chain(links: Sequence[BellDiagonal], honest_total: int) -> ChainSpec:
+    """Chain over ``links`` with ``honest_total`` honest stations split evenly.
 
-    For identical links the honest-zone parameter depends only on the total
-    honest count, so the split is a presentation choice; the left end gets the
-    extra station when the count is odd.
+    The left end gets the extra station when the count is odd. For identical
+    links the honest-zone parameter depends only on the total count, so there
+    the split is a presentation choice.
     """
     left = (honest_total + 1) // 2
-    return uniform_chain(repeaters, q, left, honest_total - left)
+    return ChainSpec(len(links) - 1, left, honest_total - left, tuple(links))
 
 
 def end_to_end_dist(spec: ChainSpec) -> BellDiagonal:
@@ -116,6 +117,11 @@ def noise_parameter(spec: ChainSpec) -> float:
             if x.ph ^ y.ph:
                 total += left.prob(x) * right.prob(y)
     return total
+
+
+def resolve_p_star(spec: ChainSpec, override: float | None) -> float:
+    """The honest-zone parameter a rate is credited with: ``override`` when set, else computed."""
+    return noise_parameter(spec) if override is None else override
 
 
 @dataclass(frozen=True)

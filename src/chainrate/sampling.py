@@ -19,40 +19,43 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bell import BellWord
-
 # Guard for exhaustive subset enumeration.
 MAX_EXHAUSTIVE_SUBSETS = 5_000_000
 #: Most seeded trials one scan may draw; trial arrays take O(trials) memory.
 MAX_TRIALS = 10**6
+#: Most rounds a protocol run may have: the top of the analytic sweeps. Far
+#: beyond it (n ~ 1e154) the bounds' float arithmetic overflows.
+MAX_ROUNDS = 10**12
+#: Least failure target: below ~1e-162 the subset bound's target epsilon**2
+#: underflows to zero.
+MIN_EPSILON = 1e-150
 
 
-@dataclass(frozen=True)
-class SamplingParams:
-    """Admissible (total, sample, failure-target) triple for the estimation bounds."""
+def require_admissible(*, epsilon: float | None = None, m: int | None = None, n: int | None = None) -> None:
+    """Check the given parts of a (failure target, revealed sample, total rounds) triple.
 
-    n: int
-    m: int
-    epsilon: float
-
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"total word length must be >= 2, got {self.n}")
-        if not (1 <= self.m) or 2 * self.m > self.n:
-            raise ValueError(f"sample size must satisfy 1 <= m <= n/2, got m={self.m}, n={self.n}")
-        if not (0.0 < self.epsilon < 1.0):
-            raise ValueError(f"failure target must be in (0, 1), got {self.epsilon!r}")
+    The one admissibility rule: MIN_EPSILON <= epsilon < 1, m >= 1, and
+    2m <= n <= MAX_ROUNDS (so n >= 2). Every size check in the package goes
+    through here except the deliberately strict one in ``sampling_failure_bound``.
+    """
+    if epsilon is not None and not (MIN_EPSILON <= epsilon < 1.0):
+        raise ValueError(f"epsilon must be in [{MIN_EPSILON:g}, 1), got {epsilon!r}")
+    if m is not None and not m >= 1:
+        raise ValueError(f"test sample must be >= 1, got m={m}")
+    if n is not None and not (2 * m <= n <= MAX_ROUNDS):
+        raise ValueError(f"need m <= n/2 and n <= {MAX_ROUNDS}, got m={m}, n={n}")
 
 
 def sampling_failure_bound(delta: float, m: int, n: int) -> float:
     """Tail bound 2*exp(-delta**2 * m * n / (n + 2)), capped at 1.
 
-    Valid in the regime m strictly below n/2; the sample must also be
-    nonempty. ``delta`` above 1 is vacuous but accepted so the bound stays the
-    exact inverse of :func:`deviation_for_failure` over its whole range.
+    ``delta`` above 1 is vacuous but accepted so the bound stays the exact
+    inverse of :func:`deviation_for_failure` over its whole range.
     """
     if not (delta > 0.0) or math.isinf(delta):
         raise ValueError(f"deviation tolerance must be positive and finite, got {delta!r}")
+    # Deliberately stricter than require_admissible: the bound is proved for
+    # m strictly below n/2, while its inverse and the estimators admit m = n/2.
     if not (1 <= m) or 2 * m >= n:
         raise ValueError(f"bound requires 1 <= m < n/2, got m={m}, n={n}")
     return min(1.0, 2.0 * math.exp(-(delta**2) * m * n / (n + 2)))
@@ -60,16 +63,13 @@ def sampling_failure_bound(delta: float, m: int, n: int) -> float:
 
 def deviation_for_failure(epsilon: float, m: int, n: int) -> float:
     """Deviation tolerance whose sampling failure bound equals epsilon**2."""
-    params = SamplingParams(n, m, epsilon)
-    return math.sqrt((params.n + 2) * math.log(2.0 / params.epsilon**2) / (params.m * params.n))
+    require_admissible(epsilon=epsilon, m=m, n=n)
+    return math.sqrt((n + 2) * math.log(2.0 / epsilon**2) / (m * n))
 
 
 def hoeffding_deviation(epsilon: float, m: int) -> float:
     """Deviation such that an i.i.d. sample mean of m bits exceeds it with probability <= epsilon."""
-    if m < 1:
-        raise ValueError(f"sample size must be >= 1, got {m}")
-    if not (0.0 < epsilon < 1.0):
-        raise ValueError(f"failure target must be in (0, 1), got {epsilon!r}")
+    require_admissible(epsilon=epsilon, m=m)
     return math.sqrt(math.log(2.0 / epsilon) / (2.0 * m))
 
 
@@ -89,8 +89,7 @@ def epsilon_ledger(epsilon: float) -> EpsilonLedger:
     Raises ValueError when epsilon is so large that a derived term reaches 1,
     i.e. the guarantees would be vacuous.
     """
-    if not (0.0 < epsilon < 1.0):
-        raise ValueError(f"epsilon must be in (0, 1), got {epsilon!r}")
+    require_admissible(epsilon=epsilon)
     cube_root = (2.0 * epsilon) ** (1.0 / 3.0)
     ledger = EpsilonLedger(
         epsilon=epsilon,
@@ -103,11 +102,8 @@ def epsilon_ledger(epsilon: float) -> EpsilonLedger:
     return ledger
 
 
-def _as_bits(word: BellWord | Sequence[int] | Iterable[int]) -> np.ndarray:
-    if isinstance(word, BellWord):
-        bits = np.array(word.ph_bits(), dtype=np.uint8)
-    else:
-        bits = np.asarray(list(word), dtype=np.uint8)
+def _as_bits(word: Sequence[int] | Iterable[int]) -> np.ndarray:
+    bits = np.asarray(list(word), dtype=np.uint8)
     if bits.ndim != 1 or bits.size == 0:
         raise ValueError("expected a nonempty one-dimensional bit sequence")
     if np.any(bits > 1):
@@ -132,8 +128,7 @@ def empirical_failure_bits(
     """
     bits = _as_bits(bits)
     n = int(bits.size)
-    if not (1 <= m < n):
-        raise ValueError(f"sample size must satisfy 1 <= m < n, got m={m}, n={n}")
+    require_admissible(m=m, n=n)
     if not (1 <= trials <= MAX_TRIALS):
         raise ValueError(f"trials must be in 1..{MAX_TRIALS}, got {trials}")
     total_ones = int(bits.sum())
@@ -143,31 +138,14 @@ def empirical_failure_bits(
     return int(np.count_nonzero(np.abs(w_sample - w_rest) > delta)) / trials
 
 
-def empirical_failure(
-    word: BellWord | Sequence[int],
-    m: int,
-    delta: float,
-    trials: int,
-    seed: int,
-) -> float:
-    """Failure frequency for the four-letter guessing game on ``word``.
-
-    The guessed statistic is the phase-coordinate weight, so the game reduces
-    exactly to the binary one on the word's phase bits: same subsets, same
-    weights, identical result for identical seeds.
-    """
-    return empirical_failure_bits(_as_bits(word), m, delta, trials, seed)
-
-
-def exhaustive_failure(word: BellWord | Sequence[int], m: int, delta: float) -> float:
+def exhaustive_failure(word: Sequence[int], m: int, delta: float) -> float:
     """Exact failure probability by enumerating every size-``m`` subset.
 
     Only feasible for tiny words; refuses more than MAX_EXHAUSTIVE_SUBSETS subsets.
     """
     bits = _as_bits(word)
     n = int(bits.size)
-    if not (1 <= m < n):
-        raise ValueError(f"sample size must satisfy 1 <= m < n, got m={m}, n={n}")
+    require_admissible(m=m, n=n)
     n_subsets = math.comb(n, m)
     if n_subsets > MAX_EXHAUSTIVE_SUBSETS:
         raise ValueError(f"{n_subsets} subsets exceed the enumeration guard")

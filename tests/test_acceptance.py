@@ -8,7 +8,6 @@ here; tolerances are stated next to each check.
 
 import csv
 import io
-import itertools
 import math
 import time
 
@@ -39,6 +38,7 @@ from chainrate.sampling import (
     exhaustive_failure,
     hoeffding_deviation,
 )
+from chainrate.verify import enumerate_phase_parity, random_dist
 from chainrate.bell import SYMBOLS, phase_error_prob
 
 # Frozen references (50-digit arithmetic).
@@ -54,25 +54,6 @@ def _line(number: int, ok: bool, label: str) -> None:
     status = "PASS" if ok else "FAIL"
     print(f"[criterion {number:02d}] {status}: {label}")
     assert ok, f"criterion {number:02d} failed: {label}"
-
-
-def _random_dist(rng: np.random.Generator) -> BellDiagonal:
-    raw = rng.dirichlet((1.0, 1.0, 1.0, 1.0))
-    return BellDiagonal(tuple(float(v) / float(raw.sum()) for v in raw))
-
-
-def _enum_phase_parity(dists) -> float:
-    """Odd-phase-parity probability by exhaustive symbol enumeration."""
-    total = 0.0
-    for combo in itertools.product(range(4), repeat=len(dists)):
-        parity = 0
-        weight = 1.0
-        for dist, index in zip(dists, combo):
-            parity ^= index & 1
-            weight *= dist.probs[index]
-        if parity:
-            total += weight
-    return total
 
 
 def _run_csv(tmp_path, name, argv):
@@ -92,7 +73,7 @@ def test_criterion_01_oracle_equivalence():
         depolarizing_dist(0.05),
         depolarizing_dist(0.3),
     ]
-    pool = named + [_random_dist(rng) for _ in range(10)]
+    pool = named + [random_dist(rng) for _ in range(10)]
 
     chains = [[d] for d in pool]
     chains += [[a, b] for a in named for b in named]
@@ -144,7 +125,7 @@ def test_criterion_03_chain_noise_closed_form():
         spec = uniform_chain(5, q, 0, 0)
         closed = (1.0 - (1.0 - q) ** 6) / 2.0
         fast = observed_qx(spec)
-        brute = _enum_phase_parity(spec.links)
+        brute = enumerate_phase_parity(spec.links)
         worst = max(worst, abs(fast - closed), abs(brute - closed), abs(fast - brute))
         if q == 0.03:
             at_preset = fast
@@ -162,14 +143,14 @@ def test_criterion_04_noise_parameter_equivalence():
     worst = 0.0
     for _ in range(100):
         repeaters = int(rng.integers(1, 7))
-        links = tuple(_random_dist(rng) for _ in range(repeaters + 1))
+        links = tuple(random_dist(rng) for _ in range(repeaters + 1))
         left = int(rng.integers(0, repeaters + 1))
         right = int(rng.integers(0, repeaters - left + 1))
         spec = ChainSpec(repeaters, left, right, links)
         pl, pr = (phase_error_prob(d) for d in honest_marginals(spec))
         worst = max(worst, abs(noise_parameter(spec) - (pl * (1 - pr) + pr * (1 - pl))))
     zero_exact = all(
-        noise_parameter(ChainSpec(r, 0, 0, tuple(_random_dist(rng) for _ in range(r + 1)))) == 0.0
+        noise_parameter(ChainSpec(r, 0, 0, tuple(random_dist(rng) for _ in range(r + 1)))) == 0.0
         for r in (1, 3, 6)
     )
     _line(

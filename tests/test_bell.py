@@ -1,4 +1,4 @@
-"""Symbol algebra: group laws, words, distributions, XOR-convolution."""
+"""Symbol algebra: group laws, distributions, XOR-convolution."""
 
 import math
 
@@ -11,16 +11,11 @@ from chainrate.bell import (
     SYMBOLS,
     BellDiagonal,
     BellSymbol,
-    BellWord,
     bit_error_prob,
-    bt_weight,
     convolve,
     fold_convolve,
-    ph_weight,
     phase_error_prob,
     symbol_add,
-    symbol_from_index,
-    word_add,
 )
 
 indices = st.integers(min_value=0, max_value=3)
@@ -37,9 +32,7 @@ def dist_strategy():
 
 def test_symbol_index_roundtrip():
     for i in range(4):
-        s = symbol_from_index(i)
-        assert s.index == i
-        assert SYMBOLS[i] == s
+        assert SYMBOLS[i].index == i
     assert IDENTITY_SYMBOL == BellSymbol(0, 0)
 
 
@@ -48,12 +41,6 @@ def test_symbol_index_layout():
     assert BellSymbol(0, 1).index == 1
     assert BellSymbol(1, 0).index == 2
     assert BellSymbol(1, 1).index == 3
-
-
-@pytest.mark.parametrize("bad", [-1, 4, 17])
-def test_symbol_from_index_rejects(bad):
-    with pytest.raises(ValueError):
-        symbol_from_index(bad)
 
 
 @pytest.mark.parametrize("bt,ph", [(2, 0), (0, -1), (1, 2)])
@@ -74,56 +61,6 @@ def test_symbol_group_laws(a, b, c):
     assert (x + y) + z == x + (y + z)
     assert x + x == IDENTITY_SYMBOL
     assert x + IDENTITY_SYMBOL == x
-
-
-def test_word_constructors_agree():
-    w1 = BellWord.from_pairs([(0, 1), (1, 1), (0, 0)])
-    w2 = BellWord.from_indices([1, 3, 0])
-    assert w1 == w2
-    assert len(w1) == 3
-    assert w1[1] == BellSymbol(1, 1)
-    assert w1.bt_bits() == (0, 1, 0)
-    assert w1.ph_bits() == (1, 1, 0)
-
-
-def test_word_entries_must_be_symbols():
-    with pytest.raises(TypeError):
-        BellWord(("not a symbol",))
-
-
-@given(st.lists(indices, min_size=1, max_size=12), st.data())
-def test_word_add_is_positionwise_xor(idx, data):
-    other = data.draw(st.lists(indices, min_size=len(idx), max_size=len(idx)))
-    u = BellWord.from_indices(idx)
-    v = BellWord.from_indices(other)
-    total = word_add(u, v)
-    assert tuple(s.index for s in total.symbols) == tuple(a ^ b for a, b in zip(idx, other))
-    assert u + v == total
-
-
-def test_word_add_length_mismatch():
-    with pytest.raises(ValueError):
-        word_add(BellWord.from_indices([0]), BellWord.from_indices([0, 1]))
-
-
-def test_subword_preserves_given_order():
-    w = BellWord.from_indices([0, 1, 2, 3])
-    assert w.subword([3, 0]) == BellWord.from_indices([3, 0])
-
-
-def test_weights():
-    w = BellWord.from_pairs([(1, 0), (1, 1), (0, 1), (0, 0)])
-    assert bt_weight(w) == 0.5
-    assert ph_weight(w) == 0.5
-    assert ph_weight(BellWord.from_indices([1, 1, 1])) == 1.0
-
-
-def test_weight_of_empty_word_rejected():
-    empty = BellWord(())
-    with pytest.raises(ValueError):
-        ph_weight(empty)
-    with pytest.raises(ValueError):
-        bt_weight(empty)
 
 
 @pytest.mark.parametrize(

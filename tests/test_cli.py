@@ -7,7 +7,8 @@ import math
 
 import pytest
 
-from chainrate.cli import main
+from chainrate import cli
+from chainrate.cli import build_parser, main
 from chainrate.keyrate import RateParams, finite_rate
 from chainrate.montecarlo import MAX_TRIALS
 from chainrate.noise import noise_parameter, observed_qx, uniform_chain
@@ -279,3 +280,89 @@ def test_grid_validation(capsys):
     rc, _, err = run(capsys, "noise", "--steps", "1")
     assert rc == 1
     assert "steps" in err or "2" in err
+
+
+#: The long flags each subcommand reads; it must accept no others.
+FLAGS = {
+    "noise": {"--config", "--out", "--q-min", "--q-max", "--steps", "--honest"},
+    "rate-finite": {
+        "--config", "--out", "--epsilon", "--m-fraction", "--ec-factor", "--strict-leak", "--sweep",
+        "--n-min", "--n-max", "--per-decade", "--rounds", "--qx-min", "--qx-max", "--steps", "--q", "--honest",
+    },
+    "rate-asymptotic": {"--config", "--out", "--qx-min", "--qx-max", "--steps", "--honest"},
+    "bounds": {"--out", "--epsilon", "--m-fraction", "--rounds"},
+    "simulate": {"--config", "--out", "--seed", "--epsilon", "--m-fraction", "--ec-factor", "--strict-leak", "--rounds"},
+    "mc-verify": {"--config", "--out", "--seed", "--epsilon", "--m-fraction", "--rounds", "--trials"},
+    "verify": {"--out", "--seed", "--inject-fault"},
+}
+
+
+def test_each_subcommand_accepts_only_the_flags_it_reads():
+    subparsers = next(a for a in build_parser()._actions if a.dest == "command").choices
+    assert set(subparsers) == set(FLAGS)
+    for command, parser in subparsers.items():
+        flags = {flag for action in parser._actions for flag in action.option_strings if flag != "--help"}
+        assert flags - {"-h"} == FLAGS[command], command
+
+
+@pytest.mark.parametrize("argv", [
+    ["rate-asymptotic", "--epsilon", "1e-3"],
+    ["verify", "--config", "chain.json"],
+    ["noise", "--seed", "1"],
+    ["bounds", "--config", "chain.json"],
+    ["mc-verify", "--ec-factor", "1.1"],
+    ["rate-finite", "--seed", "1"],
+])
+def test_unread_flags_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("extra", [["--config", "CONFIG"], ["--sweep", "qx"]])
+def test_q_conflicts_exit_one(capsys, tmp_path, extra):
+    argv = ["rate-finite", "--q", "0.05"] + [write_config(tmp_path, THREE_REPEATERS) if a == "CONFIG" else a for a in extra]
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1 and out == ""
+    assert "--q" in err and len(err.splitlines()) == 1
+
+
+def test_q_sets_the_round_sweep_links(capsys):
+    _, out, _ = run(capsys, "rate-finite", "--q", "0.05", "--n-min", "1e7", "--n-max", "1e8", "--per-decade", "1")
+    _, rows = parse_csv(out)
+    chain = uniform_chain(5, 0.05, 2, 2)
+    params = RateParams(n=10**7, m=700_000, epsilon=1e-36, p_star=noise_parameter(chain))
+    assert float(rows[0][5]) == pytest.approx(finite_rate(observed_qx(chain), params).rate, rel=1e-10)
+
+
+@pytest.mark.parametrize("argv", [
+    ["rate-finite", "--ec-factor", "inf"],
+    ["simulate", "--ec-factor", "nan", "--rounds", "1e4"],
+    ["bounds", "--epsilon", "1e-200"],
+    ["bounds", "--rounds", "1e13"],
+    ["rate-finite", "--n-max", "1e300", "--per-decade", "1"],
+])
+def test_out_of_range_protocol_inputs_exit_one(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1 and out == ""
+    assert len(err.splitlines()) == 1
+
+
+def test_non_finite_json_is_a_one_line_error(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "simulate_e91", lambda cfg: {"rate": float("-inf")})
+    rc, out, err = run(capsys, "simulate", "--rounds", "1e4")
+    assert rc == 1 and out == ""
+    assert len(err.splitlines()) == 1
+
+
+def test_tables_are_capped_at_max_rows(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_ROWS", 5)
+    assert run(capsys, "noise", "--steps", "5")[0] == 0
+    assert run(capsys, "rate-asymptotic", "--steps", "6")[0] == 1
+    assert run(capsys, "rate-finite", "--sweep", "qx", "--steps", "6")[0] == 1
+    # 10^5..10^6 at 4 per decade is 5 rows; at 5 per decade, 6.
+    assert run(capsys, "rate-finite", "--n-min", "1e5", "--n-max", "1e6", "--per-decade", "4")[0] == 0
+    rc, out, err = run(capsys, "rate-finite", "--n-min", "1e5", "--n-max", "1e6", "--per-decade", "5")
+    assert rc == 1 and out == "" and "rows" in err

@@ -125,6 +125,9 @@ def test_rate_params_validation():
         RateParams(n=100, m=10, epsilon=1e-9, p_star=0.5)
     with pytest.raises(ValueError):
         RateParams(n=100, m=10, epsilon=1e-9, ec_factor=0.0)
+    for factor in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            RateParams(n=100, m=10, epsilon=1e-9, ec_factor=factor)
 
 
 def test_finite_rate_frozen_preset():
@@ -208,6 +211,8 @@ def test_bb84_finite_uses_fixed_inefficiency():
 def test_bb84_finite_domain():
     with pytest.raises(ValueError):
         bb84_finite(0.1, 10, 10, 1e-9)
+    with pytest.raises(ValueError):
+        bb84_finite(0.1, 100, 51, 1e-9)  # the sample may be at most half the rounds
     with pytest.raises(ValueError):
         bb84_finite(0.1, 100, 10, 1.5)
     with pytest.raises(ValueError):

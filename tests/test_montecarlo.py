@@ -5,21 +5,24 @@ import math
 import numpy as np
 import pytest
 
-from chainrate.bell import BellSymbol
 from chainrate.montecarlo import (
-    MAX_ROUNDS,
     MAX_TRIALS,
     ConcentrationSummary,
     MCReport,
     TrialConfig,
-    sample_round,
     sample_rounds,
     simulate_e91,
     symbol_counts,
     verify_concentration,
 )
 from chainrate.noise import end_to_end_dist, noise_report, observed_qx, uniform_chain
-from chainrate.sampling import deviation_for_failure, empirical_failure_bits, hoeffding_deviation
+from chainrate.sampling import (
+    MAX_ROUNDS,
+    deviation_for_failure,
+    empirical_failure_bits,
+    exhaustive_failure,
+    hoeffding_deviation,
+)
 
 PRESET = uniform_chain(5, 0.03, 2, 2)
 # qx ~0.44 and p* ~0.38: at epsilon 0.9 both bounds are violated in
@@ -74,11 +77,6 @@ def test_sample_rounds_deterministic():
     a = sample_rounds(PRESET, 500, np.random.default_rng(42))
     b = sample_rounds(PRESET, 500, np.random.default_rng(42))
     assert np.array_equal(a, b)
-
-
-def test_sample_round_returns_symbol():
-    symbol = sample_round(PRESET, np.random.default_rng(9))
-    assert isinstance(symbol, BellSymbol)
 
 
 def test_simulate_is_bit_for_bit_deterministic():
@@ -235,3 +233,15 @@ def test_empirical_failure_count_law_matches_literal_subsets():
     sampling, _ = _literal_scan(HALF_WORD, seed=24)
     assert freq > 0.03
     assert abs(_two_proportion_z(round(freq * COUNT_TRIALS), COUNT_TRIALS, sampling, LITERAL_TRIALS)) <= 4.0
+
+
+def test_injected_word_scan_matches_the_exact_subset_tail():
+    # At n = 20 the exact failure probability of a fixed word is enumerable;
+    # a with-replacement count law is ~0.34 here instead of ~0.18.
+    word = [1] * 10 + [0] * 10
+    trials = 20_000
+    cfg = TrialConfig(spec=PRESET, rounds=20, sample_size=10, seed=25, trials=trials)
+    summary = verify_concentration(cfg, LOOSE_EPSILON, injected_ph=word)
+    exact = exhaustive_failure(word, 10, summary.delta)
+    sigma = math.sqrt(exact * (1 - exact) / trials)
+    assert abs(summary.sampling_violations / trials - exact) <= 4 * sigma

@@ -81,9 +81,10 @@ def test_chain_spec_validation():
 
 
 def test_balanced_chain_puts_extra_station_on_the_left():
-    spec = balanced_honest_chain(5, 0.03, 3)
-    assert (spec.honest_left, spec.honest_right) == (2, 1)
-    even = balanced_honest_chain(5, 0.03, 4)
+    links = uniform_chain(5, 0.03, 0, 0).links
+    spec = balanced_honest_chain(links, 3)
+    assert (spec.repeaters, spec.honest_left, spec.honest_right, spec.links) == (5, 2, 1, links)
+    even = balanced_honest_chain(links, 4)
     assert (even.honest_left, even.honest_right) == (2, 2)
 
 
@@ -150,7 +151,7 @@ def test_noise_parameter_equals_marginal_combination(seed):
 def test_noise_parameter_identical_links_closed_form(total):
     # Depends only on the number of honest links when links are identical.
     q = 0.03
-    spec = balanced_honest_chain(5, q, total)
+    spec = balanced_honest_chain(uniform_chain(5, q, 0, 0).links, total)
     closed = (1.0 - (1.0 - q) ** total) / 2.0
     assert abs(noise_parameter(spec) - closed) < 1e-12
 

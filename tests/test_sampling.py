@@ -7,17 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainrate.bell import BellWord
 from chainrate.sampling import (
     MAX_TRIALS,
+    MAX_ROUNDS,
+    MIN_EPSILON,
     EpsilonLedger,
-    SamplingParams,
     deviation_for_failure,
-    empirical_failure,
     empirical_failure_bits,
     epsilon_ledger,
     exhaustive_failure,
     hoeffding_deviation,
+    require_admissible,
     sampling_failure_bound,
 )
 
@@ -32,17 +32,20 @@ SMOOTHING_1E36 = 2.5198420997897463e-12
 
 
 def test_params_validation():
-    SamplingParams(100, 50, 0.1)  # m = n/2 is allowed for the estimators
-    with pytest.raises(ValueError):
-        SamplingParams(1, 1, 0.1)
-    with pytest.raises(ValueError):
-        SamplingParams(100, 0, 0.1)
-    with pytest.raises(ValueError):
-        SamplingParams(100, 51, 0.1)
-    with pytest.raises(ValueError):
-        SamplingParams(100, 50, 0.0)
-    with pytest.raises(ValueError):
-        SamplingParams(100, 50, 1.0)
+    require_admissible(epsilon=0.1, m=50, n=100)  # m = n/2 is allowed for the estimators
+    require_admissible(epsilon=MIN_EPSILON, m=1, n=MAX_ROUNDS)
+    for epsilon, m, n in (
+        (0.1, 1, 1),
+        (0.1, 0, 100),
+        (0.1, 51, 100),
+        (0.0, 50, 100),
+        (1.0, 50, 100),
+        (MIN_EPSILON / 2, 50, 100),
+        (float("nan"), 50, 100),
+        (0.1, 1, MAX_ROUNDS + 1),
+    ):
+        with pytest.raises(ValueError):
+            require_admissible(epsilon=epsilon, m=m, n=n)
 
 
 def test_frozen_deviations():
@@ -158,6 +161,8 @@ def test_exhaustive_validation():
     with pytest.raises(ValueError):
         exhaustive_failure([1, 0], 2, 0.1)  # nothing left to compare against
     with pytest.raises(ValueError):
+        exhaustive_failure([1, 0, 1], 2, 0.1)  # more than half revealed
+    with pytest.raises(ValueError):
         exhaustive_failure([2, 0, 1], 1, 0.1)
     with pytest.raises(ValueError):
         exhaustive_failure([], 1, 0.1)
@@ -168,13 +173,6 @@ def test_empirical_failure_is_deterministic():
     a = empirical_failure_bits(bits, 20, 0.15, trials=500, seed=7)
     b = empirical_failure_bits(bits, 20, 0.15, trials=500, seed=7)
     assert a == b
-
-
-def test_empirical_failure_word_reduces_to_phase_bits():
-    word = BellWord.from_pairs([(1, 1), (0, 0), (1, 0), (0, 1)] * 5)
-    direct = empirical_failure(word, 8, 0.2, trials=400, seed=3)
-    reduced = empirical_failure_bits(list(word.ph_bits()), 8, 0.2, trials=400, seed=3)
-    assert direct == reduced
 
 
 def test_empirical_matches_exhaustive_within_noise():
