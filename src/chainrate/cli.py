@@ -41,11 +41,9 @@ import math
 import sys
 from typing import Any, Sequence
 
-from . import verify as verify_mod
 from .bell import BellDiagonal
 from .config import ChainConfig, ConfigError, default_chain_config, load_chain_config
 from .keyrate import RateParams, asymptotic_rate, bb84_asymptotic, bb84_finite, finite_rate, noise_tolerance
-from .montecarlo import TrialConfig, simulate_e91, verify_concentration
 from .noise import (
     balanced_honest_chain,
     noise_parameter,
@@ -92,8 +90,11 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
 def _emit_csv(header: Sequence[str], rows: Sequence[Sequence[Any]], out: str | None) -> None:
@@ -309,8 +310,10 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     return 0
 
 
-def _trial_config(args: argparse.Namespace, **fields: Any) -> TrialConfig:
-    """The configured chain and split at ``--rounds``, ``--m-fraction``, ``--epsilon`` and ``--seed``."""
+# These handlers import montecarlo and verify in their bodies: both load numpy, which analytic commands never use.
+def _trial_config(args: argparse.Namespace, **fields: Any):
+    """``TrialConfig`` of the configured chain and split at ``--rounds``, ``--m-fraction``, ``--epsilon`` and ``--seed``."""
+    from .montecarlo import TrialConfig
     config = _load_config(args)
     return TrialConfig(
         spec=config.spec,
@@ -324,17 +327,20 @@ def _trial_config(args: argparse.Namespace, **fields: Any) -> TrialConfig:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .montecarlo import simulate_e91
     _emit_json(simulate_e91(_trial_config(args, ec_factor=args.ec_factor, strict_leak=args.strict_leak)), args.out)
     return 0
 
 
 def cmd_mc_verify(args: argparse.Namespace) -> int:
+    from .montecarlo import verify_concentration
     summary = verify_concentration(_trial_config(args, trials=args.trials), epsilon=args.epsilon)
     _emit_json(summary, args.out)
     return 0 if summary.ok else 2
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import verify as verify_mod
     results = verify_mod.run_all(seed=args.seed, inject_fault=args.inject_fault)
     lines = []
     for result in results:

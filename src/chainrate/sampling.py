@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 # Guard for exhaustive subset enumeration.
 MAX_EXHAUSTIVE_SUBSETS = 5_000_000
 #: Most seeded trials one scan may draw; trial arrays take O(trials) memory.
@@ -102,17 +100,17 @@ def epsilon_ledger(epsilon: float) -> EpsilonLedger:
     return ledger
 
 
-def _as_bits(word: Sequence[int] | Iterable[int]) -> np.ndarray:
-    bits = np.asarray(list(word), dtype=np.uint8)
-    if bits.ndim != 1 or bits.size == 0:
+def _as_bits(word: Iterable[int]) -> list[int]:
+    bits = list(word)
+    if not bits or any(isinstance(bit, Iterable) for bit in bits):
         raise ValueError("expected a nonempty one-dimensional bit sequence")
-    if np.any(bits > 1):
+    if any(bit not in (0, 1) for bit in bits):
         raise ValueError("bits must be 0 or 1")
-    return bits
+    return [int(bit) for bit in bits]
 
 
 def empirical_failure_bits(
-    bits: Sequence[int] | np.ndarray,
+    bits: Sequence[int],
     m: int,
     delta: float,
     trials: int,
@@ -126,12 +124,13 @@ def empirical_failure_bits(
     are one hypergeometric draw from a generator seeded with ``seed``;
     results are reproducible.
     """
+    import numpy as np
     bits = _as_bits(bits)
-    n = int(bits.size)
+    n = len(bits)
     require_admissible(m=m, n=n)
     if not (1 <= trials <= MAX_TRIALS):
         raise ValueError(f"trials must be in 1..{MAX_TRIALS}, got {trials}")
-    total_ones = int(bits.sum())
+    total_ones = sum(bits)
     ones_in_sample = np.random.default_rng(seed).hypergeometric(total_ones, n - total_ones, m, size=trials)
     w_sample = ones_in_sample / m
     w_rest = (total_ones - ones_in_sample) / (n - m)
@@ -144,16 +143,15 @@ def exhaustive_failure(word: Sequence[int], m: int, delta: float) -> float:
     Only feasible for tiny words; refuses more than MAX_EXHAUSTIVE_SUBSETS subsets.
     """
     bits = _as_bits(word)
-    n = int(bits.size)
+    n = len(bits)
     require_admissible(m=m, n=n)
     n_subsets = math.comb(n, m)
     if n_subsets > MAX_EXHAUSTIVE_SUBSETS:
         raise ValueError(f"{n_subsets} subsets exceed the enumeration guard")
-    bit_list = [int(b) for b in bits]
-    total_ones = sum(bit_list)
+    total_ones = sum(bits)
     failures = 0
     for subset in itertools.combinations(range(n), m):
-        ones_in_sample = sum(bit_list[i] for i in subset)
+        ones_in_sample = sum(bits[i] for i in subset)
         w_sample = ones_in_sample / m
         w_rest = (total_ones - ones_in_sample) / (n - m)
         if abs(w_sample - w_rest) > delta:

@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from chainrate import cli
+from chainrate import cli, montecarlo, verify
 from chainrate.cli import build_parser, main
 from chainrate.keyrate import RateParams, finite_rate
 from chainrate.montecarlo import MAX_TRIALS
@@ -234,6 +234,24 @@ def test_out_writes_file_instead_of_stdout(capsys, tmp_path):
     assert header[0] == "q" and len(rows) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["noise", "--steps", "2"],
+    ["bounds"],
+    ["verify"],
+], ids=["csv", "json", "verify"])
+@pytest.mark.parametrize("target, reason", [
+    ("missing/out.txt", "No such file or directory"),
+    (".", "Is a directory"),
+], ids=["missing-dir", "directory"])
+def test_unwritable_out_is_a_one_line_error(capsys, monkeypatch, tmp_path, argv, target, reason):
+    # The full suite takes seconds; one stub check reaches the same write.
+    monkeypatch.setattr(verify, "run_all", lambda **_: [verify.CheckResult("stub", True, "")])
+    path = str(tmp_path / target)
+    rc, out, err = run(capsys, *argv, "--out", path)
+    assert rc == 1 and out == ""
+    assert err == f"chainrate: error: cannot write {path}: {reason}\n"
+
+
 def test_missing_config_file_is_a_validation_error(capsys):
     rc, _, err = run(capsys, "noise", "--config", "/no/such/file.json", "--steps", "2")
     assert rc == 1
@@ -351,7 +369,7 @@ def test_out_of_range_protocol_inputs_exit_one(capsys, argv):
 
 
 def test_non_finite_json_is_a_one_line_error(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "simulate_e91", lambda cfg: {"rate": float("-inf")})
+    monkeypatch.setattr(montecarlo, "simulate_e91", lambda cfg: {"rate": float("-inf")})
     rc, out, err = run(capsys, "simulate", "--rounds", "1e4")
     assert rc == 1 and out == ""
     assert len(err.splitlines()) == 1

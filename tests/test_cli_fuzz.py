@@ -2,8 +2,9 @@
 parseable output, and exit 1 prints exactly one line on stderr.
 
 Flags are drawn from every subcommand's set, so each command also sees flags
-it does not read. Magnitudes stay bounded (steps <= 200, trials <= 1e4,
-per-decade <= 20) so that no case can allocate or loop without limit; no
+it does not read. ``--out`` is a writable file, a path under a missing
+directory or a directory. Magnitudes stay bounded (steps <= 200, trials <=
+1e4, per-decade <= 20) so that no case can allocate or loop without limit; no
 process is started. ``verify`` is left out: it takes seconds per run.
 """
 
@@ -12,6 +13,7 @@ import csv
 import io
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -39,10 +41,11 @@ def _integer(lo, hi):
     return _value(st.integers(min_value=lo, max_value=hi).map(str))
 
 
-def flag_values(configs):
+def flag_values(configs, outs):
     """Every flag any subcommand reads, each with a value strategy (None: a switch)."""
     return {
         "--config": st.sampled_from(configs),
+        "--out": st.sampled_from(outs),
         "--seed": _integer(0, 2**64),
         "--epsilon": _number(1e-60, 1e-3),
         "--m-fraction": _number(1e-3, 0.6),
@@ -66,10 +69,10 @@ def flag_values(configs):
 
 
 def own_flags(command):
-    """The flags ``command`` reads, from its parser (``--out`` is left out: it writes files)."""
+    """The flags ``command`` reads, from its parser."""
     subparsers = next(a for a in build_parser()._actions if a.dest == "command").choices
     return sorted(flag for a in subparsers[command]._actions for flag in a.option_strings if flag.startswith("--")
-                  and flag not in ("--help", "--out"))
+                  and flag != "--help")
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +87,13 @@ def configs(tmp_path_factory):
     for name, payload in payloads.items():
         (directory / name).write_text(json.dumps(payload))
     return [str(directory / name) for name in payloads] + [str(directory / "missing.json")]
+
+
+@pytest.fixture(scope="module")
+def outs(tmp_path_factory):
+    """A writable file, a path under a missing directory and a directory."""
+    directory = tmp_path_factory.mktemp("out")
+    return [str(directory / "out.txt"), str(directory / "missing" / "out.txt"), str(directory)]
 
 
 def run(argv):
@@ -114,17 +124,21 @@ def check_output(command, stdout):
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
-def test_cli_contract_holds_for_any_flags(configs, data):
-    values = flag_values(configs)
+def test_cli_contract_holds_for_any_flags(configs, outs, data):
+    values = flag_values(configs, outs)
     command = data.draw(st.sampled_from(COMMANDS))
     flags = data.draw(st.lists(st.sampled_from(own_flags(command)), max_size=4, unique=True))
     # Now and then one flag of any command, which may be one this command does not read.
     flags += data.draw(st.one_of(st.just([]), st.just([]), st.just([]), st.lists(st.sampled_from(sorted(values)), max_size=1)))
     argv = [command]
+    out = None
     for flag in flags:
         argv.append(flag)
         if values[flag] is not None:
             argv.append(data.draw(values[flag]))
+        if flag == "--out":
+            out = Path(argv[-1])
+    Path(outs[0]).unlink(missing_ok=True)  # so an earlier example's file cannot pass for this one's output
     code, stdout, stderr = run(argv)
     assert code in (0, 1, 2), argv
     if code == 1:
@@ -133,4 +147,7 @@ def test_cli_contract_holds_for_any_flags(configs, data):
         return
     assert code == 0 or command == "mc-verify", argv
     assert stderr == "", (argv, stderr)
+    if out is not None:
+        assert stdout == "", argv
+        stdout = out.read_text()
     check_output(command, stdout)

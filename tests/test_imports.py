@@ -1,0 +1,51 @@
+"""The analytic commands run without loading numpy; the Monte Carlo does load it.
+
+Each case runs in a fresh interpreter, so a module imported by an earlier
+test cannot hide or fake the import.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import chainrate
+
+SRC = str(Path(chainrate.__file__).resolve().parent.parent)
+
+SCRIPT = """
+import contextlib, io, sys
+import chainrate.cli as cli
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(sys.argv[1:]) == 0
+print("numpy" in sys.modules)
+"""
+
+#: The README's analytic commands.
+ANALYTIC = (
+    ["rate-finite", "--sweep", "N"],
+    ["rate-finite", "--sweep", "qx", "--rounds", "1e8"],
+    ["rate-asymptotic"],
+    ["noise", "--steps", "9", "--honest", "1,2,3,4"],
+    ["bounds", "--rounds", "1e7", "--epsilon", "1e-36"],
+)
+
+
+def loads_numpy(argv):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", SCRIPT, *argv], env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    return {"True": True, "False": False}[result.stdout.strip()]
+
+
+@pytest.mark.parametrize("argv", [[], *ANALYTIC], ids=lambda argv: " ".join(argv) or "import")
+def test_analytic_paths_do_not_load_numpy(argv):
+    assert not loads_numpy(argv)
+
+
+def test_simulate_loads_numpy():
+    # Control: the check sees an import when one happens.
+    assert loads_numpy(["simulate", "--rounds", "1e4"])

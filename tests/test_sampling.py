@@ -196,3 +196,30 @@ def test_empirical_validation():
 def test_bits_conversion_rejects_non_bits():
     with pytest.raises(ValueError):
         empirical_failure_bits(np.array([0, 1, 3]), 1, 0.1, trials=1, seed=0)
+
+
+ESTIMATORS = {
+    "exhaustive": lambda word: exhaustive_failure(word, 1, 0.1),
+    "empirical": lambda word: empirical_failure_bits(word, 1, 0.1, trials=1, seed=0),
+}
+
+
+@pytest.mark.parametrize("estimator", ESTIMATORS.values(), ids=ESTIMATORS.keys())
+@pytest.mark.parametrize("word, message", [
+    ([], "nonempty"),
+    ([[0, 1]], "one-dimensional"),
+    (np.array([[0, 1], [1, 0]]), "one-dimensional"),
+    ([0, 1, -1], "0 or 1"),
+    ([0, 0.5], "0 or 1"),
+], ids=["empty", "nested", "2d-array", "negative", "fraction"])
+def test_estimators_reject_malformed_words(estimator, word, message):
+    with pytest.raises(ValueError, match=message):
+        estimator(word)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.bool_])
+def test_estimators_accept_numpy_words(dtype):
+    word = [1, 1, 0, 0, 1, 0, 0, 0]
+    array = np.array(word, dtype=dtype)
+    assert exhaustive_failure(array, 3, 0.2) == exhaustive_failure(word, 3, 0.2)
+    assert empirical_failure_bits(array, 3, 0.2, trials=1000, seed=4) == empirical_failure_bits(word, 3, 0.2, trials=1000, seed=4)
