@@ -77,10 +77,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(value: Any) -> str:
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, float):
         return format(value, ".12g")
     return str(value)
@@ -109,8 +105,6 @@ def _emit_csv(header: Sequence[str], rows: Sequence[Sequence[Any]], out: str | N
 def _json_default(value: Any) -> Any:
     if isinstance(value, frozenset):
         return sorted(value)
-    if isinstance(value, tuple):
-        return list(value)
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
@@ -216,27 +210,31 @@ def _round_grid(n_min: int, n_max: int, per_decade: int) -> list[int]:
     values = []
     step = 1.0 / per_decade
     while exponent <= top + 1e-9:
-        values.append(int(round(10**exponent)))
+        # The float exponent can overshoot either end by a rounding step; clamp it back.
+        values.append(min(n_max, max(n_min, int(round(10**exponent)))))
         exponent += step
     return sorted(set(values))
 
 
+def _rate_params(args: argparse.Namespace, rounds: int, p_star: float) -> RateParams:
+    """``RateParams`` at ``rounds`` from ``--m-fraction``, ``--epsilon``, ``--ec-factor`` and ``--strict-leak``."""
+    return RateParams(
+        n=rounds,
+        m=_sample_size(rounds, args.m_fraction, args.epsilon),
+        epsilon=args.epsilon,
+        p_star=p_star,
+        ec_factor=args.ec_factor,
+        strict_leak=args.strict_leak,
+    )
+
+
 def _finite_row(args: argparse.Namespace, key: Any, qx: float, rounds: int, p_stars: Sequence[float]) -> list[Any]:
     """``key``, then the rate per honest-zone parameter and the baseline, each raw and clamped."""
-    sample = _sample_size(rounds, args.m_fraction, args.epsilon)
     row = [key]
     for p_star in p_stars:
-        params = RateParams(
-            n=rounds,
-            m=sample,
-            epsilon=args.epsilon,
-            p_star=p_star,
-            ec_factor=args.ec_factor,
-            strict_leak=args.strict_leak,
-        )
-        report = finite_rate(qx, params)
+        report = finite_rate(qx, _rate_params(args, rounds, p_star))
         row += [report.rate, report.rate_clamped]
-    baseline = bb84_finite(qx, rounds, sample, args.epsilon)
+    baseline = bb84_finite(qx, rounds, _sample_size(rounds, args.m_fraction, args.epsilon), args.epsilon)
     return row + [baseline, max(0.0, baseline)]
 
 
@@ -311,30 +309,24 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 # These handlers import montecarlo and verify in their bodies: both load numpy, which analytic commands never use.
-def _trial_config(args: argparse.Namespace, **fields: Any):
-    """``TrialConfig`` of the configured chain and split at ``--rounds``, ``--m-fraction``, ``--epsilon`` and ``--seed``."""
-    from .montecarlo import TrialConfig
-    config = _load_config(args)
-    return TrialConfig(
-        spec=config.spec,
-        rounds=args.rounds,
-        sample_size=_sample_size(args.rounds, args.m_fraction, args.epsilon),
-        seed=args.seed,
-        epsilon=args.epsilon,
-        p_star_override=config.p_star_override,
-        **fields,
-    )
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     from .montecarlo import simulate_e91
-    _emit_json(simulate_e91(_trial_config(args, ec_factor=args.ec_factor, strict_leak=args.strict_leak)), args.out)
+    config = _load_config(args)
+    params = _rate_params(args, args.rounds, resolve_p_star(config.spec, config.p_star_override))
+    _emit_json(simulate_e91(config.spec, params, args.seed), args.out)
     return 0
 
 
 def cmd_mc_verify(args: argparse.Namespace) -> int:
     from .montecarlo import verify_concentration
-    summary = verify_concentration(_trial_config(args, trials=args.trials), epsilon=args.epsilon)
+    config = _load_config(args)
+    params = RateParams(
+        n=args.rounds,
+        m=_sample_size(args.rounds, args.m_fraction, args.epsilon),
+        epsilon=args.epsilon,
+        p_star=resolve_p_star(config.spec, config.p_star_override),
+    )
+    summary = verify_concentration(config.spec, params, args.trials, args.seed)
     _emit_json(summary, args.out)
     return 0 if summary.ok else 2
 

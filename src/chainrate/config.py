@@ -129,4 +129,6 @@ def load_chain_config(path: str) -> ChainConfig:
         raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"{path}: JSON nested too deeply") from exc
     return parse_chain_config(data, where=path)

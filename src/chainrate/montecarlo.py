@@ -11,8 +11,8 @@ Every statistic the simulations read is a count: how many test or hidden
 rounds carry each symbol, how many revealed phase bits are set, how many of
 them an honest station flips. Because rounds are i.i.d. and the test subset
 is uniform and independent of them, those counts have closed-form laws
-(multinomial, binomial, hypergeometric), and drawing the counts directly is
-exact in distribution and costs O(1) per run or trial instead of O(rounds).
+(multinomial, binomial), and drawing the counts directly is exact in
+distribution and costs O(1) per run or trial instead of O(rounds).
 ``sample_rounds`` keeps the literal per-link round sampler as the oracle
 that certifies the count path.
 """
@@ -21,36 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .bell import BellDiagonal, bit_error_prob, phase_error_prob
 from .keyrate import RateParams, RateReport, finite_rate
-from .noise import ChainSpec, end_to_end_dist, observed_qx, resolve_p_star
-from .sampling import MAX_TRIALS, deviation_for_failure, hoeffding_deviation, require_admissible
-
-
-@dataclass(frozen=True)
-class TrialConfig:
-    """One simulation setting: chain, round budget, test-sample size, seeding."""
-
-    spec: ChainSpec
-    rounds: int
-    sample_size: int
-    seed: int
-    trials: int = 1
-    epsilon: float = 1e-36
-    ec_factor: float = 1.2
-    strict_leak: bool = False
-    p_star_override: float | None = None
-
-    def __post_init__(self) -> None:
-        require_admissible(epsilon=self.epsilon, m=self.sample_size, n=self.rounds)
-        if not (1 <= self.trials <= MAX_TRIALS):
-            raise ValueError(f"trials must be in 1..{MAX_TRIALS}, got {self.trials}")
-        if self.p_star_override is not None and not (0.0 <= self.p_star_override < 0.5):
-            raise ValueError(f"p_star_override must be in [0, 0.5), got {self.p_star_override!r}")
+from .noise import ChainSpec, end_to_end_dist, observed_qx
+from .sampling import MAX_TRIALS, deviation_for_failure, hoeffding_deviation
 
 
 @dataclass(frozen=True)
@@ -95,49 +72,41 @@ def symbol_counts(spec: ChainSpec, rounds: int, rng: np.random.Generator) -> np.
     return rng.multinomial(rounds, end_to_end_dist(spec).probs)
 
 
-def simulate_e91(cfg: TrialConfig) -> MCReport:
+def simulate_e91(spec: ChainSpec, params: RateParams, seed: int) -> MCReport:
     """Simulate one run: reveal a uniformly random test subset, rate the rest.
 
-    The test rounds are ``m`` i.i.d. rounds and the hidden rounds ``n - m``
-    more, independent of them, so the run is drawn as two symbol-count
-    vectors, Multinomial(m, end_to_end) then Multinomial(n - m, end_to_end).
+    The run has ``params.n`` rounds, ``params.m`` of them revealed, and is
+    rated with ``params`` at the observed phase-error fraction. The test
+    rounds are ``m`` i.i.d. rounds and the hidden rounds ``n - m`` more,
+    independent of them, so the run is drawn as two symbol-count vectors,
+    Multinomial(m, end_to_end) then Multinomial(n - m, end_to_end).
     qx_hat is the test rounds' phase-error fraction (symbols with ph = 1,
     index & 1), qz_hat the hidden rounds' bit-error fraction (bt = 1,
     index >> 1), and the subset check compares the test and hidden phase
-    weights. Identical configs (including the seed) reproduce the report bit
-    for bit.
+    weights. Identical arguments reproduce the report bit for bit.
     """
-    rng = np.random.default_rng(cfg.seed)
-    n, m = cfg.rounds, cfg.sample_size
-    test = symbol_counts(cfg.spec, m, rng)
-    hidden = symbol_counts(cfg.spec, n - m, rng)
+    rng = np.random.default_rng(seed)
+    n, m = params.n, params.m
+    test = symbol_counts(spec, m, rng)
+    hidden = symbol_counts(spec, n - m, rng)
 
     qx_hat = int(test[1] + test[3]) / m
     qz_hat = int(hidden[2] + hidden[3]) / (n - m)
-    dist = end_to_end_dist(cfg.spec)
-    p_star = resolve_p_star(cfg.spec, cfg.p_star_override)
+    dist = end_to_end_dist(spec)
 
-    delta = deviation_for_failure(cfg.epsilon, m, n)
+    delta = deviation_for_failure(params.epsilon, m, n)
     hidden_qx = int(hidden[1] + hidden[3]) / (n - m)
     violations = int(abs(qx_hat - hidden_qx) > delta)
 
-    params = RateParams(
-        n=n,
-        m=m,
-        epsilon=cfg.epsilon,
-        p_star=p_star,
-        ec_factor=cfg.ec_factor,
-        strict_leak=cfg.strict_leak,
-    )
     return MCReport(
         rounds=n,
         sample_size=m,
-        seed=cfg.seed,
+        seed=seed,
         qx_hat=qx_hat,
         qz_hat=qz_hat,
         qx_analytic=phase_error_prob(dist),
         qz_analytic=bit_error_prob(dist),
-        p_star=p_star,
+        p_star=params.p_star,
         sampling_violations=violations,
         rate_from_observation=finite_rate(qx_hat, params),
     )
@@ -168,49 +137,35 @@ class ConcentrationSummary:
         return self.sampling_ok and self.hoeffding_ok
 
 
-def verify_concentration(
-    cfg: TrialConfig,
-    epsilon: float,
-    injected_ph: Sequence[int] | None = None,
-) -> ConcentrationSummary:
-    """Measure how often the deviation bounds at ``epsilon`` are violated.
+def verify_concentration(spec: ChainSpec, params: RateParams, trials: int, seed: int) -> ConcentrationSummary:
+    """Measure how often the deviation bounds at ``params.epsilon`` are violated.
 
     Each trial reveals a uniformly random size-``m`` subset of an ``n``-bit
-    phase word. Both checked statistics depend only on how many phase bits
-    are set in the revealed and hidden parts and on how many revealed bits
-    the honest noise flips, so all trials are drawn at once as counts, from
-    one generator seeded with ``cfg.seed``:
-
-    * honest chain: the word's bits are i.i.d. with the chain's end-to-end
-      phase-error rate qx, so the revealed and hidden weights are independent
-      Binomial(m, qx) and Binomial(n - m, qx);
-    * ``injected_ph``, an adversarially fixed word of weight K: the revealed
-      weight is Hypergeometric(K, n - K, m) and the hidden weight the rest;
-    * honest flips at rate p*: Binomial(ones, p*) of the revealed ones and
-      Binomial(m - ones, p*) of the revealed zeros flip.
+    phase word whose bits are i.i.d. with the chain's end-to-end phase-error
+    rate qx. Both checked statistics depend only on how many phase bits are
+    set in the revealed and hidden parts and on how many revealed bits the
+    honest noise flips, so all trials are drawn at once as counts, from one
+    generator seeded with ``seed``: the revealed and hidden weights are
+    independent Binomial(m, qx) and Binomial(n - m, qx), and at rate p*
+    Binomial(ones, p*) of the revealed ones and Binomial(m - ones, p*) of the
+    revealed zeros flip. (For a fixed word the subset law is
+    ``sampling.empirical_failure_bits``.)
 
     The subset check compares revealed and hidden weights against the
     subset-sampling tolerance; the mean check compares the flipped revealed
     mean with its expectation against the i.i.d. tolerance. Frequencies must
     stay within bound plus three binomial standard deviations.
     """
-    p_star = resolve_p_star(cfg.spec, cfg.p_star_override)
-    n, m, trials = cfg.rounds, cfg.sample_size, cfg.trials
+    if not (1 <= trials <= MAX_TRIALS):
+        raise ValueError(f"trials must be in 1..{MAX_TRIALS}, got {trials}")
+    n, m, epsilon, p_star = params.n, params.m, params.epsilon, params.p_star
     delta = deviation_for_failure(epsilon, m, n)
     delta_prime = hoeffding_deviation(epsilon, m)
 
-    rng = np.random.default_rng(cfg.seed)
-    if injected_ph is None:
-        qx = observed_qx(cfg.spec)
-        ones = rng.binomial(m, qx, size=trials)
-        rest_ones = rng.binomial(n - m, qx, size=trials)
-    else:
-        fixed_word = np.asarray(list(injected_ph), dtype=np.uint8)
-        if fixed_word.shape != (n,) or np.any(fixed_word > 1):
-            raise ValueError(f"injected word must be {n} bits")
-        weight = int(fixed_word.sum())
-        ones = rng.hypergeometric(weight, n - weight, m, size=trials)
-        rest_ones = weight - ones
+    rng = np.random.default_rng(seed)
+    qx = observed_qx(spec)
+    ones = rng.binomial(m, qx, size=trials)
+    rest_ones = rng.binomial(n - m, qx, size=trials)
     w_sample = ones / m
     w_rest = rest_ones / (n - m)
     sampling_violations = int(np.count_nonzero(np.abs(w_sample - w_rest) > delta))
@@ -220,14 +175,14 @@ def verify_concentration(
     hoeffding_violations = int(np.count_nonzero(np.abs(flipped_ones / m - expected) > delta_prime))
 
     def limit(bound: float) -> float:
-        return bound + 3.0 * math.sqrt(bound * (1.0 - bound) / cfg.trials)
+        return bound + 3.0 * math.sqrt(bound * (1.0 - bound) / trials)
 
     sampling_bound = min(1.0, epsilon**2)
     hoeffding_bound = min(1.0, epsilon)
     sampling_limit = limit(sampling_bound)
     hoeffding_limit = limit(hoeffding_bound)
     return ConcentrationSummary(
-        trials=cfg.trials,
+        trials=trials,
         rounds=n,
         sample_size=m,
         epsilon=epsilon,
@@ -240,6 +195,6 @@ def verify_concentration(
         hoeffding_violations=hoeffding_violations,
         hoeffding_bound=hoeffding_bound,
         hoeffding_limit=hoeffding_limit,
-        sampling_ok=sampling_violations / cfg.trials <= sampling_limit,
-        hoeffding_ok=hoeffding_violations / cfg.trials <= hoeffding_limit,
+        sampling_ok=sampling_violations / trials <= sampling_limit,
+        hoeffding_ok=hoeffding_violations / trials <= hoeffding_limit,
     )

@@ -367,8 +367,8 @@ def check_round_sampler(seed: int = 20260817, draws: int = 200_000) -> CheckResu
 def check_concentration(seed: int = 20260817, trials: int = 1500) -> CheckResult:
     """Quick bound-violation scan of the simulator's sampling machinery."""
     spec = noise.uniform_chain(5, 0.03, 2, 2)
-    cfg = montecarlo.TrialConfig(spec=spec, rounds=2000, sample_size=140, seed=seed, trials=trials)
-    summary = montecarlo.verify_concentration(cfg, epsilon=0.05)
+    params = keyrate.RateParams(n=2000, m=140, epsilon=0.05, p_star=noise.noise_parameter(spec))
+    summary = montecarlo.verify_concentration(spec, params, trials, seed)
     detail = (
         f"sampling {summary.sampling_violations}/{trials} (limit {summary.sampling_limit:.3e}), "
         f"mean {summary.hoeffding_violations}/{trials} (limit {summary.hoeffding_limit:.3e})"
@@ -377,11 +377,11 @@ def check_concentration(seed: int = 20260817, trials: int = 1500) -> CheckResult
 
 
 def check_simulation_determinism(seed: int = 20260817) -> CheckResult:
-    """Identical configs reproduce identical reports."""
+    """Identical arguments reproduce identical reports."""
     spec = noise.uniform_chain(5, 0.03, 2, 2)
-    cfg = montecarlo.TrialConfig(spec=spec, rounds=20_000, sample_size=1400, seed=seed)
-    first = montecarlo.simulate_e91(cfg)
-    second = montecarlo.simulate_e91(cfg)
+    params = keyrate.RateParams(n=20_000, m=1400, epsilon=1e-36, p_star=noise.noise_parameter(spec))
+    first = montecarlo.simulate_e91(spec, params, seed)
+    second = montecarlo.simulate_e91(spec, params, seed)
     return CheckResult("simulation_determinism", first == second, f"qx_hat {first.qx_hat:.6f}")
 
 

@@ -21,8 +21,8 @@ from chainrate.dm_oracle import (
     bell_swap,
     simulate_chain_exact,
 )
-from chainrate.keyrate import asymptotic_rate, bb84_asymptotic, noise_tolerance
-from chainrate.montecarlo import TrialConfig, sample_rounds, simulate_e91
+from chainrate.keyrate import RateParams, asymptotic_rate, bb84_asymptotic, noise_tolerance
+from chainrate.montecarlo import sample_rounds, simulate_e91
 from chainrate.noise import (
     ChainSpec,
     depolarizing_dist,
@@ -293,14 +293,13 @@ def test_criterion_08_rate_curve_families(tmp_path):
 def test_criterion_09_simulation_statistics():
     m = 70_000
     sigma = math.sqrt(QX_PRESET * (1.0 - QX_PRESET) / m)
+    params = RateParams(n=10**6, m=m, epsilon=1e-36, p_star=noise_parameter(PRESET))
     hits = 0
     for seed in range(100):
-        cfg = TrialConfig(spec=PRESET, rounds=10**6, sample_size=m, seed=seed)
-        report = simulate_e91(cfg)
+        report = simulate_e91(PRESET, params, seed)
         if abs(report.qx_hat - QX_PRESET) <= 3.0 * sigma:
             hits += 1
-    repeat = TrialConfig(spec=PRESET, rounds=10**6, sample_size=m, seed=0)
-    deterministic = simulate_e91(repeat) == simulate_e91(repeat)
+    deterministic = simulate_e91(PRESET, params, 0) == simulate_e91(PRESET, params, 0)
     _line(
         9,
         hits >= 99 and deterministic,

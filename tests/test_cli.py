@@ -193,6 +193,19 @@ def test_non_finite_round_count_is_a_one_line_error(capsys, rounds):
     assert "--rounds" in err and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv,lo,hi", [
+    (["--n-max", "99999999999"], 10**5, 99_999_999_999),
+    (["--n-min", "10", "--per-decade", "66"], 10, 10**12),
+])
+def test_round_grid_stays_within_its_ends(capsys, argv, lo, hi):
+    # The float exponent steps past --n-max: the last point rounds to 1e11 and 1e12 + 1.
+    rc, out, err = run(capsys, "rate-finite", "--sweep", "N", *argv)
+    assert rc == 0 and err == ""
+    rounds = [int(row[0]) for row in parse_csv(out)[1]]
+    assert rounds[0] == lo and rounds[-1] == hi
+    assert rounds == sorted(set(rounds))
+
+
 @pytest.mark.parametrize("per_decade", ["0", "-1"])
 def test_per_decade_must_be_positive(capsys, per_decade):
     rc, out, err = run(capsys, "rate-finite", "--per-decade", per_decade)
@@ -256,6 +269,14 @@ def test_missing_config_file_is_a_validation_error(capsys):
     rc, _, err = run(capsys, "noise", "--config", "/no/such/file.json", "--steps", "2")
     assert rc == 1
     assert "error" in err
+
+
+def test_deeply_nested_config_is_a_one_line_error(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    rc, out, err = run(capsys, "noise", "--config", str(path))
+    assert rc == 1 and out == ""
+    assert err.startswith(f"chainrate: error: {path}") and len(err.splitlines()) == 1
 
 
 def test_config_schema_error_exits_one(capsys, tmp_path):
@@ -369,7 +390,7 @@ def test_out_of_range_protocol_inputs_exit_one(capsys, argv):
 
 
 def test_non_finite_json_is_a_one_line_error(capsys, monkeypatch):
-    monkeypatch.setattr(montecarlo, "simulate_e91", lambda cfg: {"rate": float("-inf")})
+    monkeypatch.setattr(montecarlo, "simulate_e91", lambda spec, params, seed: {"rate": float("-inf")})
     rc, out, err = run(capsys, "simulate", "--rounds", "1e4")
     assert rc == 1 and out == ""
     assert len(err.splitlines()) == 1

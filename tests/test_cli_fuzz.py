@@ -1,5 +1,6 @@
 """In-process fuzz of the command line: any argv ends in exit 0, 1 or 2 with
-parseable output, and exit 1 prints exactly one line on stderr.
+parseable output, exit 1 prints exactly one line on stderr, and a round sweep
+stays within ``--n-min`` and ``--n-max``.
 
 Flags are drawn from every subcommand's set, so each command also sees flags
 it does not read. ``--out`` is a writable file, a path under a missing
@@ -151,3 +152,7 @@ def test_cli_contract_holds_for_any_flags(configs, outs, data):
         assert stdout == "", argv
         stdout = out.read_text()
     check_output(command, stdout)
+    args = build_parser().parse_args(argv)
+    if command == "rate-finite" and args.sweep == "N":
+        rounds = [int(row[0]) for row in list(csv.reader(io.StringIO(stdout)))[1:]]
+        assert all(args.n_min <= n <= args.n_max for n in rounds), (argv, rounds)

@@ -119,3 +119,12 @@ def test_load_invalid_json_reports_position(tmp_path):
         load_chain_config(str(path))
     assert "invalid JSON" in str(err.value)
     assert ":1:" in str(err.value)
+
+
+def test_load_deeply_nested_json_is_a_config_error(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(ConfigError) as err:
+        load_chain_config(str(path))
+    assert str(err.value).startswith(str(path))
+    assert len(str(err.value).splitlines()) == 1

@@ -21,6 +21,7 @@ from chainrate.keyrate import (
     noise_tolerance,
 )
 from chainrate.noise import noise_parameter, observed_qx, uniform_chain
+from chainrate.sampling import MAX_ROUNDS
 
 # Reference values computed once with 50-digit arithmetic.
 H_011 = 0.499915958164528
@@ -128,6 +129,9 @@ def test_rate_params_validation():
     for factor in (math.inf, math.nan):
         with pytest.raises(ValueError):
             RateParams(n=100, m=10, epsilon=1e-9, ec_factor=factor)
+    with pytest.raises(ValueError):
+        RateParams(n=MAX_ROUNDS + 1, m=10, epsilon=1e-9)
+    assert RateParams(n=MAX_ROUNDS, m=10, epsilon=1e-9).n == MAX_ROUNDS
 
 
 def test_finite_rate_frozen_preset():

@@ -9,15 +9,14 @@ from chainrate.montecarlo import (
     MAX_TRIALS,
     ConcentrationSummary,
     MCReport,
-    TrialConfig,
     sample_rounds,
     simulate_e91,
     symbol_counts,
     verify_concentration,
 )
-from chainrate.noise import end_to_end_dist, noise_report, observed_qx, uniform_chain
+from chainrate.keyrate import RateParams
+from chainrate.noise import end_to_end_dist, noise_parameter, noise_report, observed_qx, uniform_chain
 from chainrate.sampling import (
-    MAX_ROUNDS,
     deviation_for_failure,
     empirical_failure_bits,
     exhaustive_failure,
@@ -31,24 +30,18 @@ NOISY = uniform_chain(5, 0.3, 2, 2)
 LOOSE_EPSILON = 0.9
 
 
-def test_trial_config_validation():
-    ok = TrialConfig(spec=PRESET, rounds=100, sample_size=50, seed=0)
-    assert ok.trials == 1
-    with pytest.raises(ValueError):
-        TrialConfig(spec=PRESET, rounds=1, sample_size=1, seed=0)
-    with pytest.raises(ValueError):
-        TrialConfig(spec=PRESET, rounds=MAX_ROUNDS + 1, sample_size=10, seed=0)
-    with pytest.raises(ValueError):
-        TrialConfig(spec=PRESET, rounds=100, sample_size=51, seed=0)
-    with pytest.raises(ValueError):
-        TrialConfig(spec=PRESET, rounds=100, sample_size=0, seed=0)
-    with pytest.raises(ValueError):
-        TrialConfig(spec=PRESET, rounds=100, sample_size=50, seed=0, trials=0)
-    with pytest.raises(ValueError):
-        TrialConfig(spec=PRESET, rounds=100, sample_size=50, seed=0, trials=MAX_TRIALS + 1)
-    assert TrialConfig(spec=PRESET, rounds=MAX_ROUNDS, sample_size=10, seed=0, trials=MAX_TRIALS).rounds == MAX_ROUNDS
-    with pytest.raises(ValueError):
-        TrialConfig(spec=PRESET, rounds=100, sample_size=50, seed=0, p_star_override=0.5)
+def _params(spec, n, m, epsilon=1e-36, **fields):
+    """``RateParams`` crediting ``spec``'s computed honest-zone parameter."""
+    return RateParams(n=n, m=m, epsilon=epsilon, p_star=noise_parameter(spec), **fields)
+
+
+def test_concentration_trials_validation():
+    params = _params(PRESET, 100, 50, epsilon=0.05)
+    assert verify_concentration(PRESET, params, MAX_TRIALS, seed=0).trials == MAX_TRIALS
+    with pytest.raises(ValueError, match="trials must be in"):
+        verify_concentration(PRESET, params, 0, seed=0)
+    with pytest.raises(ValueError, match="trials must be in"):
+        verify_concentration(PRESET, params, MAX_TRIALS + 1, seed=0)
 
 
 def test_sample_rounds_matches_the_analytic_law():
@@ -80,24 +73,22 @@ def test_sample_rounds_deterministic():
 
 
 def test_simulate_is_bit_for_bit_deterministic():
-    cfg = TrialConfig(spec=PRESET, rounds=20_000, sample_size=1_400, seed=31)
-    first = simulate_e91(cfg)
-    second = simulate_e91(cfg)
+    params = _params(PRESET, 20_000, 1_400)
+    first = simulate_e91(PRESET, params, seed=31)
+    second = simulate_e91(PRESET, params, seed=31)
     assert isinstance(first, MCReport)
     assert first == second
 
 
 def test_simulate_depends_on_the_seed():
-    base = TrialConfig(spec=PRESET, rounds=20_000, sample_size=1_400, seed=31)
-    other = TrialConfig(spec=PRESET, rounds=20_000, sample_size=1_400, seed=32)
-    assert simulate_e91(base) != simulate_e91(other)
+    params = _params(PRESET, 20_000, 1_400)
+    assert simulate_e91(PRESET, params, seed=31) != simulate_e91(PRESET, params, seed=32)
 
 
 def test_simulate_report_statistics():
-    cfg = TrialConfig(spec=PRESET, rounds=10**5, sample_size=7_000, seed=2)
-    report = simulate_e91(cfg)
+    report = simulate_e91(PRESET, _params(PRESET, 10**5, 7_000), seed=2)
     qx = observed_qx(PRESET)
-    sigma = math.sqrt(qx * (1 - qx) / cfg.sample_size)
+    sigma = math.sqrt(qx * (1 - qx) / report.sample_size)
     assert abs(report.qx_hat - qx) < 5 * sigma
     assert report.qx_analytic == qx
     assert report.p_star > 0.0
@@ -119,18 +110,15 @@ def test_symbol_counts_follow_the_analytic_law():
 
 def test_simulate_p_star_override_feeds_the_rate():
     # Epsilon mild enough that the entropy bound is not saturated at this size.
-    cfg = TrialConfig(spec=PRESET, rounds=10**4, sample_size=700, seed=2, epsilon=1e-6, p_star_override=0.0)
-    report = simulate_e91(cfg)
+    report = simulate_e91(PRESET, RateParams(n=10**4, m=700, epsilon=1e-6, p_star=0.0), seed=2)
     assert report.p_star == 0.0
-    cfg2 = TrialConfig(spec=PRESET, rounds=10**4, sample_size=700, seed=2, epsilon=1e-6, p_star_override=0.04)
-    report2 = simulate_e91(cfg2)
+    report2 = simulate_e91(PRESET, RateParams(n=10**4, m=700, epsilon=1e-6, p_star=0.04), seed=2)
     assert report2.p_star == 0.04
     assert report2.rate_from_observation.rate > report.rate_from_observation.rate
 
 
 def test_concentration_honest_words_within_bounds():
-    cfg = TrialConfig(spec=PRESET, rounds=2_000, sample_size=140, seed=0, trials=1_500)
-    summary = verify_concentration(cfg, epsilon=0.05)
+    summary = verify_concentration(PRESET, _params(PRESET, 2_000, 140, epsilon=0.05), 1_500, seed=0)
     assert summary.ok
     assert summary.sampling_ok and summary.hoeffding_ok
     assert summary.trials == 1_500
@@ -142,22 +130,15 @@ def test_concentration_adversarial_word_within_bounds():
     # Half-weight words maximize the subset estimator's variance.
     n = 2_000
     word = ([1, 0] * (n // 2))[:n]
-    cfg = TrialConfig(spec=PRESET, rounds=n, sample_size=140, seed=3, trials=1_500)
-    summary = verify_concentration(cfg, epsilon=0.05, injected_ph=word)
-    assert summary.sampling_ok
-
-
-def test_concentration_rejects_malformed_injection():
-    cfg = TrialConfig(spec=PRESET, rounds=100, sample_size=10, seed=0, trials=5)
-    with pytest.raises(ValueError):
-        verify_concentration(cfg, epsilon=0.05, injected_ph=[1, 0, 1])
-    with pytest.raises(ValueError):
-        verify_concentration(cfg, epsilon=0.05, injected_ph=[2] * 100)
+    trials = 1_500
+    delta = deviation_for_failure(0.05, 140, n)
+    frequency = empirical_failure_bits(word, 140, delta, trials, seed=3)
+    assert frequency <= 0.05**2 + 3.0 * math.sqrt(0.05**2 * (1.0 - 0.05**2) / trials)
 
 
 def test_concentration_is_deterministic():
-    cfg = TrialConfig(spec=PRESET, rounds=500, sample_size=35, seed=11, trials=200)
-    assert verify_concentration(cfg, epsilon=0.1) == verify_concentration(cfg, epsilon=0.1)
+    params = _params(PRESET, 500, 35, epsilon=0.1)
+    assert verify_concentration(PRESET, params, 200, seed=11) == verify_concentration(PRESET, params, 200, seed=11)
 
 
 def test_summary_ok_property():
@@ -218,13 +199,19 @@ def _two_proportion_z(hits_a, n_a, hits_b, n_b):
 
 @pytest.mark.parametrize("word", [None, HALF_WORD], ids=["honest", "injected"])
 def test_concentration_count_law_matches_literal_trials(word):
-    cfg = TrialConfig(spec=NOISY, rounds=SCAN_N, sample_size=SCAN_M, seed=21, trials=COUNT_TRIALS)
-    summary = verify_concentration(cfg, LOOSE_EPSILON, injected_ph=word)
+    # A fixed word's subset law is empirical_failure_bits; only the honest scan flips bits.
     sampling, hoeffding = _literal_scan(word, seed=22)
-    assert summary.sampling_violations > 0.03 * COUNT_TRIALS
-    assert summary.hoeffding_violations > 0.1 * COUNT_TRIALS
-    assert abs(_two_proportion_z(summary.sampling_violations, COUNT_TRIALS, sampling, LITERAL_TRIALS)) <= 4.0
-    assert abs(_two_proportion_z(summary.hoeffding_violations, COUNT_TRIALS, hoeffding, LITERAL_TRIALS)) <= 4.0
+    if word is None:
+        params = _params(NOISY, SCAN_N, SCAN_M, epsilon=LOOSE_EPSILON)
+        summary = verify_concentration(NOISY, params, COUNT_TRIALS, seed=21)
+        violations = summary.sampling_violations
+        assert summary.hoeffding_violations > 0.1 * COUNT_TRIALS
+        assert abs(_two_proportion_z(summary.hoeffding_violations, COUNT_TRIALS, hoeffding, LITERAL_TRIALS)) <= 4.0
+    else:
+        delta = deviation_for_failure(LOOSE_EPSILON, SCAN_M, SCAN_N)
+        violations = round(empirical_failure_bits(word, SCAN_M, delta, COUNT_TRIALS, seed=21) * COUNT_TRIALS)
+    assert violations > 0.03 * COUNT_TRIALS
+    assert abs(_two_proportion_z(violations, COUNT_TRIALS, sampling, LITERAL_TRIALS)) <= 4.0
 
 
 def test_empirical_failure_count_law_matches_literal_subsets():
@@ -240,8 +227,8 @@ def test_injected_word_scan_matches_the_exact_subset_tail():
     # a with-replacement count law is ~0.34 here instead of ~0.18.
     word = [1] * 10 + [0] * 10
     trials = 20_000
-    cfg = TrialConfig(spec=PRESET, rounds=20, sample_size=10, seed=25, trials=trials)
-    summary = verify_concentration(cfg, LOOSE_EPSILON, injected_ph=word)
-    exact = exhaustive_failure(word, 10, summary.delta)
+    delta = deviation_for_failure(LOOSE_EPSILON, 10, 20)
+    frequency = empirical_failure_bits(word, 10, delta, trials, seed=25)
+    exact = exhaustive_failure(word, 10, delta)
     sigma = math.sqrt(exact * (1 - exact) / trials)
-    assert abs(summary.sampling_violations / trials - exact) <= 4 * sigma
+    assert abs(frequency - exact) <= 4 * sigma
