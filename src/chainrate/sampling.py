@@ -7,13 +7,16 @@ that estimate; ``deviation_for_failure`` inverts it so a target failure
 probability picks the deviation tolerance. ``hoeffding_deviation`` is the
 standard i.i.d. mean bound used for the honest-noise contribution. The
 estimators below exist to check the analytic bounds against seeded sampling
-and exhaustive enumeration.
+(``empirical_failure_bits``) and exhaustive enumeration
+(``exhaustive_failure(word, m, deltas)``, one exact fraction per tolerance
+from a single pass over the subsets).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -44,14 +47,19 @@ def require_admissible(*, epsilon: float | None = None, m: int | None = None, n:
         raise ValueError(f"need m <= n/2 and n <= {MAX_ROUNDS}, got m={m}, n={n}")
 
 
+def _require_deviation(delta: float) -> None:
+    """Check a deviation tolerance: positive and finite (NaN is rejected)."""
+    if not (delta > 0.0) or math.isinf(delta):
+        raise ValueError(f"deviation tolerance must be positive and finite, got {delta!r}")
+
+
 def sampling_failure_bound(delta: float, m: int, n: int) -> float:
     """Tail bound 2*exp(-delta**2 * m * n / (n + 2)), capped at 1.
 
     ``delta`` above 1 is vacuous but accepted so the bound stays the exact
     inverse of :func:`deviation_for_failure` over its whole range.
     """
-    if not (delta > 0.0) or math.isinf(delta):
-        raise ValueError(f"deviation tolerance must be positive and finite, got {delta!r}")
+    _require_deviation(delta)
     # Deliberately stricter than require_admissible: the bound is proved for
     # m strictly below n/2, while its inverse and the estimators admit m = n/2.
     if not (1 <= m) or 2 * m >= n:
@@ -128,6 +136,7 @@ def empirical_failure_bits(
     bits = _as_bits(bits)
     n = len(bits)
     require_admissible(m=m, n=n)
+    _require_deviation(delta)
     if not (1 <= trials <= MAX_TRIALS):
         raise ValueError(f"trials must be in 1..{MAX_TRIALS}, got {trials}")
     total_ones = sum(bits)
@@ -137,23 +146,30 @@ def empirical_failure_bits(
     return int(np.count_nonzero(np.abs(w_sample - w_rest) > delta)) / trials
 
 
-def exhaustive_failure(word: Sequence[int], m: int, delta: float) -> float:
-    """Exact failure probability by enumerating every size-``m`` subset.
+def exhaustive_failure(word: Sequence[int], m: int, deltas: Sequence[float]) -> tuple[float, ...]:
+    """Exact failure probability for each tolerance in ``deltas``, by enumerating every size-``m`` subset.
 
-    Only feasible for tiny words; refuses more than MAX_EXHAUSTIVE_SUBSETS subsets.
+    One pass over all C(n, m) subsets tallies how many ones each sample holds;
+    every tolerance's failures are then counted off that histogram. Only
+    feasible for tiny words; refuses more than MAX_EXHAUSTIVE_SUBSETS subsets.
     """
     bits = _as_bits(word)
     n = len(bits)
     require_admissible(m=m, n=n)
+    for delta in deltas:
+        _require_deviation(delta)
     n_subsets = math.comb(n, m)
     if n_subsets > MAX_EXHAUSTIVE_SUBSETS:
         raise ValueError(f"{n_subsets} subsets exceed the enumeration guard")
     total_ones = sum(bits)
-    failures = 0
-    for subset in itertools.combinations(range(n), m):
-        ones_in_sample = sum(bits[i] for i in subset)
-        w_sample = ones_in_sample / m
-        w_rest = (total_ones - ones_in_sample) / (n - m)
-        if abs(w_sample - w_rest) > delta:
-            failures += 1
-    return failures / n_subsets
+    histogram = Counter(map(sum, itertools.combinations(bits, m)))
+    fractions = []
+    for delta in deltas:
+        failures = 0
+        for ones_in_sample, subsets in histogram.items():
+            w_sample = ones_in_sample / m
+            w_rest = (total_ones - ones_in_sample) / (n - m)
+            if abs(w_sample - w_rest) > delta:
+                failures += subsets
+        fractions.append(failures / n_subsets)
+    return tuple(fractions)

@@ -38,14 +38,17 @@ from chainrate.sampling import (
     exhaustive_failure,
     hoeffding_deviation,
 )
-from chainrate.verify import enumerate_phase_parity, random_dist
+from chainrate.verify import (
+    BB84_ASYMPTOTIC_THRESHOLD,
+    EPSILON_FAIL_1E36,
+    EPSILON_PA_1E36,
+    enumerate_phase_parity,
+    random_dist,
+)
 from chainrate.bell import SYMBOLS, phase_error_prob
 
-# Frozen references (50-digit arithmetic).
-QX_PRESET = 0.08351399753550184
-BB84A_THRESHOLD = 0.11002786443835955
-EPS_PA_1E36 = 5.0396841995794927e-12
-EPS_FAIL_1E36 = 2.5198420997897463e-12
+# Frozen reference (50-digit arithmetic, tools/references.py).
+QX_PRESET = 0.0835139975355
 
 PRESET = uniform_chain(5, 0.03, 2, 2)
 
@@ -193,9 +196,10 @@ def test_criterion_06_concentration_bound_honored():
     n, m = 20, 10
     half_word = [1] * 10 + [0] * 10
     chain_word = (sample_rounds(PRESET, n, rng) & 1).tolist()
+    deltas = (0.15, 0.3, 0.45)
     for word in (half_word, chain_word):
-        for delta in (0.15, 0.3, 0.45):
-            checks.append(exhaustive_failure(word, m, delta) <= bound(delta, m, n))
+        for delta, exact in zip(deltas, exhaustive_failure(word, m, deltas)):
+            checks.append(exact <= bound(delta, m, n))
 
     # Monte Carlo at n=10^4, m=500 with 10^5 subset draws per setting.
     n, m, trials = 10**4, 500, 10**5
@@ -221,7 +225,9 @@ def test_criterion_07_baseline_reduction():
     t_chain = noise_tolerance(lambda q: asymptotic_rate(q, 0.0))
     t_base = noise_tolerance(bb84_asymptotic)
     thresholds_ok = abs(t_chain - 0.110) < 1e-4 and abs(t_base - 0.110) < 1e-4
-    frozen_ok = abs(t_chain - BB84A_THRESHOLD) < 2e-6 and abs(t_base - BB84A_THRESHOLD) < 2e-6
+    frozen_ok = (
+        abs(t_chain - BB84_ASYMPTOTIC_THRESHOLD) < 2e-6 and abs(t_base - BB84_ASYMPTOTIC_THRESHOLD) < 2e-6
+    )
     _line(
         7,
         exact and thresholds_ok and frozen_ok,
@@ -310,8 +316,8 @@ def test_criterion_09_simulation_statistics():
 
 def test_criterion_10_failure_term_spot_check():
     ledger = epsilon_ledger(1e-36)
-    pa_ok = math.isclose(ledger.epsilon_pa, EPS_PA_1E36, rel_tol=1e-12)
-    fail_ok = math.isclose(ledger.epsilon_fail, EPS_FAIL_1E36, rel_tol=1e-12)
+    pa_ok = math.isclose(ledger.epsilon_pa, EPSILON_PA_1E36, rel_tol=1e-12)
+    fail_ok = math.isclose(ledger.epsilon_fail, EPSILON_FAIL_1E36, rel_tol=1e-12)
     magnitude_ok = 1e-12 <= ledger.epsilon_fail < 1e-11 and 1e-12 <= ledger.epsilon_pa < 1e-11
     _line(
         10,

@@ -229,6 +229,6 @@ def test_injected_word_scan_matches_the_exact_subset_tail():
     trials = 20_000
     delta = deviation_for_failure(LOOSE_EPSILON, 10, 20)
     frequency = empirical_failure_bits(word, 10, delta, trials, seed=25)
-    exact = exhaustive_failure(word, 10, delta)
+    (exact,) = exhaustive_failure(word, 10, (delta,))
     sigma = math.sqrt(exact * (1 - exact) / trials)
     assert abs(frequency - exact) <= 4 * sigma

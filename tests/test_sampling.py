@@ -1,6 +1,7 @@
 """Estimation bounds: inverses, frozen reference values, empirical agreement."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -20,14 +21,13 @@ from chainrate.sampling import (
     require_admissible,
     sampling_failure_bound,
 )
+from chainrate.verify import EPSILON_FAIL_1E36, EPSILON_PA_1E36
 
-# Reference values computed once with 50-digit arithmetic.
+# Reference values computed once with 50-digit arithmetic (tools/references.py).
 DELTA_7E5_1E7 = 0.015421659498065237
 DELTA_7E6_1E8 = 0.0048767564924374642
 DPRIME_7E5 = 0.0077268645705535322
 DPRIME_7E6 = 0.0024434491214607973
-EPS_PA_1E36 = 5.0396841995794927e-12
-EPS_FAIL_1E36 = 2.5198420997897463e-12
 SMOOTHING_1E36 = 2.5198420997897463e-12
 
 
@@ -93,7 +93,7 @@ def test_bound_rejects_half_split():
         sampling_failure_bound(0.1, 50, 100)
 
 
-@pytest.mark.parametrize("delta", [0.0, -0.2, float("inf")])
+@pytest.mark.parametrize("delta", [0.0, -0.2, float("inf"), float("nan")])
 def test_bound_rejects_bad_delta(delta):
     with pytest.raises(ValueError):
         sampling_failure_bound(delta, 10, 100)
@@ -119,8 +119,8 @@ def test_hoeffding_validation():
 def test_epsilon_ledger_frozen_values():
     ledger = epsilon_ledger(1e-36)
     assert isinstance(ledger, EpsilonLedger)
-    assert math.isclose(ledger.epsilon_pa, EPS_PA_1E36, rel_tol=1e-12)
-    assert math.isclose(ledger.epsilon_fail, EPS_FAIL_1E36, rel_tol=1e-12)
+    assert math.isclose(ledger.epsilon_pa, EPSILON_PA_1E36, rel_tol=1e-12)
+    assert math.isclose(ledger.epsilon_fail, EPSILON_FAIL_1E36, rel_tol=1e-12)
     assert math.isclose(ledger.smoothing, SMOOTHING_1E36, rel_tol=1e-12)
 
 
@@ -145,27 +145,50 @@ def test_epsilon_ledger_rejects_vacuous_settings():
 
 def test_exhaustive_failure_tiny_case_by_hand():
     # Word 1100, sample 2 of 4, tolerance 0.4: 2 of the 6 subsets fail.
-    assert exhaustive_failure([1, 1, 0, 0], 2, 0.4) == pytest.approx(2.0 / 6.0)
+    assert exhaustive_failure([1, 1, 0, 0], 2, (0.4,)) == pytest.approx((2.0 / 6.0,))
 
 
 def test_exhaustive_failure_zero_word_never_fails():
-    assert exhaustive_failure([0] * 10, 5, 0.01) == 0.0
+    assert exhaustive_failure([0] * 10, 5, (0.01,)) == (0.0,)
 
 
 def test_exhaustive_guard():
     with pytest.raises(ValueError):
-        exhaustive_failure([0, 1] * 20, 20, 0.1)
+        exhaustive_failure([0, 1] * 20, 20, (0.1,))
 
 
 def test_exhaustive_validation():
     with pytest.raises(ValueError):
-        exhaustive_failure([1, 0], 2, 0.1)  # nothing left to compare against
+        exhaustive_failure([1, 0], 2, (0.1,))  # nothing left to compare against
     with pytest.raises(ValueError):
-        exhaustive_failure([1, 0, 1], 2, 0.1)  # more than half revealed
+        exhaustive_failure([1, 0, 1], 2, (0.1,))  # more than half revealed
     with pytest.raises(ValueError):
-        exhaustive_failure([2, 0, 1], 1, 0.1)
+        exhaustive_failure([2, 0, 1], 1, (0.1,))
     with pytest.raises(ValueError):
-        exhaustive_failure([], 1, 0.1)
+        exhaustive_failure([], 1, (0.1,))
+
+
+def _hypergeometric_failure(n, m, ones, delta):
+    failing = sum(
+        math.comb(ones, k) * math.comb(n - ones, m - k)
+        for k in range(m + 1)
+        if abs(k / m - (ones - k) / (n - m)) > delta
+    )
+    return failing / math.comb(n, m)
+
+
+@pytest.mark.parametrize("n, m", [(20, 10), (9, 4)])
+def test_exhaustive_failure_equals_hypergeometric_counts(n, m):
+    # The enumeration's ones-in-sample histogram must be C(K, k) * C(n - K, m - k)
+    # for a word of weight K wherever its ones sit, so the fractions are equal
+    # floats. This certifies the exact-tail formula from the literal oracle.
+    deltas = (0.15, 0.3, 0.45)
+    rng = random.Random(n)
+    for ones in range(n + 1):
+        positions = set(rng.sample(range(n), ones))
+        word = [int(i in positions) for i in range(n)]
+        expected = tuple(_hypergeometric_failure(n, m, ones, delta) for delta in deltas)
+        assert exhaustive_failure(word, m, deltas) == expected, f"weight {ones}"
 
 
 def test_empirical_failure_is_deterministic():
@@ -177,7 +200,7 @@ def test_empirical_failure_is_deterministic():
 
 def test_empirical_matches_exhaustive_within_noise():
     bits = [1] * 6 + [0] * 6
-    exact = exhaustive_failure(bits, 6, 0.3)
+    (exact,) = exhaustive_failure(bits, 6, (0.3,))
     trials = 20_000
     estimate = empirical_failure_bits(bits, 6, 0.3, trials=trials, seed=123)
     sigma = math.sqrt(exact * (1 - exact) / trials)
@@ -199,7 +222,7 @@ def test_bits_conversion_rejects_non_bits():
 
 
 ESTIMATORS = {
-    "exhaustive": lambda word: exhaustive_failure(word, 1, 0.1),
+    "exhaustive": lambda word: exhaustive_failure(word, 1, (0.1,)),
     "empirical": lambda word: empirical_failure_bits(word, 1, 0.1, trials=1, seed=0),
 }
 
@@ -217,9 +240,22 @@ def test_estimators_reject_malformed_words(estimator, word, message):
         estimator(word)
 
 
+BAD_DELTA_ESTIMATORS = {
+    "exhaustive": lambda delta: exhaustive_failure([1, 0, 1, 0], 2, (0.1, delta)),
+    "empirical": lambda delta: empirical_failure_bits([1, 0, 1, 0], 2, delta, trials=1, seed=0),
+}
+
+
+@pytest.mark.parametrize("estimator", BAD_DELTA_ESTIMATORS.values(), ids=BAD_DELTA_ESTIMATORS.keys())
+@pytest.mark.parametrize("delta", [float("nan"), float("inf"), 0.0, -1.0])
+def test_estimators_reject_bad_delta(estimator, delta):
+    with pytest.raises(ValueError, match="deviation tolerance must be positive and finite"):
+        estimator(delta)
+
+
 @pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.bool_])
 def test_estimators_accept_numpy_words(dtype):
     word = [1, 1, 0, 0, 1, 0, 0, 0]
     array = np.array(word, dtype=dtype)
-    assert exhaustive_failure(array, 3, 0.2) == exhaustive_failure(word, 3, 0.2)
+    assert exhaustive_failure(array, 3, (0.2,)) == exhaustive_failure(word, 3, (0.2,))
     assert empirical_failure_bits(array, 3, 0.2, trials=1000, seed=4) == empirical_failure_bits(word, 3, 0.2, trials=1000, seed=4)
