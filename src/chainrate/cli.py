@@ -46,7 +46,7 @@ from .config import ChainConfig, ConfigError, default_chain_config, load_chain_c
 from .keyrate import RateParams, asymptotic_rate, bb84_asymptotic, bb84_finite, finite_rate, noise_tolerance
 from .noise import (
     balanced_honest_chain,
-    noise_parameter,
+    noise_parameter,  # noqa: F401  (unused here; bench/tests/test_bench_spans.py traces this binding)
     observed_qx,
     resolve_p_star,
     strength_for_observed_qx,
@@ -122,6 +122,13 @@ def _positive_int(text: str) -> int:
     return int(value)
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _honest_list(text: str) -> tuple[int, ...]:
     try:
         counts = tuple(int(part) for part in text.split(","))
@@ -156,19 +163,16 @@ def _resolve_honest(
 ) -> tuple[int, ...]:
     """Explicit counts are validated; the default keeps only counts the chain has room for."""
     if counts is None:
-        resolved = tuple(count for count in fallback if count <= repeaters)
-        if not resolved:
-            resolved = (repeaters,)
-        return resolved
+        return tuple(count for count in fallback if count <= repeaters)
     for count in counts:
         if count > repeaters:
             raise ConfigError(f"honest count {count} exceeds {repeaters} stations")
     return counts
 
 
-def _p_star(config: ChainConfig, links: Sequence[BellDiagonal], count: int) -> float:
-    """Honest-zone parameter of ``count`` honest stations split evenly over ``links``."""
-    return resolve_p_star(balanced_honest_chain(links, count), config.p_star_override)
+def _p_stars(links: Sequence[BellDiagonal], honest: Sequence[int], override: float | None) -> list[float]:
+    """Honest-zone parameter per count in ``honest``, each split evenly over ``links``."""
+    return [resolve_p_star(balanced_honest_chain(links, count), override) for count in honest]
 
 
 def _qx_links(repeaters: int, qx: float) -> tuple[BellDiagonal, ...]:
@@ -190,10 +194,8 @@ def cmd_noise(args: argparse.Namespace) -> int:
     rows = []
     for q in _grid(args.q_min, args.q_max, args.steps):
         chain = uniform_chain(repeaters, q, 0, 0)
-        row: list[Any] = [q, observed_qx(chain)]
-        for count in honest:
-            row.append(noise_parameter(balanced_honest_chain(chain.links, count)))
-        rows.append(row)
+        # The noise table shows the computed p*, not the configured override.
+        rows.append([q, observed_qx(chain)] + _p_stars(chain.links, honest, None))
     _emit_csv(header, rows, args.out)
     return 0
 
@@ -248,13 +250,13 @@ def cmd_rate_finite(args: argparse.Namespace) -> int:
     if args.sweep == "N":
         spec = config.spec if args.q is None else uniform_chain(repeaters, args.q, 0, 0)
         qx = observed_qx(spec)
-        p_stars = [_p_star(config, spec.links, count) for count in honest]
+        p_stars = _p_stars(spec.links, honest, config.p_star_override)
         for rounds in _round_grid(args.n_min, args.n_max, args.per_decade):
             rows.append(_finite_row(args, rounds, qx, rounds, p_stars))
     else:
         for qx in _grid(args.qx_min, args.qx_max, args.steps):
-            links = _qx_links(repeaters, qx)
-            rows.append(_finite_row(args, qx, qx, args.rounds, [_p_star(config, links, count) for count in honest]))
+            p_stars = _p_stars(_qx_links(repeaters, qx), honest, config.p_star_override)
+            rows.append(_finite_row(args, qx, qx, args.rounds, p_stars))
     header = [args.sweep]
     for count in honest:
         header += [f"rate_h{count}", f"rate_h{count}_clamped"]
@@ -267,22 +269,15 @@ def cmd_rate_asymptotic(args: argparse.Namespace) -> int:
     repeaters = config.spec.repeaters
     honest = _resolve_honest(args.honest, repeaters, (0, 2, 4))
 
-    def rate_at(qx: float, count: int) -> float:
-        return asymptotic_rate(qx, _p_star(config, _qx_links(repeaters, qx), count))
+    def rates_at(qx: float, counts: Sequence[int]) -> list[float]:
+        return [asymptotic_rate(qx, p) for p in _p_stars(_qx_links(repeaters, qx), counts, config.p_star_override)]
 
     header = ["qx"] + [f"rate_h{count}" for count in honest] + ["rate_bb84a"]
-    rows: list[list[Any]] = []
-    for qx in _grid(args.qx_min, args.qx_max, args.steps):
-        row: list[Any] = [qx]
-        for count in honest:
-            row.append(rate_at(qx, count))
-        row.append(bb84_asymptotic(qx))
-        rows.append(row)
-    threshold_row: list[Any] = ["threshold"]
-    for count in honest:
-        threshold_row.append(noise_tolerance(lambda qx: rate_at(qx, count)))
-    threshold_row.append(noise_tolerance(bb84_asymptotic))
-    rows.append(threshold_row)
+    rows: list[list[Any]] = [
+        [qx, *rates_at(qx, honest), bb84_asymptotic(qx)] for qx in _grid(args.qx_min, args.qx_max, args.steps)
+    ]
+    thresholds = [noise_tolerance(lambda qx: rates_at(qx, (count,))[0]) for count in honest]
+    rows.append(["threshold", *thresholds, noise_tolerance(bb84_asymptotic)])
     _emit_csv(header, rows, args.out)
     return 0
 
@@ -359,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     out = _Parser(add_help=False)
     out.add_argument("--out", metavar="FILE", help="write output here instead of stdout")
     seed = _Parser(add_help=False)
-    seed.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+    seed.add_argument("--seed", type=_seed, default=0, help="master seed (default 0)")
     protocol = _protocol_flags(DEFAULT_EPSILON)
     leak = _Parser(add_help=False)
     leak.add_argument("--ec-factor", type=float, default=1.2, help="error-correction inefficiency (default 1.2)")

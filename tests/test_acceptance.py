@@ -13,39 +13,23 @@ import time
 
 import numpy as np
 
-from chainrate.bell import BellDiagonal, fold_convolve, symbol_add
 from chainrate.cli import main
-from chainrate.dm_oracle import (
-    bell_diagonal_dm,
-    bell_state_vector,
-    bell_swap,
-    simulate_chain_exact,
-)
-from chainrate.keyrate import RateParams, asymptotic_rate, bb84_asymptotic, noise_tolerance
+from chainrate.keyrate import RateParams
 from chainrate.montecarlo import sample_rounds, simulate_e91
-from chainrate.noise import (
-    ChainSpec,
-    depolarizing_dist,
-    honest_marginals,
-    noise_parameter,
-    observed_qx,
-    uniform_chain,
-)
-from chainrate.sampling import (
-    deviation_for_failure,
-    empirical_failure_bits,
-    epsilon_ledger,
-    exhaustive_failure,
-    hoeffding_deviation,
-)
+from chainrate.noise import ChainSpec, noise_parameter, observed_qx, uniform_chain
+from chainrate.sampling import empirical_failure_bits, epsilon_ledger, exhaustive_failure
 from chainrate.verify import (
     BB84_ASYMPTOTIC_THRESHOLD,
     EPSILON_FAIL_1E36,
     EPSILON_PA_1E36,
-    enumerate_phase_parity,
+    check_baseline_identity,
+    check_chain_noise_closed_form,
+    check_noise_parameter_routes,
+    check_oracle_equivalence,
+    check_sampling_roundtrip,
+    check_swap_identity,
     random_dist,
 )
-from chainrate.bell import SYMBOLS, phase_error_prob
 
 # Frozen reference (50-digit arithmetic, tools/references.py).
 QX_PRESET = 0.0835139975355
@@ -69,119 +53,54 @@ def _run_csv(tmp_path, name, argv):
 
 def test_criterion_01_oracle_equivalence():
     start = time.perf_counter()
-    rng = np.random.default_rng(20260817)
-    named = [
-        BellDiagonal.point(),
-        depolarizing_dist(0.01),
-        depolarizing_dist(0.05),
-        depolarizing_dist(0.3),
-    ]
-    pool = named + [random_dist(rng) for _ in range(10)]
-
-    chains = [[d] for d in pool]
-    chains += [[a, b] for a in named for b in named]
-    for length in (2, 3, 4):
-        for _ in range(12):
-            picks = rng.integers(0, len(pool), size=length)
-            chains.append([pool[int(i)] for i in picks])
-
-    worst = 0.0
-    for links in chains:
-        exact = simulate_chain_exact(links)
-        fast = fold_convolve(links)
-        worst = max(worst, max(abs(a - b) for a, b in zip(exact.probs, fast.probs)))
+    result = check_oracle_equivalence(20260817, random_chains=12)
     elapsed = time.perf_counter() - start
     _line(
         1,
-        worst < 1e-10 and elapsed < 10.0,
-        f"density-matrix reference vs convolution fold on {len(chains)} chains "
-        f"of 1..4 links: max deviation {worst:.2e} (tol 1e-10), {elapsed:.1f}s (< 10s)",
+        result.ok and elapsed < 10.0,
+        f"density-matrix reference vs convolution fold on chains of 1..4 links: "
+        f"{result.detail} (tol 1e-10), {elapsed:.1f}s (< 10s)",
     )
 
 
 def test_criterion_02_swap_identity():
-    worst_prob = 0.0
-    worst_fidelity = 1.0
-    for a in SYMBOLS:
-        for b in SYMBOLS:
-            rho = np.kron(
-                bell_diagonal_dm(BellDiagonal.point(a)),
-                bell_diagonal_dm(BellDiagonal.point(b)),
-            )
-            for branch in bell_swap(rho, (1, 2)):
-                worst_prob = max(worst_prob, abs(branch.probability - 0.25))
-                target = bell_state_vector(symbol_add(symbol_add(a, b), branch.outcome))
-                fidelity = float((target.conj() @ branch.post_state @ target).real)
-                worst_fidelity = min(worst_fidelity, fidelity)
-    _line(
-        2,
-        worst_prob < 1e-10 and worst_fidelity > 1.0 - 1e-10,
-        f"all 16 pure-pair swaps: outcome probabilities 1/4 within {worst_prob:.2e}, "
-        f"post-state fidelity >= {worst_fidelity:.12f} against the label sum",
-    )
+    result = check_swap_identity()
+    _line(2, result.ok, f"all 16 pure-pair swaps against the label sum: {result.detail} (tol 1e-10)")
 
 
 def test_criterion_03_chain_noise_closed_form():
-    worst = 0.0
-    at_preset = None
-    for q in (0.0, 0.01, 0.03, 0.1, 0.5):
-        spec = uniform_chain(5, q, 0, 0)
-        closed = (1.0 - (1.0 - q) ** 6) / 2.0
-        fast = observed_qx(spec)
-        brute = enumerate_phase_parity(spec.links)
-        worst = max(worst, abs(fast - closed), abs(brute - closed), abs(fast - brute))
-        if q == 0.03:
-            at_preset = fast
-    ok = worst < 1e-12 and abs(at_preset - QX_PRESET) < 1e-12 and round(at_preset, 5) == 0.08351
+    result = check_chain_noise_closed_form()
+    at_preset = observed_qx(PRESET)
+    ok = result.ok and abs(at_preset - QX_PRESET) < 1e-12 and round(at_preset, 5) == 0.08351
     _line(
         3,
         ok,
-        f"six-link closed form vs 4^6 enumeration vs fold: max deviation {worst:.2e} "
+        f"six-link closed form vs 4^6 enumeration vs fold: {result.detail} "
         f"(tol 1e-12); q=0.03 gives {at_preset:.5f}",
     )
 
 
 def test_criterion_04_noise_parameter_equivalence():
+    result = check_noise_parameter_routes(seed=42, chains=100)
     rng = np.random.default_rng(42)
-    worst = 0.0
-    for _ in range(100):
-        repeaters = int(rng.integers(1, 7))
-        links = tuple(random_dist(rng) for _ in range(repeaters + 1))
-        left = int(rng.integers(0, repeaters + 1))
-        right = int(rng.integers(0, repeaters - left + 1))
-        spec = ChainSpec(repeaters, left, right, links)
-        pl, pr = (phase_error_prob(d) for d in honest_marginals(spec))
-        worst = max(worst, abs(noise_parameter(spec) - (pl * (1 - pr) + pr * (1 - pl))))
     zero_exact = all(
         noise_parameter(ChainSpec(r, 0, 0, tuple(random_dist(rng) for _ in range(r + 1)))) == 0.0
         for r in (1, 3, 6)
     )
     _line(
         4,
-        worst < 1e-12 and zero_exact,
-        f"double sum vs marginal combination on 100 random chains: max deviation "
-        f"{worst:.2e} (tol 1e-12); exactly zero without honest stations: {zero_exact}",
+        result.ok and zero_exact,
+        f"double sum vs marginal combination vs enumeration on random chains: {result.detail} "
+        f"(tol 1e-12); exactly zero without honest stations: {zero_exact}",
     )
 
 
 def test_criterion_05_sampling_roundtrips():
-    worst_subset = 0.0
-    worst_iid = 0.0
-    grid = np.logspace(-40, -2, 20)
-    for m, n in ((70, 10**3), (700, 10**4), (7 * 10**5, 10**7)):
-        for epsilon in grid:
-            epsilon = float(epsilon)
-            delta = deviation_for_failure(epsilon, m, n)
-            bound = min(1.0, 2.0 * math.exp(-(delta**2) * m * n / (n + 2)))
-            worst_subset = max(worst_subset, abs(bound - epsilon**2) / epsilon**2)
-            delta_prime = hoeffding_deviation(epsilon, m)
-            back = 2.0 * math.exp(-2.0 * delta_prime**2 * m)
-            worst_iid = max(worst_iid, abs(back - epsilon) / epsilon)
+    result = check_sampling_roundtrip()
     _line(
         5,
-        worst_subset < 1e-12 and worst_iid < 1e-12,
-        f"bound/deviation inverses over 3 sizes x 20 epsilons: relative errors "
-        f"{worst_subset:.2e} (subset) and {worst_iid:.2e} (i.i.d.), tol 1e-12",
+        result.ok,
+        f"bound/deviation inverses (subset and i.i.d.) over 3 sizes x 20 epsilons: {result.detail}, tol 1e-12",
     )
 
 
@@ -219,20 +138,12 @@ def test_criterion_06_concentration_bound_honored():
 
 
 def test_criterion_07_baseline_reduction():
-    exact = all(
-        asymptotic_rate(i / 1000.0, 0.0) == bb84_asymptotic(i / 1000.0) for i in range(0, 491)
-    )
-    t_chain = noise_tolerance(lambda q: asymptotic_rate(q, 0.0))
-    t_base = noise_tolerance(bb84_asymptotic)
-    thresholds_ok = abs(t_chain - 0.110) < 1e-4 and abs(t_base - 0.110) < 1e-4
-    frozen_ok = (
-        abs(t_chain - BB84_ASYMPTOTIC_THRESHOLD) < 2e-6 and abs(t_base - BB84_ASYMPTOTIC_THRESHOLD) < 2e-6
-    )
+    result = check_baseline_identity()
     _line(
         7,
-        exact and thresholds_ok and frozen_ok,
-        f"zero-credit rate equals the baseline exactly on the 0..0.49 grid: {exact}; "
-        f"noise tolerances {t_chain:.6f} / {t_base:.6f} within 1e-4 of 0.110",
+        result.ok,
+        f"zero-credit rate equals the baseline exactly on the 0..0.49 grid, noise tolerances "
+        f"within 2e-6 of {BB84_ASYMPTOTIC_THRESHOLD:.6f}: {result.detail}",
     )
 
 

@@ -225,17 +225,29 @@ def test_mc_verify_passes_on_honest_chain(capsys):
 def test_verify_suite_passes(capsys):
     rc, out, err = run(capsys, "verify")
     assert rc == 0 and err == ""
-    lines = out.strip().splitlines()
-    assert all(line.startswith("PASS") for line in lines[:-1])
-    assert lines[-1].endswith("checks passed")
-    passed, total = lines[-1].split()[0].split("/")
-    assert passed == total
+    *checks, summary = out.strip().splitlines()
+    names = [line.split(":")[0].split()[1] for line in checks]
+    assert len(set(names)) == len(names) == 17
+    assert all(line.startswith("PASS ") for line in checks)
+    assert summary == "17/17 checks passed"
 
 
 def test_verify_fault_injection_is_caught(capsys):
     rc, out, _ = run(capsys, "verify", "--inject-fault", "convolve")
     assert rc == 2
-    assert any(line.startswith("FAIL") and "oracle" in line for line in out.splitlines())
+    failed = [line for line in out.splitlines() if line.startswith("FAIL ")]
+    assert len(failed) == 1 and failed[0].startswith("FAIL oracle_equivalence:")
+    assert out.endswith("16/17 checks passed\n")
+
+
+@pytest.mark.parametrize("command", ["simulate", "mc-verify", "verify"])
+def test_negative_seed_names_the_flag(capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--seed", "-1"])
+    assert exit_info.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"chainrate {command}: error: argument --seed: expected a non-negative integer, got '-1'\n"
 
 
 def test_out_writes_file_instead_of_stdout(capsys, tmp_path):

@@ -15,21 +15,9 @@ from chainrate.dm_oracle import (
     simulate_chain_exact,
     validate_density_matrix,
 )
+from chainrate.verify import random_dist
 
 RNG = np.random.default_rng(413)
-
-
-def random_dist(rng):
-    raw = rng.dirichlet((1.0, 1.0, 1.0, 1.0))
-    return BellDiagonal(tuple(float(v) / float(raw.sum()) for v in raw))
-
-
-def test_state_vectors_orthonormal():
-    vecs = [bell_state_vector(s) for s in SYMBOLS]
-    for i, u in enumerate(vecs):
-        for j, v in enumerate(vecs):
-            inner = complex(u.conj() @ v)
-            assert abs(inner - (1.0 if i == j else 0.0)) < 1e-12
 
 
 def test_diagonal_dm_eigenvalues_are_the_weights():

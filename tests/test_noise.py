@@ -1,6 +1,5 @@
 """Chain noise model: closed forms, honest marginals, the disagreement parameter."""
 
-import itertools
 import math
 
 import numpy as np
@@ -22,31 +21,15 @@ from chainrate.noise import (
     strength_for_observed_qx,
     uniform_chain,
 )
-
-
-def enum_phase_parity(dists):
-    """Odd-phase-parity probability by brute force over all symbol tuples."""
-    total = 0.0
-    for combo in itertools.product(range(4), repeat=len(dists)):
-        parity = 0
-        weight = 1.0
-        for dist, index in zip(dists, combo):
-            parity ^= index & 1
-            weight *= dist.probs[index]
-        if parity:
-            total += weight
-    return total
+from chainrate.verify import enumerate_phase_parity, random_dist
 
 
 def random_chain(rng, max_repeaters=6):
     repeaters = int(rng.integers(1, max_repeaters + 1))
-    links = []
-    for _ in range(repeaters + 1):
-        raw = rng.dirichlet((1.0, 1.0, 1.0, 1.0))
-        links.append(BellDiagonal(tuple(float(v) / float(raw.sum()) for v in raw)))
+    links = tuple(random_dist(rng) for _ in range(repeaters + 1))
     left = int(rng.integers(0, repeaters + 1))
     right = int(rng.integers(0, repeaters - left + 1))
-    return ChainSpec(repeaters, left, right, tuple(links))
+    return ChainSpec(repeaters, left, right, links)
 
 
 def test_depolarizing_dist_layout():
@@ -94,14 +77,9 @@ def test_identical_chain_closed_form(q):
     spec = uniform_chain(5, q, 0, 0)
     closed = (1.0 - (1.0 - q) ** 6) / 2.0
     fast = observed_qx(spec)
-    brute = enum_phase_parity(spec.links)
+    brute = enumerate_phase_parity(spec.links)
     assert abs(fast - closed) < 1e-12
     assert abs(brute - closed) < 1e-12
-
-
-def test_preset_chain_noise_value():
-    # Independently derived for q = 0.03 over six links.
-    assert abs(observed_qx(uniform_chain(5, 0.03, 2, 2)) - 0.08351399753550184) < 1e-12
 
 
 def test_depolarizing_chain_is_symmetric_in_bit_and_phase():
@@ -112,7 +90,7 @@ def test_depolarizing_chain_is_symmetric_in_bit_and_phase():
 def test_end_to_end_matches_enumeration_heterogeneous():
     rng = np.random.default_rng(99)
     spec = random_chain(rng, max_repeaters=4)
-    assert abs(phase_error_prob(end_to_end_dist(spec)) - enum_phase_parity(spec.links)) < 1e-12
+    assert abs(phase_error_prob(end_to_end_dist(spec)) - enumerate_phase_parity(spec.links)) < 1e-12
 
 
 def test_honest_marginals_use_only_end_links():
@@ -121,7 +99,7 @@ def test_honest_marginals_use_only_end_links():
     spec = ChainSpec(4, 1, 2, links)
     left, right = honest_marginals(spec)
     assert left == links[0]
-    expected_right = enum_phase_parity(links[3:])
+    expected_right = enumerate_phase_parity(links[3:])
     assert abs(phase_error_prob(right) - expected_right) < 1e-12
 
 
