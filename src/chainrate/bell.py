@@ -17,7 +17,7 @@ from typing import Iterable
 NORMALIZATION_TOL = 1e-12
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class BellSymbol:
     """One alphabet letter: bit-flip coordinate ``bt``, phase-flip coordinate ``ph``."""
 
@@ -32,9 +32,6 @@ class BellSymbol:
     def index(self) -> int:
         """Canonical array index, (bt << 1) | ph."""
         return (self.bt << 1) | self.ph
-
-    def __add__(self, other: "BellSymbol") -> "BellSymbol":
-        return symbol_add(self, other)
 
 
 #: All four symbols in canonical index order: (0,0), (0,1), (1,0), (1,1).
@@ -77,10 +74,6 @@ class BellDiagonal:
         probs = [0.0, 0.0, 0.0, 0.0]
         probs[symbol.index] = 1.0
         return cls(tuple(probs))
-
-    @classmethod
-    def uniform(cls) -> "BellDiagonal":
-        return cls((0.25, 0.25, 0.25, 0.25))
 
     def prob(self, symbol: BellSymbol) -> float:
         return self.probs[symbol.index]

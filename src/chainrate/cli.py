@@ -39,11 +39,12 @@ import io
 import json
 import math
 import sys
+from collections import Counter
 from typing import Any, Sequence
 
 from .bell import BellDiagonal
 from .config import ChainConfig, ConfigError, default_chain_config, load_chain_config
-from .keyrate import RateParams, asymptotic_rate, bb84_asymptotic, bb84_finite, finite_rate, noise_tolerance
+from .keyrate import BASELINE_EC_FACTOR, RateParams, asymptotic_rate, bb84_asymptotic, bb84_finite, finite_rate, noise_tolerance
 from .noise import (
     balanced_honest_chain,
     noise_parameter,  # noqa: F401  (unused here; bench/tests/test_bench_spans.py traces this binding)
@@ -136,6 +137,10 @@ def _honest_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
     if not counts or any(count < 0 for count in counts):
         raise argparse.ArgumentTypeError(f"honest counts must be >= 0, got {text!r}")
+    # A repeated count would repeat a column under the same header name.
+    repeated = [count for count, times in Counter(counts).items() if times > 1]
+    if repeated:
+        raise argparse.ArgumentTypeError(f"honest count {repeated[0]} is repeated in {text!r}")
     return counts
 
 
@@ -357,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     seed.add_argument("--seed", type=_seed, default=0, help="master seed (default 0)")
     protocol = _protocol_flags(DEFAULT_EPSILON)
     leak = _Parser(add_help=False)
-    leak.add_argument("--ec-factor", type=float, default=1.2, help="error-correction inefficiency (default 1.2)")
+    leak.add_argument("--ec-factor", type=float, default=BASELINE_EC_FACTOR, help=f"error-correction inefficiency (default {BASELINE_EC_FACTOR})")
     leak.add_argument(
         "--strict-leak",
         action="store_true",

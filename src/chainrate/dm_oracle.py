@@ -52,8 +52,8 @@ def bell_diagonal_dm(dist: BellDiagonal) -> np.ndarray:
     return rho
 
 
-def validate_density_matrix(rho: np.ndarray, tol: float = DM_TOL) -> int:
-    """Check Hermiticity, unit trace, and positivity; return the qubit count.
+def validate_density_matrix(rho: np.ndarray) -> int:
+    """Check Hermiticity, unit trace, and positivity within DM_TOL; return the qubit count.
 
     Raises ValueError when any check fails or the dimension is not a power of
     two between 2 and 2**8.
@@ -65,13 +65,13 @@ def validate_density_matrix(rho: np.ndarray, tol: float = DM_TOL) -> int:
     n_qubits = dim.bit_length() - 1
     if dim != 2**n_qubits or not (1 <= n_qubits <= 8):
         raise ValueError(f"dimension {dim} is not 2**k for k in 1..8")
-    if np.max(np.abs(rho - rho.conj().T)) > tol:
+    if np.max(np.abs(rho - rho.conj().T)) > DM_TOL:
         raise ValueError("matrix is not Hermitian within tolerance")
     trace = complex(np.trace(rho))
-    if abs(trace - 1.0) > tol:
+    if abs(trace - 1.0) > DM_TOL:
         raise ValueError(f"trace must be 1 within tolerance, got {trace}")
     eigenvalues = np.linalg.eigvalsh(rho)
-    if float(eigenvalues.min()) < -tol:
+    if float(eigenvalues.min()) < -DM_TOL:
         raise ValueError(f"matrix has negative eigenvalue {eigenvalues.min()}")
     return n_qubits
 
@@ -161,10 +161,10 @@ def pauli_correct(rho: np.ndarray, outcome: BellSymbol, target: int) -> np.ndarr
     return corrected.reshape(dim, dim)
 
 
-def dm_to_bell_diagonal(rho: np.ndarray, tol: float = DM_TOL) -> BellDiagonal:
+def dm_to_bell_diagonal(rho: np.ndarray) -> BellDiagonal:
     """Decompose a two-qubit state in the entangled basis.
 
-    Raises ValueError when any cross term exceeds ``tol`` in magnitude, i.e.
+    Raises ValueError when any cross term exceeds DM_TOL in magnitude, i.e.
     when the state is not diagonal in that basis.
     """
     if validate_density_matrix(rho) != 2:
@@ -176,11 +176,11 @@ def dm_to_bell_diagonal(rho: np.ndarray, tol: float = DM_TOL) -> BellDiagonal:
             coeff = complex(vecs[a].conj() @ np.asarray(rho, dtype=complex) @ vecs[b])
             if a == b:
                 weights.append(coeff.real)
-            elif abs(coeff) > tol:
+            elif abs(coeff) > DM_TOL:
                 raise ValueError(f"state is not diagonal in the entangled basis: cross term {abs(coeff)}")
     clipped = [max(0.0, w) for w in weights]
     total = sum(clipped)
-    if abs(total - 1.0) > tol:
+    if abs(total - 1.0) > DM_TOL:
         raise ValueError(f"diagonal weights sum to {total}, expected 1")
     return BellDiagonal(tuple(w / total for w in clipped))
 

@@ -19,7 +19,9 @@ from .sampling import deviation_for_failure, epsilon_ledger, hoeffding_deviation
 ARG_CLAMPED_LOW = "arg_clamped_low"
 ARG_CLAMPED_HIGH = "arg_clamped_high"
 
-# Error-correction inefficiency baked into the comparison baseline.
+# Error-correction inefficiency baked into the comparison baseline. Also the
+# default of ``RateParams.ec_factor`` and ``--ec-factor``, so default tables
+# charge the chain rate and the baseline alike.
 BASELINE_EC_FACTOR = 1.2
 
 
@@ -89,7 +91,7 @@ class RateParams:
     m: int
     epsilon: float
     p_star: float = 0.0
-    ec_factor: float = 1.2
+    ec_factor: float = BASELINE_EC_FACTOR
     strict_leak: bool = False
 
     def __post_init__(self) -> None:
@@ -161,7 +163,7 @@ def bb84_finite(qx: float, n: int, m: int, epsilon: float) -> float:
     """Finite-size baseline that attributes all observed noise to the adversary.
 
     nu is its sampling deviation; the error-correction term carries the fixed
-    1.2 inefficiency inside the same capped entropy.
+    ``BASELINE_EC_FACTOR`` inefficiency inside the same capped entropy.
     """
     if not (0.0 <= qx <= 1.0):
         raise ValueError(f"observed phase rate must be in [0, 1], got {qx!r}")
@@ -183,17 +185,15 @@ def bb84_asymptotic(qx: float) -> float:
     return 1.0 - capped_entropy(qx) - capped_entropy(qx)
 
 
-def noise_tolerance(rate_fn, lo: float = 0.0, hi: float = 0.5, tol: float = 1e-6) -> float:
-    """Largest phase-noise level with positive rate, by bisection to ``tol``.
+def noise_tolerance(rate_fn) -> float:
+    """Largest phase-noise level in [0, 1/2) with positive rate, by bisection to 1e-6.
 
     ``rate_fn`` maps a phase-noise level to a rate and must cross zero at most
-    once on [lo, hi). Returns ``lo`` when the rate is never positive and ``hi``
-    (as a sentinel) when it never crosses below zero on the interval.
+    once on [0, 1/2). Returns 0 when the rate is never positive and 1/2 (as a
+    sentinel) when it never crosses below zero on the interval.
     """
-    if not (lo < hi):
-        raise ValueError(f"need lo < hi, got [{lo!r}, {hi!r})")
-    f_lo = rate_fn(lo)
-    if f_lo <= 0.0:
+    lo, hi, tol = 0.0, 0.5, 1e-6
+    if rate_fn(lo) <= 0.0:
         return lo
     # Probe just inside the right end; the interval is half-open.
     right = hi - tol * 1e-3

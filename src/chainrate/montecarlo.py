@@ -27,7 +27,7 @@ import numpy as np
 from .bell import BellDiagonal, bit_error_prob, phase_error_prob
 from .keyrate import RateParams, RateReport, finite_rate
 from .noise import ChainSpec, end_to_end_dist, observed_qx
-from .sampling import MAX_TRIALS, deviation_for_failure, hoeffding_deviation
+from .sampling import deviation_for_failure, hoeffding_deviation, require_admissible
 
 
 @dataclass(frozen=True)
@@ -156,8 +156,7 @@ def verify_concentration(spec: ChainSpec, params: RateParams, trials: int, seed:
     mean with its expectation against the i.i.d. tolerance. Frequencies must
     stay within bound plus three binomial standard deviations.
     """
-    if not (1 <= trials <= MAX_TRIALS):
-        raise ValueError(f"trials must be in 1..{MAX_TRIALS}, got {trials}")
+    require_admissible(trials=trials)
     n, m, epsilon, p_star = params.n, params.m, params.epsilon, params.p_star
     delta = deviation_for_failure(epsilon, m, n)
     delta_prime = hoeffding_deviation(epsilon, m)

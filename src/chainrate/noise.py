@@ -87,11 +87,6 @@ def observed_qx(spec: ChainSpec) -> float:
     return phase_error_prob(end_to_end_dist(spec))
 
 
-def observed_qz(spec: ChainSpec) -> float:
-    """Bit-disagreement probability between the ends (the Z-basis error rate)."""
-    return bit_error_prob(end_to_end_dist(spec))
-
-
 def honest_marginals(spec: ChainSpec) -> tuple[BellDiagonal, BellDiagonal]:
     """Symbol distributions contributed by the honest left and right segments.
 

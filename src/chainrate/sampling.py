@@ -32,12 +32,15 @@ MAX_ROUNDS = 10**12
 MIN_EPSILON = 1e-150
 
 
-def require_admissible(*, epsilon: float | None = None, m: int | None = None, n: int | None = None) -> None:
-    """Check the given parts of a (failure target, revealed sample, total rounds) triple.
+def require_admissible(
+    *, epsilon: float | None = None, m: int | None = None, n: int | None = None, trials: int | None = None
+) -> None:
+    """Check the given parts of a (failure target, revealed sample, total rounds) triple and a trial count.
 
-    The one admissibility rule: MIN_EPSILON <= epsilon < 1, m >= 1, and
-    2m <= n <= MAX_ROUNDS (so n >= 2). Every size check in the package goes
-    through here except the deliberately strict one in ``sampling_failure_bound``.
+    The one admissibility rule: MIN_EPSILON <= epsilon < 1, m >= 1,
+    2m <= n <= MAX_ROUNDS (so n >= 2), and 1 <= trials <= MAX_TRIALS. Every
+    size check in the package goes through here except the deliberately
+    strict one in ``sampling_failure_bound``.
     """
     if epsilon is not None and not (MIN_EPSILON <= epsilon < 1.0):
         raise ValueError(f"epsilon must be in [{MIN_EPSILON:g}, 1), got {epsilon!r}")
@@ -45,6 +48,8 @@ def require_admissible(*, epsilon: float | None = None, m: int | None = None, n:
         raise ValueError(f"test sample must be >= 1, got m={m}")
     if n is not None and not (2 * m <= n <= MAX_ROUNDS):
         raise ValueError(f"need m <= n/2 and n <= {MAX_ROUNDS}, got m={m}, n={n}")
+    if trials is not None and not (1 <= trials <= MAX_TRIALS):
+        raise ValueError(f"trials must be in 1..{MAX_TRIALS}, got {trials}")
 
 
 def _require_deviation(delta: float) -> None:
@@ -135,10 +140,8 @@ def empirical_failure_bits(
     import numpy as np
     bits = _as_bits(bits)
     n = len(bits)
-    require_admissible(m=m, n=n)
+    require_admissible(m=m, n=n, trials=trials)
     _require_deviation(delta)
-    if not (1 <= trials <= MAX_TRIALS):
-        raise ValueError(f"trials must be in 1..{MAX_TRIALS}, got {trials}")
     total_ones = sum(bits)
     ones_in_sample = np.random.default_rng(seed).hypergeometric(total_ones, n - total_ones, m, size=trials)
     w_sample = ones_in_sample / m

@@ -3,8 +3,9 @@
 Each check pits a deliberately literal computation (exhaustive enumeration,
 explicit density matrices, direct simulation) against the production formulas
 and returns a named pass/fail result. The CLI's ``verify`` subcommand runs the
-whole list; the acceptance tests call individual checks with their own seeds
-and sizes.
+whole list at its ``--seed``; the acceptance tests call individual checks
+with their own seeds, and only criterion 01 also passes a size
+(``random_chains``).
 
 ``run_all`` accepts ``inject_fault='convolve'`` as a negative control: it
 swaps a corrupted convolution into the oracle-equivalence check, which must
@@ -23,6 +24,7 @@ import numpy as np
 
 from . import bell, dm_oracle, keyrate, montecarlo, noise, sampling
 from .bell import SYMBOLS, BellDiagonal
+from .config import default_chain_config
 from .noise import ChainSpec, depolarizing_dist
 
 #: Frozen references, computed once with 50-digit arithmetic; tools/references.py
@@ -30,6 +32,9 @@ from .noise import ChainSpec, depolarizing_dist
 BB84_ASYMPTOTIC_THRESHOLD = 0.11002786443835955
 EPSILON_PA_1E36 = 5.0396841995794927e-12
 EPSILON_FAIL_1E36 = 2.5198420997897463e-12
+
+#: The preset chain, which the sampling and simulation checks run on.
+_PRESET = default_chain_config().spec
 
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
 
@@ -124,7 +129,7 @@ def check_pauli_correction() -> CheckResult:
 
 
 def check_oracle_equivalence(
-    seed: int = 20260817,
+    seed: int,
     convolve_fn: Callable[[BellDiagonal, BellDiagonal], BellDiagonal] | None = None,
     random_chains: int = 10,
 ) -> CheckResult:
@@ -155,7 +160,7 @@ def check_oracle_equivalence(
     )
 
 
-def check_swap_order(seed: int = 20260817) -> CheckResult:
+def check_swap_order(seed: int) -> CheckResult:
     """Station measurement order does not change the end-to-end distribution."""
     rng = np.random.default_rng(seed)
     trios = [
@@ -200,9 +205,10 @@ def check_chain_noise_closed_form() -> CheckResult:
     return CheckResult("chain_noise_closed_form", ok, f"max deviation {worst:.3e}")
 
 
-def check_noise_parameter_routes(seed: int = 20260817, chains: int = 100) -> CheckResult:
+def check_noise_parameter_routes(seed: int) -> CheckResult:
     """The honest-zone double sum equals the two-marginal parity formula, and
     enumeration over honest links confirms both on small chains."""
+    chains = 100
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(chains):
@@ -247,11 +253,10 @@ def _inline_bound(delta: float, m: int, n: int) -> float:
     return min(1.0, 2.0 * math.exp(-(delta**2) * m * n / (n + 2)))
 
 
-def check_sampling_exhaustive(seed: int = 20260817) -> CheckResult:
+def check_sampling_exhaustive(seed: int) -> CheckResult:
     """Exact subset enumeration honors the analytic bound at n=20, m=10."""
     rng = np.random.default_rng(seed)
-    chain = noise.uniform_chain(5, 0.03, 2, 2)
-    sampled = (rng.random(20) < noise.observed_qx(chain)).astype(int)
+    sampled = (rng.random(20) < noise.observed_qx(_PRESET)).astype(int)
     words = {
         "balanced": [1] * 10 + [0] * 10,
         "chain_sampled": sampled.tolist(),
@@ -267,19 +272,13 @@ def check_sampling_exhaustive(seed: int = 20260817) -> CheckResult:
     return CheckResult("sampling_exhaustive", ok, "; ".join(details))
 
 
-def check_sampling_empirical(
-    seed: int = 20260817,
-    n: int = 1000,
-    m: int = 50,
-    trials: int = 20000,
-    delta: float = 0.2,
-) -> CheckResult:
+def check_sampling_empirical(seed: int) -> CheckResult:
     """Monte Carlo subset failure stays within the bound plus sampling slack."""
+    n, m, trials, delta = 1000, 50, 20_000, 0.2
     rng = np.random.default_rng(seed)
-    chain = noise.uniform_chain(5, 0.03, 2, 2)
     words = {
         "balanced": [1] * (n // 2) + [0] * (n - n // 2),
-        "chain_sampled": (rng.random(n) < noise.observed_qx(chain)).astype(int).tolist(),
+        "chain_sampled": (rng.random(n) < noise.observed_qx(_PRESET)).astype(int).tolist(),
     }
     details = []
     ok = True
@@ -340,15 +339,15 @@ def check_measurement_semantics() -> CheckResult:
 CHI2_3DOF_P1E4 = 21.1
 
 
-def check_round_sampler(seed: int = 20260817, draws: int = 200_000) -> CheckResult:
+def check_round_sampler(seed: int) -> CheckResult:
     """Sampled end-to-end symbols follow the folded distribution (4-sigma gate),
     the symbol counts the simulator draws agree with the per-link sampler's
     (two-sample chi-square, 3 dof, gate at p = 1e-4), and a noiseless chain
     yields only the identity symbol."""
-    spec = noise.uniform_chain(5, 0.03, 2, 2)
+    draws = 200_000
     rng = np.random.default_rng(seed)
-    symbols = montecarlo.sample_rounds(spec, draws, rng)
-    expected = noise.end_to_end_dist(spec)
+    symbols = montecarlo.sample_rounds(_PRESET, draws, rng)
+    expected = noise.end_to_end_dist(_PRESET)
     worst_sigma = 0.0
     for index in range(4):
         p = expected.probs[index]
@@ -357,7 +356,7 @@ def check_round_sampler(seed: int = 20260817, draws: int = 200_000) -> CheckResu
         worst_sigma = max(worst_sigma, abs(freq - p) / sigma)
     # Equal sample sizes: sum over cells of (a - b)**2 / (a + b).
     per_link = np.bincount(symbols, minlength=4).astype(float)
-    counted = montecarlo.symbol_counts(spec, draws, rng).astype(float)
+    counted = montecarlo.symbol_counts(_PRESET, draws, rng).astype(float)
     chi2 = float(np.sum((per_link - counted) ** 2 / (per_link + counted)))
     noiseless = noise.uniform_chain(2, 0.0, 1, 1)
     clean = montecarlo.sample_rounds(noiseless, 1000, np.random.default_rng(seed))
@@ -369,11 +368,11 @@ def check_round_sampler(seed: int = 20260817, draws: int = 200_000) -> CheckResu
     )
 
 
-def check_concentration(seed: int = 20260817, trials: int = 1500) -> CheckResult:
+def check_concentration(seed: int) -> CheckResult:
     """Quick bound-violation scan of the simulator's sampling machinery."""
-    spec = noise.uniform_chain(5, 0.03, 2, 2)
-    params = keyrate.RateParams(n=2000, m=140, epsilon=0.05, p_star=noise.noise_parameter(spec))
-    summary = montecarlo.verify_concentration(spec, params, trials, seed)
+    trials = 1500
+    params = keyrate.RateParams(n=2000, m=140, epsilon=0.05, p_star=noise.noise_parameter(_PRESET))
+    summary = montecarlo.verify_concentration(_PRESET, params, trials, seed)
     detail = (
         f"sampling {summary.sampling_violations}/{trials} (limit {summary.sampling_limit:.3e}), "
         f"mean {summary.hoeffding_violations}/{trials} (limit {summary.hoeffding_limit:.3e})"
@@ -381,12 +380,11 @@ def check_concentration(seed: int = 20260817, trials: int = 1500) -> CheckResult
     return CheckResult("concentration", summary.ok, detail)
 
 
-def check_simulation_determinism(seed: int = 20260817) -> CheckResult:
+def check_simulation_determinism(seed: int) -> CheckResult:
     """Identical arguments reproduce identical reports."""
-    spec = noise.uniform_chain(5, 0.03, 2, 2)
-    params = keyrate.RateParams(n=20_000, m=1400, epsilon=1e-36, p_star=noise.noise_parameter(spec))
-    first = montecarlo.simulate_e91(spec, params, seed)
-    second = montecarlo.simulate_e91(spec, params, seed)
+    params = keyrate.RateParams(n=20_000, m=1400, epsilon=1e-36, p_star=noise.noise_parameter(_PRESET))
+    first = montecarlo.simulate_e91(_PRESET, params, seed)
+    second = montecarlo.simulate_e91(_PRESET, params, seed)
     return CheckResult("simulation_determinism", first == second, f"qx_hat {first.qx_hat:.6f}")
 
 
@@ -397,7 +395,7 @@ def _corrupted_convolve(p: BellDiagonal, q: BellDiagonal) -> BellDiagonal:
     return BellDiagonal(tuple(v / total for v in out))
 
 
-def run_all(seed: int = 20260817, inject_fault: str | None = None) -> list[CheckResult]:
+def run_all(seed: int, inject_fault: str | None = None) -> list[CheckResult]:
     """Run every check; ``inject_fault='convolve'`` must make the oracle check fail."""
     if inject_fault not in (None, "convolve"):
         raise ValueError(f"unknown fault {inject_fault!r}")

@@ -81,7 +81,7 @@ def test_criterion_03_chain_noise_closed_form():
 
 
 def test_criterion_04_noise_parameter_equivalence():
-    result = check_noise_parameter_routes(seed=42, chains=100)
+    result = check_noise_parameter_routes(seed=42)
     rng = np.random.default_rng(42)
     zero_exact = all(
         noise_parameter(ChainSpec(r, 0, 0, tuple(random_dist(rng) for _ in range(r + 1)))) == 0.0

@@ -10,9 +10,8 @@ import pytest
 from chainrate import cli, montecarlo, verify
 from chainrate.cli import build_parser, main
 from chainrate.keyrate import RateParams, finite_rate
-from chainrate.montecarlo import MAX_TRIALS
 from chainrate.noise import noise_parameter, observed_qx, uniform_chain
-from chainrate.sampling import deviation_for_failure, hoeffding_deviation
+from chainrate.sampling import MAX_TRIALS, deviation_for_failure, hoeffding_deviation
 
 
 def run(capsys, *argv):
@@ -67,6 +66,17 @@ def test_noise_explicit_honest_is_validated(capsys, tmp_path):
     rc, _, err = run(capsys, "noise", "--config", config, "--honest", "4", "--steps", "2")
     assert rc == 1
     assert "exceeds 3 stations" in err
+
+
+@pytest.mark.parametrize("command", ["noise", "rate-finite", "rate-asymptotic"])
+def test_repeated_honest_count_is_rejected(capsys, command):
+    # A repeat would print a second column under the same header name.
+    with pytest.raises(SystemExit) as exited:
+        main([command, "--honest", "2,1,2"])
+    assert exited.value.code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "honest count 2 is repeated" in err
 
 
 def test_rate_finite_round_sweep(capsys):

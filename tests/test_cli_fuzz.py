@@ -118,6 +118,7 @@ def check_output(command, stdout):
         return
     rows = list(csv.reader(io.StringIO(stdout)))
     assert len(rows) >= 2 and all(len(row) == len(rows[0]) for row in rows)
+    assert len(set(rows[0])) == len(rows[0]), rows[0]
     for row in rows[1:]:
         for cell in row:
             assert cell == "threshold" or math.isfinite(float(cell)), row

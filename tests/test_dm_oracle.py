@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from chainrate.bell import SYMBOLS, BellDiagonal, BellSymbol, fold_convolve, symbol_add
+from chainrate.bell import SYMBOLS, BellDiagonal, BellSymbol, convolve, fold_convolve, symbol_add
 from chainrate.dm_oracle import (
     MAX_LINKS,
     SwapOutcome,
@@ -18,6 +18,7 @@ from chainrate.dm_oracle import (
 from chainrate.verify import random_dist
 
 RNG = np.random.default_rng(413)
+UNIFORM = BellDiagonal((0.25, 0.25, 0.25, 0.25))
 
 
 def test_diagonal_dm_eigenvalues_are_the_weights():
@@ -76,7 +77,7 @@ def test_swap_on_pure_product_pair():
 
 
 def test_swap_input_validation():
-    rho = bell_diagonal_dm(BellDiagonal.uniform())
+    rho = bell_diagonal_dm(UNIFORM)
     with pytest.raises(ValueError):
         bell_swap(rho, (0, 1))  # nothing would remain
     rho4 = np.kron(rho, rho)
@@ -87,15 +88,17 @@ def test_swap_input_validation():
 
 
 def test_swap_branch_probabilities_follow_the_convolution():
-    p, q = random_dist(RNG), random_dist(RNG)
-    rho = np.kron(bell_diagonal_dm(p), bell_diagonal_dm(q))
-    for br in bell_swap(rho, (1, 2)):
-        # P(outcome x) = sum_a p(a) q(a + x + ?) is uniform only in special
-        # cases; here just check each branch is a valid normalized state.
-        if not br.degenerate:
-            assert validate_density_matrix(br.post_state) == 2
-    total = sum(br.probability for br in bell_swap(rho, (1, 2)))
-    assert abs(total - 1.0) < 1e-12
+    """Swapping two diagonal pairs p and q: the middle qubits are maximally
+    mixed, so each outcome x has probability 1/4, and branch x leaves the
+    outer pair labelled s with probability convolve(p, q)(s + x)."""
+    for _ in range(5):
+        p, q = random_dist(RNG), random_dist(RNG)
+        folded = convolve(p, q)
+        for br in bell_swap(np.kron(bell_diagonal_dm(p), bell_diagonal_dm(q)), (1, 2)):
+            assert abs(br.probability - 0.25) < 1e-12
+            post = dm_to_bell_diagonal(br.post_state)
+            for s in range(4):
+                assert abs(post.probs[s] - folded.probs[s ^ br.outcome.index]) < 1e-12
 
 
 @pytest.mark.parametrize("target", [0, 1])
@@ -110,7 +113,7 @@ def test_pauli_correction_restores_label_on_either_qubit(target):
 
 
 def test_pauli_correction_target_range():
-    rho = bell_diagonal_dm(BellDiagonal.uniform())
+    rho = bell_diagonal_dm(UNIFORM)
     with pytest.raises(ValueError):
         pauli_correct(rho, BellSymbol(1, 0), 2)
 
@@ -131,7 +134,7 @@ def test_dm_decomposition_rejects_cross_terms():
 
 
 def test_dm_decomposition_rejects_larger_systems():
-    rho = np.kron(bell_diagonal_dm(BellDiagonal.uniform()), bell_diagonal_dm(BellDiagonal.uniform()))
+    rho = np.kron(bell_diagonal_dm(UNIFORM), bell_diagonal_dm(UNIFORM))
     with pytest.raises(ValueError):
         dm_to_bell_diagonal(rho)
 
@@ -158,7 +161,7 @@ def test_chain_simulation_station_order_is_irrelevant():
 
 
 def test_chain_simulation_rejects_bad_order():
-    links = [BellDiagonal.uniform()] * 3
+    links = [UNIFORM] * 3
     with pytest.raises(ValueError):
         simulate_chain_exact(links, order=(1,))
     with pytest.raises(ValueError):
@@ -168,6 +171,6 @@ def test_chain_simulation_rejects_bad_order():
 def test_chain_simulation_link_count_limits():
     with pytest.raises(ValueError):
         simulate_chain_exact([])
-    too_many = [BellDiagonal.uniform()] * (MAX_LINKS + 1)
+    too_many = [UNIFORM] * (MAX_LINKS + 1)
     with pytest.raises(ValueError):
         simulate_chain_exact(too_many)

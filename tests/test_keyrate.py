@@ -241,11 +241,6 @@ def test_noise_tolerance_linear_crossing():
     assert abs(noise_tolerance(lambda q: 0.2 - q) - 0.2) < 1e-6
 
 
-def test_noise_tolerance_interval_validation():
-    with pytest.raises(ValueError):
-        noise_tolerance(bb84_asymptotic, lo=0.4, hi=0.4)
-
-
 def test_noise_tolerance_grows_with_honest_credit():
     # More honest stations tolerate more end-to-end noise.
     def rate_at(p_star):

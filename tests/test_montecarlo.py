@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from chainrate.montecarlo import (
-    MAX_TRIALS,
     ConcentrationSummary,
     MCReport,
     sample_rounds,
@@ -17,6 +16,7 @@ from chainrate.montecarlo import (
 from chainrate.keyrate import RateParams
 from chainrate.noise import end_to_end_dist, noise_parameter, noise_report, observed_qx, uniform_chain
 from chainrate.sampling import (
+    MAX_TRIALS,
     deviation_for_failure,
     empirical_failure_bits,
     exhaustive_failure,

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainrate.bell import BellDiagonal, phase_error_prob
+from chainrate.bell import BellDiagonal, bit_error_prob, phase_error_prob
 from chainrate.noise import (
     ChainSpec,
     balanced_honest_chain,
@@ -17,7 +17,6 @@ from chainrate.noise import (
     noise_parameter,
     noise_report,
     observed_qx,
-    observed_qz,
     strength_for_observed_qx,
     uniform_chain,
 )
@@ -40,7 +39,7 @@ def test_depolarizing_dist_layout():
 
 def test_depolarizing_dist_extremes():
     assert depolarizing_dist(0.0) == BellDiagonal.point()
-    assert depolarizing_dist(1.0) == BellDiagonal.uniform()
+    assert depolarizing_dist(1.0) == BellDiagonal((0.25, 0.25, 0.25, 0.25))
 
 
 @pytest.mark.parametrize("q", [-0.01, 1.01])
@@ -84,7 +83,7 @@ def test_identical_chain_closed_form(q):
 
 def test_depolarizing_chain_is_symmetric_in_bit_and_phase():
     spec = uniform_chain(4, 0.07, 1, 1)
-    assert math.isclose(observed_qx(spec), observed_qz(spec), rel_tol=0, abs_tol=1e-15)
+    assert math.isclose(observed_qx(spec), bit_error_prob(end_to_end_dist(spec)), rel_tol=0, abs_tol=1e-15)
 
 
 def test_end_to_end_matches_enumeration_heterogeneous():
@@ -154,7 +153,7 @@ def test_noise_report_is_consistent():
     spec = uniform_chain(5, 0.03, 2, 2)
     report = noise_report(spec)
     assert report.observed_qx == observed_qx(spec)
-    assert report.observed_qz == observed_qz(spec)
+    assert report.observed_qz == bit_error_prob(end_to_end_dist(spec))
     assert report.p_star == noise_parameter(spec)
     pl, pr = report.p_left, report.p_right
     assert abs(report.p_star - (pl * (1 - pr) + pr * (1 - pl))) < 1e-15

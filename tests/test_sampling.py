@@ -46,6 +46,11 @@ def test_params_validation():
     ):
         with pytest.raises(ValueError):
             require_admissible(epsilon=epsilon, m=m, n=n)
+    require_admissible(trials=1)
+    require_admissible(trials=MAX_TRIALS)
+    for trials in (0, MAX_TRIALS + 1):
+        with pytest.raises(ValueError, match="trials must be in"):
+            require_admissible(trials=trials)
 
 
 def test_frozen_deviations():

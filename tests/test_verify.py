@@ -17,7 +17,7 @@ from chainrate.verify import (
 
 
 def test_enumeration_matches_convolution():
-    dists = [depolarizing_dist(0.1), depolarizing_dist(0.2), BellDiagonal.uniform()]
+    dists = [depolarizing_dist(0.1), depolarizing_dist(0.2), BellDiagonal((0.25, 0.25, 0.25, 0.25))]
     folded = fold_convolve(dists)
     assert abs(enumerate_phase_parity(dists) - (folded.probs[1] + folded.probs[3])) < 1e-14
 
