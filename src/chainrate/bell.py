@@ -1,10 +1,11 @@
 """Two-bit symbol algebra for entanglement-swapped links.
 
-A symbol is a pair of bits ``(bt, ph)``: ``bt`` is the bit-flip coordinate,
-``ph`` the phase-flip coordinate. Symbols add coordinate-wise modulo 2, so the
-four symbols form the Klein group. Distributions over the symbols compose
-under XOR-convolution, which is exactly how link noise folds together when a
-chain of entangled pairs is swapped end to end.
+A symbol is an index ``s`` in 0..3 packing two bits: the bit-flip coordinate
+``bt = s >> 1`` and the phase-flip coordinate ``ph = s & 1``. Symbols add
+coordinate-wise modulo 2, which on the index is ``a ^ b``, so the four symbols
+form the Klein group. Distributions over the symbols compose under
+XOR-convolution, which is exactly how link noise folds together when a chain
+of entangled pairs is swapped end to end.
 """
 
 from __future__ import annotations
@@ -18,41 +19,8 @@ NORMALIZATION_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class BellSymbol:
-    """One alphabet letter: bit-flip coordinate ``bt``, phase-flip coordinate ``ph``."""
-
-    bt: int
-    ph: int
-
-    def __post_init__(self) -> None:
-        if self.bt not in (0, 1) or self.ph not in (0, 1):
-            raise ValueError(f"symbol coordinates must be bits, got ({self.bt!r}, {self.ph!r})")
-
-    @property
-    def index(self) -> int:
-        """Canonical array index, (bt << 1) | ph."""
-        return (self.bt << 1) | self.ph
-
-
-#: All four symbols in canonical index order: (0,0), (0,1), (1,0), (1,1).
-SYMBOLS: tuple[BellSymbol, ...] = (
-    BellSymbol(0, 0),
-    BellSymbol(0, 1),
-    BellSymbol(1, 0),
-    BellSymbol(1, 1),
-)
-
-IDENTITY_SYMBOL = SYMBOLS[0]
-
-
-def symbol_add(a: BellSymbol, b: BellSymbol) -> BellSymbol:
-    """Coordinate-wise XOR of two symbols."""
-    return SYMBOLS[a.index ^ b.index]
-
-
-@dataclass(frozen=True)
 class BellDiagonal:
-    """Probability distribution over the four symbols, in canonical index order."""
+    """Probability distribution over the four symbols: ``probs[s]`` is the weight of symbol ``s``."""
 
     probs: tuple[float, float, float, float]
 
@@ -69,18 +37,13 @@ class BellDiagonal:
             raise ValueError(f"probabilities must sum to 1 within {NORMALIZATION_TOL}, got {total!r}")
 
     @classmethod
-    def point(cls, symbol: BellSymbol = IDENTITY_SYMBOL) -> "BellDiagonal":
-        """Deterministic distribution on one symbol (the convolution identity at (0,0))."""
-        probs = [0.0, 0.0, 0.0, 0.0]
-        probs[symbol.index] = 1.0
-        return cls(tuple(probs))
-
-    def prob(self, symbol: BellSymbol) -> float:
-        return self.probs[symbol.index]
+    def point(cls) -> "BellDiagonal":
+        """Deterministic distribution on symbol 0, the convolution identity."""
+        return cls((1.0, 0.0, 0.0, 0.0))
 
 
 def convolve(p: BellDiagonal, q: BellDiagonal) -> BellDiagonal:
-    """XOR-convolution: out(s) = sum_a p(a) * q(s + a).
+    """XOR-convolution: out(s) = sum_a p(a) * q(s ^ a).
 
     Models one ideal swap of two noisy links: the end-to-end symbol is the sum
     of the per-link symbols, so its law is the convolution over the group.

@@ -103,16 +103,10 @@ def _emit_csv(header: Sequence[str], rows: Sequence[Sequence[Any]], out: str | N
     _emit(buffer.getvalue(), out)
 
 
-def _json_default(value: Any) -> Any:
-    if isinstance(value, frozenset):
-        return sorted(value)
-    raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
 def _emit_json(payload: Any, out: str | None) -> None:
     if dataclasses.is_dataclass(payload) and not isinstance(payload, type):
         payload = dataclasses.asdict(payload)
-    _emit(json.dumps(payload, indent=2, sort_keys=True, default=_json_default, allow_nan=False) + "\n", out)
+    _emit(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n", out)
 
 
 def _positive_int(text: str) -> int:

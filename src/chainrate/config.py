@@ -58,8 +58,11 @@ def _require_int(value: Any, where: str, minimum: int) -> int:
 def _require_number(value: Any, where: str, lo: float, hi: float) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
-    if not (lo <= float(value) <= hi):
-        raise ConfigError(f"{where}: must be within [{lo}, {hi}], got {value}")
+    # Compare before converting: float() overflows on a huge integer, and
+    # printing one can exceed the interpreter's digit limit, so give its size.
+    if not (lo <= value <= hi):
+        shown = value if isinstance(value, float) or abs(value) < 2**64 else f"an integer of {value.bit_length()} bits"
+        raise ConfigError(f"{where}: must be within [{lo}, {hi}], got {shown}")
     return float(value)
 
 
@@ -129,6 +132,8 @@ def load_chain_config(path: str) -> ChainConfig:
         raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
+    except ValueError as exc:  # e.g. an integer literal beyond the interpreter's digit limit
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ConfigError(f"{path}: JSON nested too deeply") from exc
     return parse_chain_config(data, where=path)

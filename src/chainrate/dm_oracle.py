@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bell import SYMBOLS, BellDiagonal, BellSymbol
+from .bell import BellDiagonal
 
 # State-validity and agreement tolerance for everything density-matrix shaped.
 DM_TOL = 1e-10
@@ -29,26 +29,27 @@ _Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
-def bell_state_vector(symbol: BellSymbol) -> np.ndarray:
+def bell_state_vector(symbol: int) -> np.ndarray:
     """Statevector of the maximally entangled state labelled by ``symbol``.
 
-    Convention: amplitude 1/sqrt(2) on |0, bt> and (-1)**ph / sqrt(2) on
-    |1, 1-bt>, with the first tensor factor as the left qubit. Basis order is
-    |00>, |01>, |10>, |11>.
+    Convention, with ``bt = symbol >> 1`` and ``ph = symbol & 1``: amplitude
+    1/sqrt(2) on |0, bt> and (-1)**ph / sqrt(2) on |1, 1-bt>, with the first
+    tensor factor as the left qubit. Basis order is |00>, |01>, |10>, |11>.
     """
+    bt, ph = symbol >> 1, symbol & 1
     vec = np.zeros(4, dtype=complex)
     amp = 1.0 / math.sqrt(2.0)
-    vec[symbol.bt] = amp
-    vec[2 + (1 - symbol.bt)] = amp * (-1.0) ** symbol.ph
+    vec[bt] = amp
+    vec[2 + (1 - bt)] = amp * (-1.0) ** ph
     return vec
 
 
 def bell_diagonal_dm(dist: BellDiagonal) -> np.ndarray:
     """Two-qubit density matrix diagonal in the entangled basis with weights ``dist``."""
     rho = np.zeros((4, 4), dtype=complex)
-    for symbol in SYMBOLS:
+    for symbol in range(4):
         vec = bell_state_vector(symbol)
-        rho += dist.prob(symbol) * np.outer(vec, vec.conj())
+        rho += dist.probs[symbol] * np.outer(vec, vec.conj())
     return rho
 
 
@@ -85,7 +86,7 @@ class SwapOutcome:
     to the maximally mixed one purely as a placeholder.
     """
 
-    outcome: BellSymbol
+    outcome: int
     probability: float
     post_state: np.ndarray
     degenerate: bool = False
@@ -120,7 +121,7 @@ def bell_swap(rho: np.ndarray, pair: tuple[int, int]) -> tuple[SwapOutcome, ...]
     tensor = _as_tensor(rho, n_qubits)
     remaining_dim = 2 ** (n_qubits - 2)
     outcomes = []
-    for symbol in SYMBOLS:
+    for symbol in range(4):
         reduced = _project_pair(tensor, n_qubits, pair, bell_state_vector(symbol))
         reduced = reduced.reshape(remaining_dim, remaining_dim)
         probability = float(np.trace(reduced).real)
@@ -135,19 +136,19 @@ def bell_swap(rho: np.ndarray, pair: tuple[int, int]) -> tuple[SwapOutcome, ...]
     return tuple(outcomes)
 
 
-def pauli_correct(rho: np.ndarray, outcome: BellSymbol, target: int) -> np.ndarray:
-    """Apply the conditional correction X**bt then Z**ph to qubit ``target``.
+def pauli_correct(rho: np.ndarray, outcome: int, target: int) -> np.ndarray:
+    """Apply the conditional correction X**bt then Z**ph of symbol ``outcome`` to qubit ``target``.
 
-    Defined so that a state labelled s + outcome is mapped back to the state
+    Defined so that a state labelled s ^ outcome is mapped back to the state
     labelled s when the correction acts on either qubit of the pair.
     """
     n_qubits = validate_density_matrix(rho)
     if not (0 <= target < n_qubits):
         raise ValueError(f"target qubit {target} out of range for {n_qubits} qubits")
     gate = np.eye(2, dtype=complex)
-    if outcome.bt:
+    if outcome >> 1:
         gate = _X @ gate
-    if outcome.ph:
+    if outcome & 1:
         gate = _Z @ gate
     tensor = _as_tensor(rho, n_qubits)
     letters = _LETTERS[: 2 * n_qubits]
@@ -169,7 +170,7 @@ def dm_to_bell_diagonal(rho: np.ndarray) -> BellDiagonal:
     """
     if validate_density_matrix(rho) != 2:
         raise ValueError("expected a two-qubit state")
-    vecs = [bell_state_vector(s) for s in SYMBOLS]
+    vecs = [bell_state_vector(s) for s in range(4)]
     weights = []
     for a in range(4):
         for b in range(4):

@@ -52,11 +52,11 @@ def corrected_phase(
     p_star: float,
     delta: float,
     delta_prime: float,
-) -> tuple[float, frozenset[str]]:
+) -> tuple[float, tuple[str, ...]]:
     """Adversary-attributed phase rate: ((qx - p* + delta') / (1 - 2 p*)) + delta.
 
-    The raw value is clamped into [0, 1]; the returned flag set records which
-    side (if any) was hit, so callers can tell a real rate from a saturated one.
+    The raw value is clamped into [0, 1]; the returned flags name the side hit
+    (empty, or one flag), so callers can tell a real rate from a saturated one.
     """
     if not (0.0 <= qx <= 1.0):
         raise ValueError(f"observed phase rate must be in [0, 1], got {qx!r}")
@@ -65,15 +65,11 @@ def corrected_phase(
     if delta < 0.0 or delta_prime < 0.0:
         raise ValueError("deviation terms must be >= 0")
     raw = (qx - p_star + delta_prime) / (1.0 - 2.0 * p_star) + delta
-    flags = set()
-    value = raw
     if raw < 0.0:
-        value = 0.0
-        flags.add(ARG_CLAMPED_LOW)
-    elif raw > 1.0:
-        value = 1.0
-        flags.add(ARG_CLAMPED_HIGH)
-    return value, frozenset(flags)
+        return 0.0, (ARG_CLAMPED_LOW,)
+    if raw > 1.0:
+        return 1.0, (ARG_CLAMPED_HIGH,)
+    return raw, ()
 
 
 @dataclass(frozen=True)
@@ -115,7 +111,7 @@ class RateReport:
     leak_ec: float
     epsilon_pa: float
     epsilon_fail: float
-    clamp_flags: frozenset[str]
+    clamp_flags: tuple[str, ...]
 
 
 def finite_rate(qx_observed: float, params: RateParams) -> RateReport:

@@ -3,9 +3,10 @@
 Rounds are i.i.d.: each carries the XOR of one symbol per link, so its
 end-to-end symbol follows the folded distribution. Measurement statistics
 follow from the exact two-qubit picture (certified against the
-density-matrix reference in the test suite): on a round carrying symbol
-``(bt, ph)``, Z-basis outcomes disagree iff bt = 1 and X-basis outcomes
-disagree iff ph = 1, so disagreement frequencies are bit means.
+density-matrix reference by ``verify.check_measurement_semantics``): on a
+round carrying symbol ``s``, Z-basis outcomes disagree iff its bit-flip bit
+``s >> 1`` is set and X-basis outcomes iff its phase bit ``s & 1`` is set, so
+disagreement frequencies are bit means.
 
 Every statistic the simulations read is a count: how many test or hidden
 rounds carry each symbol, how many revealed phase bits are set, how many of

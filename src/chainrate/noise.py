@@ -14,13 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .bell import (
-    SYMBOLS,
-    BellDiagonal,
-    bit_error_prob,
-    fold_convolve,
-    phase_error_prob,
-)
+from .bell import BellDiagonal, bit_error_prob, fold_convolve, phase_error_prob
 
 
 def depolarizing_dist(q: float) -> BellDiagonal:
@@ -107,10 +101,10 @@ def noise_parameter(spec: ChainSpec) -> float:
     """
     left, right = honest_marginals(spec)
     total = 0.0
-    for x in SYMBOLS:
-        for y in SYMBOLS:
-            if x.ph ^ y.ph:
-                total += left.prob(x) * right.prob(y)
+    for x in range(4):
+        for y in range(4):
+            if (x ^ y) & 1:
+                total += left.probs[x] * right.probs[y]
     return total
 
 

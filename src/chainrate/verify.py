@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import bell, dm_oracle, keyrate, montecarlo, noise, sampling
-from .bell import SYMBOLS, BellDiagonal
+from .bell import BellDiagonal
 from .config import default_chain_config
 from .noise import ChainSpec, depolarizing_dist
 
@@ -82,8 +82,8 @@ def _named_pool() -> list[BellDiagonal]:
 def check_states_orthonormal() -> CheckResult:
     """The four entangled basis vectors are orthonormal."""
     worst = 0.0
-    for a in SYMBOLS:
-        for b in SYMBOLS:
+    for a in range(4):
+        for b in range(4):
             overlap = complex(dm_oracle.bell_state_vector(a).conj() @ dm_oracle.bell_state_vector(b))
             expected = 1.0 if a == b else 0.0
             worst = max(worst, abs(overlap - expected))
@@ -95,14 +95,14 @@ def check_swap_identity() -> CheckResult:
     each collapsing the outer pair to the label sum plus the outcome."""
     worst_prob = 0.0
     worst_fidelity = 1.0
-    for a in SYMBOLS:
-        for b in SYMBOLS:
+    for a in range(4):
+        for b in range(4):
             vec_a = dm_oracle.bell_state_vector(a)
             vec_b = dm_oracle.bell_state_vector(b)
             rho = np.kron(np.outer(vec_a, vec_a.conj()), np.outer(vec_b, vec_b.conj()))
             for branch in dm_oracle.bell_swap(rho, (1, 2)):
                 worst_prob = max(worst_prob, abs(branch.probability - 0.25))
-                target = dm_oracle.bell_state_vector(bell.symbol_add(bell.symbol_add(a, b), branch.outcome))
+                target = dm_oracle.bell_state_vector(a ^ b ^ branch.outcome)
                 fidelity = float((target.conj() @ branch.post_state @ target).real)
                 worst_fidelity = min(worst_fidelity, fidelity)
     ok = worst_prob <= 1e-10 and worst_fidelity >= 1.0 - 1e-10
@@ -116,9 +116,9 @@ def check_swap_identity() -> CheckResult:
 def check_pauli_correction() -> CheckResult:
     """The announced-outcome correction restores the label on either qubit."""
     worst = 0.0
-    for s in SYMBOLS:
-        for x in SYMBOLS:
-            shifted = dm_oracle.bell_state_vector(bell.symbol_add(s, x))
+    for s in range(4):
+        for x in range(4):
+            shifted = dm_oracle.bell_state_vector(s ^ x)
             rho = np.outer(shifted, shifted.conj())
             target_vec = dm_oracle.bell_state_vector(s)
             target = np.outer(target_vec, target_vec.conj())
@@ -178,7 +178,7 @@ def check_swap_order(seed: int) -> CheckResult:
 
 def check_depolarizing_decomposition() -> CheckResult:
     """One-sided depolarizing of a perfect pair decomposes to (1-3q/4, q/4, q/4, q/4)."""
-    perfect = dm_oracle.bell_state_vector(SYMBOLS[0])
+    perfect = dm_oracle.bell_state_vector(0)
     rho_perfect = np.outer(perfect, perfect.conj())
     worst = 0.0
     for q in (0.0, 0.01, 0.05, 0.3, 0.5, 1.0):
@@ -326,12 +326,12 @@ def check_measurement_semantics() -> CheckResult:
     same-basis Z disagreement is bt, X disagreement is ph."""
     worst = 0.0
     basis_change = np.kron(_HADAMARD, _HADAMARD)
-    for s in SYMBOLS:
+    for s in range(4):
         vec = dm_oracle.bell_state_vector(s)
         z_probs = np.abs(vec) ** 2
-        worst = max(worst, abs(float(z_probs[1] + z_probs[2]) - s.bt))
+        worst = max(worst, abs(float(z_probs[1] + z_probs[2]) - (s >> 1)))
         x_probs = np.abs(basis_change @ vec) ** 2
-        worst = max(worst, abs(float(x_probs[1] + x_probs[2]) - s.ph))
+        worst = max(worst, abs(float(x_probs[1] + x_probs[2]) - (s & 1)))
     return CheckResult("measurement_semantics", worst <= 1e-12, f"max deviation {worst:.3e}")
 
 

@@ -1,4 +1,4 @@
-"""Symbol algebra: group laws, distributions, XOR-convolution."""
+"""Symbol algebra: distributions, XOR-convolution."""
 
 import math
 
@@ -6,19 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chainrate.bell import (
-    IDENTITY_SYMBOL,
-    SYMBOLS,
-    BellDiagonal,
-    BellSymbol,
-    bit_error_prob,
-    convolve,
-    fold_convolve,
-    phase_error_prob,
-    symbol_add,
-)
+from chainrate.bell import BellDiagonal, bit_error_prob, convolve, fold_convolve, phase_error_prob
 
-indices = st.integers(min_value=0, max_value=3)
 UNIFORM = BellDiagonal((0.25, 0.25, 0.25, 0.25))
 
 
@@ -29,39 +18,6 @@ def dist_strategy():
         min_size=4,
         max_size=4,
     ).map(lambda raw: BellDiagonal(tuple(v / sum(raw) for v in raw)))
-
-
-def test_symbol_index_roundtrip():
-    for i in range(4):
-        assert SYMBOLS[i].index == i
-    assert IDENTITY_SYMBOL == BellSymbol(0, 0)
-
-
-def test_symbol_index_layout():
-    # index = (bt << 1) | ph
-    assert BellSymbol(0, 1).index == 1
-    assert BellSymbol(1, 0).index == 2
-    assert BellSymbol(1, 1).index == 3
-
-
-@pytest.mark.parametrize("bt,ph", [(2, 0), (0, -1), (1, 2)])
-def test_symbol_rejects_non_bits(bt, ph):
-    with pytest.raises(ValueError):
-        BellSymbol(bt, ph)
-
-
-@given(indices, indices)
-def test_symbol_add_is_xor(a, b):
-    assert symbol_add(SYMBOLS[a], SYMBOLS[b]).index == a ^ b
-
-
-@given(indices, indices, indices)
-def test_symbol_group_laws(a, b, c):
-    x, y, z = SYMBOLS[a], SYMBOLS[b], SYMBOLS[c]
-    assert symbol_add(x, y) == symbol_add(y, x)
-    assert symbol_add(symbol_add(x, y), z) == symbol_add(x, symbol_add(y, z))
-    assert symbol_add(x, x) == IDENTITY_SYMBOL
-    assert symbol_add(x, IDENTITY_SYMBOL) == x
 
 
 @pytest.mark.parametrize(
@@ -81,9 +37,7 @@ def test_distribution_validation(probs):
 def test_point_and_uniform():
     point = BellDiagonal.point()
     assert point.probs == (1.0, 0.0, 0.0, 0.0)
-    shifted = BellDiagonal.point(BellSymbol(1, 1))
-    assert shifted.prob(BellSymbol(1, 1)) == 1.0
-    assert all(UNIFORM.prob(s) == 0.25 for s in SYMBOLS)
+    assert all(UNIFORM.probs[s] == 0.25 for s in range(4))
 
 
 @given(dist_strategy())

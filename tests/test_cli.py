@@ -301,6 +301,13 @@ def test_deeply_nested_config_is_a_one_line_error(capsys, tmp_path):
     assert err.startswith(f"chainrate: error: {path}") and len(err.splitlines()) == 1
 
 
+def test_huge_integer_in_config_is_a_one_line_error(capsys, tmp_path):
+    config = write_config(tmp_path, dict(THREE_REPEATERS, links=[{"type": "depolarizing", "q": 10**400}] * 4))
+    rc, out, err = run(capsys, "noise", "--config", config)
+    assert rc == 1 and out == ""
+    assert err.startswith(f"chainrate: error: {config}.links[0].q: ") and len(err.splitlines()) == 1
+
+
 def test_config_schema_error_exits_one(capsys, tmp_path):
     config = write_config(tmp_path, dict(THREE_REPEATERS, links=THREE_REPEATERS["links"][:2]))
     rc, _, err = run(capsys, "noise", "--config", config, "--steps", "2")

@@ -86,6 +86,10 @@ def test_parse_null_override_is_absent():
         (valid_payload(p_star_override=0.5), "p_star_override"),
         (valid_payload(p_star_override=-0.1), "p_star_override"),
         (valid_payload(p_star_override="low"), "p_star_override"),
+        # Integers too large for a float are range errors, not overflow crashes.
+        (valid_payload(links=[{"type": "depolarizing", "q": 10**400}] * 4), "links[0].q"),
+        (valid_payload(links=[{"type": "explicit", "probs": [10**400, 0, 0, 0]}] * 4), "probs[0]"),
+        (valid_payload(p_star_override=-(10**5000)), "p_star_override"),
     ],
 )
 def test_parse_error_paths(payload, fragment):
@@ -119,6 +123,15 @@ def test_load_invalid_json_reports_position(tmp_path):
         load_chain_config(str(path))
     assert "invalid JSON" in str(err.value)
     assert ":1:" in str(err.value)
+
+
+def test_load_integer_beyond_the_digit_limit_is_a_config_error(tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(valid_payload()).replace("0.03", "1" * 5000, 1))
+    with pytest.raises(ConfigError) as err:
+        load_chain_config(str(path))
+    assert str(err.value).startswith(f"{path}: invalid JSON: ")
+    assert len(str(err.value).splitlines()) == 1
 
 
 def test_load_deeply_nested_json_is_a_config_error(tmp_path):

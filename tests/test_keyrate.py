@@ -76,13 +76,13 @@ def test_capped_entropy_monotone(a, b):
 def test_corrected_phase_identity_without_honest_credit():
     value, flags = corrected_phase(0.08, 0.0, 0.0, 0.0)
     assert value == 0.08
-    assert flags == frozenset()
+    assert flags == ()
 
 
 def test_corrected_phase_frozen_value():
     value, flags = corrected_phase(0.08351, 0.05735, 0.0, 0.0)
     assert math.isclose(value, CORRECTED_NAMED, rel_tol=1e-12)
-    assert flags == frozenset()
+    assert flags == ()
 
 
 def test_corrected_phase_adds_deviations_back():
@@ -94,13 +94,13 @@ def test_corrected_phase_adds_deviations_back():
 def test_corrected_phase_clamps_low():
     value, flags = corrected_phase(0.01, 0.3, 0.0, 0.0)
     assert value == 0.0
-    assert flags == frozenset({ARG_CLAMPED_LOW})
+    assert flags == (ARG_CLAMPED_LOW,)
 
 
 def test_corrected_phase_clamps_high():
     value, flags = corrected_phase(1.0, 0.0, 0.5, 0.0)
     assert value == 1.0
-    assert flags == frozenset({ARG_CLAMPED_HIGH})
+    assert flags == (ARG_CLAMPED_HIGH,)
 
 
 def test_corrected_phase_domain():
@@ -140,7 +140,7 @@ def test_finite_rate_frozen_preset():
     report = finite_rate(QX, params)
     assert math.isclose(report.rate, RATE_1E8, rel_tol=1e-12)
     assert report.rate_clamped == report.rate
-    assert report.clamp_flags == frozenset()
+    assert report.clamp_flags == ()
     assert math.isclose(report.delta, 0.0048767564924374642, rel_tol=1e-12)
     assert math.isclose(report.delta_prime, 0.0024434491214607973, rel_tol=1e-12)
     assert math.isclose(report.epsilon_pa, 5.0396841995794927e-12, rel_tol=1e-12)

@@ -7,8 +7,11 @@ from chainrate.noise import depolarizing_dist
 from chainrate.verify import (
     _corrupted_convolve,
     check_baseline_identity,
+    check_depolarizing_decomposition,
     check_epsilon_ledger,
+    check_measurement_semantics,
     check_oracle_equivalence,
+    check_pauli_correction,
     check_states_orthonormal,
     check_swap_identity,
     enumerate_phase_parity,
@@ -38,6 +41,9 @@ def test_random_dist_is_normalized():
 def test_individual_fast_checks():
     assert check_states_orthonormal().ok
     assert check_swap_identity().ok
+    assert check_pauli_correction().ok
+    assert check_measurement_semantics().ok
+    assert check_depolarizing_decomposition().ok
     assert check_epsilon_ledger().ok
     assert check_baseline_identity().ok
 
