@@ -302,7 +302,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     return 0
 
 
-# These handlers import montecarlo and verify in their bodies: both load numpy, which analytic commands never use.
+# These handlers import montecarlo and verify in their bodies, which analytic commands never use.
+# Only mc-verify and verify load numpy; simulate samples in pure Python.
 def cmd_simulate(args: argparse.Namespace) -> int:
     from .montecarlo import simulate_e91
     config = _load_config(args)

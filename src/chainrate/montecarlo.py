@@ -14,21 +14,154 @@ them an honest station flips. Because rounds are i.i.d. and the test subset
 is uniform and independent of them, those counts have closed-form laws
 (multinomial, binomial), and drawing the counts directly is exact in
 distribution and costs O(1) per run or trial instead of O(rounds).
-``sample_rounds`` keeps the literal per-link round sampler as the oracle
-that certifies the count path.
+
+``simulate_e91`` draws its six binomial variates in pure Python from a
+``random.Random``, so its stream is the same on every supported Python and
+it never loads numpy. ``verify_concentration`` draws millions of variates
+per scan and ``sample_rounds`` is the literal per-link round sampler that
+certifies the count path; both import numpy in their bodies.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
-
-from .bell import BellDiagonal, bit_error_prob, phase_error_prob
+from .bell import bit_error_prob, phase_error_prob
 from .keyrate import RateParams, RateReport, finite_rate
 from .noise import ChainSpec, end_to_end_dist, observed_qx
 from .sampling import deviation_for_failure, hoeffding_deviation, require_admissible
+
+if TYPE_CHECKING:
+    import numpy as np
+
+_LOG_2PI = math.log(2.0 * math.pi)
+
+
+def _stirling_error(k: int) -> float:
+    """log(k!) - [(k + 1/2) log k - k + log(2 pi) / 2] for k >= 1."""
+    if k <= 15:
+        return math.lgamma(k + 1.0) - (k + 0.5) * math.log(k) + k - 0.5 * _LOG_2PI
+    k2 = float(k) * k
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * k2)) / k2) / k2) / k2) / k
+
+
+def _deviance(x: int, mean: float) -> float:
+    """x log(x / mean) + mean - x, summed as a series where x is near mean."""
+    if abs(x - mean) < 0.1 * (x + mean):
+        v = (x - mean) / (x + mean)
+        total = (x - mean) * v
+        term = 2.0 * x * v
+        v2 = v * v
+        j = 1
+        while True:
+            term *= v2
+            extended = total + term / (2 * j + 1)
+            if extended == total:
+                return total
+            total = extended
+            j += 1
+    return x * math.log(x / mean) + mean - x
+
+
+def binomial_log_pmf(n: int, p: float, k: int) -> float:
+    """log P(Binomial(n, p) = k) for 0 < p < 1 and 0 <= k <= n.
+
+    Loader's saddle-point form (2000): Stirling remainders plus deviance
+    terms, none of which is a difference of large numbers, so it keeps
+    ~1e-12 absolute accuracy up to n = 1e12, where lgamma differences lose
+    ~1e-3.
+    """
+    if k == 0:
+        return n * math.log1p(-p)
+    if k == n:
+        return n * math.log(p)
+    mean = n * p
+    return (
+        _stirling_error(n) - _stirling_error(k) - _stirling_error(n - k)
+        - _deviance(k, mean) - _deviance(n - k, n - mean)
+        + 0.5 * (math.log(n) - _LOG_2PI - math.log(k) - math.log(n - k))
+    )
+
+
+def binomial(n: int, p: float, rng: random.Random) -> int:
+    """One Binomial(n, p) variate, exact in law, drawn from ``rng``.
+
+    p > 1/2 draws n - Binomial(n, 1 - p). Below that, n p < 10 uses Devroye's
+    geometric method (O(n p) uniforms) and n p >= 10 Hoermann's BTRS
+    transformed rejection (Hoermann 1993, about 1.2 pairs of uniforms per
+    draw). Pure Python, so the stream depends only on ``rng``'s.
+    """
+    if n < 0 or not 0.0 <= p <= 1.0:
+        raise ValueError(f"binomial needs n >= 0 and 0 <= p <= 1, got n={n}, p={p}")
+    if p > 0.5:
+        return n - binomial(n, 1.0 - p, rng)
+    if n == 0 or p == 0.0:
+        return 0
+    if n * p < 10.0:
+        return _binomial_geometric(n, p, rng)
+    return _binomial_btrs(n, p, rng)
+
+
+def _binomial_geometric(n: int, p: float, rng: random.Random) -> int:
+    # The trials up to each success are i.i.d. Geometric(p): floor(log U / log(1 - p)) + 1.
+    log_q = math.log1p(-p)
+    successes, remaining = 0, n
+    while True:
+        gap = math.log(1.0 - rng.random()) / log_q
+        if gap >= remaining:
+            return successes
+        remaining -= math.floor(gap) + 1
+        successes += 1
+
+
+def _binomial_btrs(n: int, p: float, rng: random.Random) -> int:
+    # Hoermann's BTRS for n p >= 10 and p <= 1/2; the acceptance test compares
+    # with the exact log density ratio f(k) / f(mode).
+    spq = math.sqrt(n * p * (1.0 - p))
+    b = 1.15 + 2.53 * spq
+    a = -0.0873 + 0.0248 * b + 0.01 * p
+    c = n * p + 0.5
+    v_r = 0.92 - 4.2 / b
+    alpha = (2.83 + 5.1 / b) * spq
+    mode = math.floor((n + 1) * p)
+    log_f_mode = binomial_log_pmf(n, p, mode)
+    while True:
+        u = rng.random() - 0.5
+        us = 0.5 - abs(u)
+        if us == 0.0:
+            continue
+        k = math.floor((2.0 * a / us + b) * u + c)
+        if k < 0 or k > n:
+            continue
+        v = 1.0 - rng.random()
+        if us >= 0.07 and v <= v_r:
+            return k
+        v *= alpha / (a / (us * us) + b)
+        if math.log(v) <= binomial_log_pmf(n, p, k) - log_f_mode:
+            return k
+
+
+def multinomial(n: int, probs: Sequence[float], rng: random.Random) -> tuple[int, ...]:
+    """One Multinomial(n, probs) draw as conditional binomials over the cells in order.
+
+    Cell i takes Binomial(left, probs[i] / mass) of the ``left`` trials not yet
+    placed, with ``mass`` the probability not yet assigned and the ratio
+    clamped to [0, 1]; the last cell takes the remainder. So the cells are
+    >= 0 and sum to ``n`` however the ratios round.
+    """
+    counts = []
+    left, mass = n, 1.0
+    for prob in probs[:-1]:
+        share = min(max(prob / mass, 0.0), 1.0) if mass > 0.0 else 1.0
+        drawn = binomial(left, share, rng)
+        counts.append(drawn)
+        left -= drawn
+        mass -= prob
+    counts.append(left)
+    return tuple(counts)
 
 
 @dataclass(frozen=True)
@@ -47,30 +180,27 @@ class MCReport:
     rate_from_observation: RateReport
 
 
-def _cumulative(dist: BellDiagonal) -> np.ndarray:
-    cdf = np.cumsum(np.asarray(dist.probs, dtype=float))
-    cdf[-1] = 1.0  # guard against cumulative rounding at the top
-    return cdf
-
-
 def sample_rounds(spec: ChainSpec, rounds: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``rounds`` end-to-end symbol indices: one draw per link, XOR-folded."""
+    import numpy as np
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
     folded = np.zeros(rounds, dtype=np.uint8)
     for link in spec.links:
-        draws = np.searchsorted(_cumulative(link), rng.random(rounds), side="right")
+        cdf = np.cumsum(np.asarray(link.probs, dtype=float))
+        cdf[-1] = 1.0  # guard against cumulative rounding at the top
+        draws = np.searchsorted(cdf, rng.random(rounds), side="right")
         folded ^= draws.astype(np.uint8)
     return folded
 
 
-def symbol_counts(spec: ChainSpec, rounds: int, rng: np.random.Generator) -> np.ndarray:
+def symbol_counts(spec: ChainSpec, rounds: int, rng: random.Random) -> tuple[int, ...]:
     """How many of ``rounds`` i.i.d. rounds carry each end-to-end symbol, by index.
 
-    One multinomial draw: the same law as ``np.bincount`` of
-    ``sample_rounds(spec, rounds, rng)``, without materializing the rounds.
+    One multinomial draw: the same law as counting the symbols of
+    ``sample_rounds(spec, rounds, ...)``, without materializing the rounds.
     """
-    return rng.multinomial(rounds, end_to_end_dist(spec).probs)
+    return multinomial(rounds, end_to_end_dist(spec).probs, rng)
 
 
 def simulate_e91(spec: ChainSpec, params: RateParams, seed: int) -> MCReport:
@@ -84,19 +214,20 @@ def simulate_e91(spec: ChainSpec, params: RateParams, seed: int) -> MCReport:
     qx_hat is the test rounds' phase-error fraction (symbols with ph = 1,
     index & 1), qz_hat the hidden rounds' bit-error fraction (bt = 1,
     index >> 1), and the subset check compares the test and hidden phase
-    weights. Identical arguments reproduce the report bit for bit.
+    weights. Identical arguments reproduce the report bit for bit, on every
+    supported Python.
     """
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     n, m = params.n, params.m
     test = symbol_counts(spec, m, rng)
     hidden = symbol_counts(spec, n - m, rng)
 
-    qx_hat = int(test[1] + test[3]) / m
-    qz_hat = int(hidden[2] + hidden[3]) / (n - m)
+    qx_hat = (test[1] + test[3]) / m
+    qz_hat = (hidden[2] + hidden[3]) / (n - m)
     dist = end_to_end_dist(spec)
 
     delta = deviation_for_failure(params.epsilon, m, n)
-    hidden_qx = int(hidden[1] + hidden[3]) / (n - m)
+    hidden_qx = (hidden[1] + hidden[3]) / (n - m)
     violations = int(abs(qx_hat - hidden_qx) > delta)
 
     return MCReport(
@@ -157,6 +288,7 @@ def verify_concentration(spec: ChainSpec, params: RateParams, trials: int, seed:
     mean with its expectation against the i.i.d. tolerance. Frequencies must
     stay within bound plus three binomial standard deviations.
     """
+    import numpy as np
     require_admissible(trials=trials)
     n, m, epsilon, p_star = params.n, params.m, params.epsilon, params.p_star
     delta = deviation_for_failure(epsilon, m, n)

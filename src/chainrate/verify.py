@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, Sequence
@@ -341,9 +342,9 @@ CHI2_3DOF_P1E4 = 21.1
 
 def check_round_sampler(seed: int) -> CheckResult:
     """Sampled end-to-end symbols follow the folded distribution (4-sigma gate),
-    the symbol counts the simulator draws agree with the per-link sampler's
-    (two-sample chi-square, 3 dof, gate at p = 1e-4), and a noiseless chain
-    yields only the identity symbol."""
+    the symbol counts the simulator draws with its pure-Python multinomial
+    agree with the numpy per-link sampler's (two-sample chi-square, 3 dof,
+    gate at p = 1e-4), and a noiseless chain yields only the identity symbol."""
     draws = 200_000
     rng = np.random.default_rng(seed)
     symbols = montecarlo.sample_rounds(_PRESET, draws, rng)
@@ -355,9 +356,9 @@ def check_round_sampler(seed: int) -> CheckResult:
         sigma = math.sqrt(p * (1.0 - p) / draws)
         worst_sigma = max(worst_sigma, abs(freq - p) / sigma)
     # Equal sample sizes: sum over cells of (a - b)**2 / (a + b).
-    per_link = np.bincount(symbols, minlength=4).astype(float)
-    counted = montecarlo.symbol_counts(_PRESET, draws, rng).astype(float)
-    chi2 = float(np.sum((per_link - counted) ** 2 / (per_link + counted)))
+    per_link = np.bincount(symbols, minlength=4).tolist()
+    counted = montecarlo.symbol_counts(_PRESET, draws, random.Random(seed))
+    chi2 = sum((a - b) ** 2 / (a + b) for a, b in zip(per_link, counted))
     noiseless = noise.uniform_chain(2, 0.0, 1, 1)
     clean = montecarlo.sample_rounds(noiseless, 1000, np.random.default_rng(seed))
     ok = worst_sigma <= 4.0 and chi2 <= CHI2_3DOF_P1E4 and not np.any(clean)

@@ -1,4 +1,4 @@
-"""The analytic commands run without loading numpy; the Monte Carlo does load it.
+"""The analytic commands and ``simulate`` run without loading numpy; ``mc-verify`` does load it.
 
 Each case runs in a fresh interpreter, so a module imported by an earlier
 test cannot hide or fake the import.
@@ -24,6 +24,12 @@ if sys.argv[1:]:
 print("numpy" in sys.modules)
 """
 
+IMPORT_MONTECARLO = """
+import sys
+import chainrate.montecarlo
+print("numpy" in sys.modules)
+"""
+
 #: The README's analytic commands.
 ANALYTIC = (
     ["rate-finite", "--sweep", "N"],
@@ -34,9 +40,9 @@ ANALYTIC = (
 )
 
 
-def loads_numpy(argv):
+def loads_numpy(argv, script=SCRIPT):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
-    result = subprocess.run([sys.executable, "-c", SCRIPT, *argv], env=env, capture_output=True, text=True, timeout=120)
+    result = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     return {"True": True, "False": False}[result.stdout.strip()]
 
@@ -46,6 +52,14 @@ def test_analytic_paths_do_not_load_numpy(argv):
     assert not loads_numpy(argv)
 
 
-def test_simulate_loads_numpy():
+def test_simulate_does_not_load_numpy():
+    assert not loads_numpy(["simulate", "--rounds", "1e4"])
+
+
+def test_montecarlo_import_does_not_load_numpy():
+    assert not loads_numpy([], script=IMPORT_MONTECARLO)
+
+
+def test_mc_verify_loads_numpy():
     # Control: the check sees an import when one happens.
-    assert loads_numpy(["simulate", "--rounds", "1e4"])
+    assert loads_numpy(["mc-verify", "--rounds", "2000", "--trials", "200"])

@@ -1,6 +1,7 @@
 """Monte Carlo: per-link sampler law, count-level simulation, concentration scans."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -8,6 +9,9 @@ import pytest
 from chainrate.montecarlo import (
     ConcentrationSummary,
     MCReport,
+    binomial,
+    binomial_log_pmf,
+    multinomial,
     sample_rounds,
     simulate_e91,
     symbol_counts,
@@ -100,12 +104,111 @@ def test_simulate_report_statistics():
 def test_symbol_counts_follow_the_analytic_law():
     spec = uniform_chain(2, 0.2, 1, 0)
     n = 200_000
-    counts = symbol_counts(spec, n, np.random.default_rng(5))
-    assert counts.sum() == n
+    counts = symbol_counts(spec, n, random.Random(5))
+    assert sum(counts) == n
     expected = end_to_end_dist(spec).probs
     for index in range(4):
         sigma = math.sqrt(expected[index] * (1 - expected[index]) / n)
         assert abs(counts[index] / n - expected[index]) < 4.5 * sigma
+
+
+#: Upper 1e-4 quantile of the standard normal, for the chi-square gates below.
+Z_P1E4 = 3.719
+
+
+def _chi2_gate(dof):
+    """Chi-square quantile at upper tail 1e-4 (Wilson-Hilferty)."""
+    h = 2.0 / (9.0 * dof)
+    return dof * (1.0 - h + Z_P1E4 * math.sqrt(h)) ** 3
+
+
+def _binned_chi2(counts, pmf, draws):
+    """Pearson chi-square with adjacent cells pooled until each expects >= 5 draws."""
+    cells, observed, expected = [], 0, 0.0
+    for hits, prob in zip(counts, pmf):
+        observed += hits
+        expected += prob * draws
+        if expected >= 5.0:
+            cells.append([observed, expected])
+            observed, expected = 0, 0.0
+    cells[-1][0] += observed
+    cells[-1][1] += expected
+    return sum((o - e) ** 2 / e for o, e in cells), len(cells) - 1
+
+
+@pytest.mark.parametrize("n,p", [
+    (1, 0.3),  # n = 1
+    (1, 0.8),  # n = 1, reflected
+    (20, 0.2),  # geometric, n p = 4
+    (39, 0.25),  # geometric, n p = 9.75
+    (40, 0.25),  # BTRS at its threshold, n p = 10
+    (200, 0.5),  # BTRS, n p = 100
+    (30, 0.9),  # reflected to geometric, n (1 - p) = 3
+    (150, 0.7),  # reflected to BTRS, n (1 - p) = 45
+])
+def test_binomial_matches_the_exact_pmf(n, p):
+    draws = 20_000
+    rng = random.Random(17)
+    counts = [0] * (n + 1)
+    for _ in range(draws):
+        counts[binomial(n, p, rng)] += 1
+    pmf = [math.comb(n, k) * p**k * (1.0 - p) ** (n - k) for k in range(n + 1)]
+    chi2, dof = _binned_chi2(counts, pmf, draws)
+    assert dof >= 1
+    assert chi2 <= _chi2_gate(dof)
+
+
+def test_binomial_degenerate_cases():
+    rng = random.Random(0)
+    assert all(binomial(50, 0.0, rng) == 0 for _ in range(100))
+    assert all(binomial(50, 1.0, rng) == 50 for _ in range(100))
+    assert all(binomial(0, p, rng) == 0 for p in (0.0, 0.3, 0.7, 1.0))
+    assert binomial(1, 0.0, rng) == 0 and binomial(1, 1.0, rng) == 1
+    assert binomial(10**12, 0.0, rng) == 0 and binomial(10**12, 1.0, rng) == 10**12
+    for n, p in [(-1, 0.5), (5, -0.1), (5, 1.1), (5, float("nan"))]:
+        with pytest.raises(ValueError):
+            binomial(n, p, rng)
+
+
+def test_multinomial_cells_stay_valid_when_a_share_rounds_above_one():
+    # After cell 0 the unassigned mass is 1 - 1e-13, below cell 1's 1.0, so
+    # the conditional share rounds above 1 and must be clamped.
+    rng = random.Random(3)
+    for probs in [(1e-13, 1.0, 0.0, 0.0), (0.3, 0.3, 0.3, 0.1 + 1e-13), (0.0, 0.0, 0.0, 1.0)]:
+        for n in (0, 1, 10, 10**6, 10**12):
+            counts = multinomial(n, probs, rng)
+            assert len(counts) == 4
+            assert all(c >= 0 for c in counts) and sum(counts) == n
+
+
+def test_binomial_log_pmf_matches_math_comb_at_small_n():
+    for n in (1, 2, 7, 40, 120):
+        for p in (0.01, 0.25, 0.5, 0.9):
+            for k in range(n + 1):
+                exact = math.log(math.comb(n, k)) + k * math.log(p) + (n - k) * math.log1p(-p)
+                assert abs(binomial_log_pmf(n, p, k) - exact) <= 1e-11
+
+
+@pytest.mark.parametrize("p", [0.08, 0.5, 1e-5])
+def test_btrs_density_ratio_is_exact_at_a_trillion_rounds(p):
+    # BTRS accepts on log f(k) / f(mode); lgamma differences are off by ~1e-3 here.
+    mpmath = pytest.importorskip("mpmath")
+    n = 10**12
+    mode = math.floor((n + 1) * p)
+    sigma = math.sqrt(n * p * (1.0 - p))
+
+    with mpmath.workdps(50):
+        prob = mpmath.mpf(p)
+
+        def exact(k):
+            return (mpmath.loggamma(n + 1) - mpmath.loggamma(k + 1) - mpmath.loggamma(n - k + 1)
+                    + k * mpmath.log(prob) + (n - k) * mpmath.log1p(-prob))
+
+        at_mode = exact(mode)
+        for offset in (-6, -3, -1, 0, 1, 3, 6):
+            for k in (mode + round(offset * sigma), mode + offset):
+                ratio = binomial_log_pmf(n, p, k) - binomial_log_pmf(n, p, mode)
+                assert abs(ratio - float(exact(k) - at_mode)) <= 1e-9
 
 
 def test_simulate_p_star_override_feeds_the_rate():
