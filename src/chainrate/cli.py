@@ -303,7 +303,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 # These handlers import montecarlo and verify in their bodies, which analytic commands never use.
-# Only mc-verify and verify load numpy; simulate samples in pure Python.
+# Only verify loads numpy; simulate and mc-verify sample in pure Python.
 def cmd_simulate(args: argparse.Namespace) -> int:
     from .montecarlo import simulate_e91
     config = _load_config(args)

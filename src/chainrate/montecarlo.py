@@ -15,15 +15,16 @@ is uniform and independent of them, those counts have closed-form laws
 (multinomial, binomial), and drawing the counts directly is exact in
 distribution and costs O(1) per run or trial instead of O(rounds).
 
-``simulate_e91`` draws its six binomial variates in pure Python from a
-``random.Random``, so its stream is the same on every supported Python and
-it never loads numpy. ``verify_concentration`` draws millions of variates
-per scan and ``sample_rounds`` is the literal per-link round sampler that
-certifies the count path; both import numpy in their bodies.
+``simulate_e91`` and ``verify_concentration`` draw their binomial variates
+in pure Python from a ``random.Random``, so their streams are the same on
+every supported Python and neither loads numpy. Only ``sample_rounds``, the
+literal per-link round sampler that certifies the count path, imports numpy,
+in its body.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -117,17 +118,22 @@ def _binomial_geometric(n: int, p: float, rng: random.Random) -> int:
         successes += 1
 
 
-def _binomial_btrs(n: int, p: float, rng: random.Random) -> int:
-    # Hoermann's BTRS for n p >= 10 and p <= 1/2; the acceptance test compares
-    # with the exact log density ratio f(k) / f(mode).
+@functools.lru_cache(maxsize=256)
+def _btrs_setup(n: int, p: float) -> tuple[float, float, float, float, float, float]:
+    """BTRS's constants (a, b, c, v_r, alpha, log f(mode)), computed once per (n, p)."""
     spq = math.sqrt(n * p * (1.0 - p))
     b = 1.15 + 2.53 * spq
     a = -0.0873 + 0.0248 * b + 0.01 * p
     c = n * p + 0.5
     v_r = 0.92 - 4.2 / b
     alpha = (2.83 + 5.1 / b) * spq
-    mode = math.floor((n + 1) * p)
-    log_f_mode = binomial_log_pmf(n, p, mode)
+    return a, b, c, v_r, alpha, binomial_log_pmf(n, p, math.floor((n + 1) * p))
+
+
+def _binomial_btrs(n: int, p: float, rng: random.Random) -> int:
+    # Hoermann's BTRS for n p >= 10 and p <= 1/2; the acceptance test compares
+    # with the exact log density ratio f(k) / f(mode).
+    a, b, c, v_r, alpha, log_f_mode = _btrs_setup(n, p)
     while True:
         u = rng.random() - 0.5
         us = 0.5 - abs(u)
@@ -276,11 +282,11 @@ def verify_concentration(spec: ChainSpec, params: RateParams, trials: int, seed:
     phase word whose bits are i.i.d. with the chain's end-to-end phase-error
     rate qx. Both checked statistics depend only on how many phase bits are
     set in the revealed and hidden parts and on how many revealed bits the
-    honest noise flips, so all trials are drawn at once as counts, from one
-    generator seeded with ``seed``: the revealed and hidden weights are
-    independent Binomial(m, qx) and Binomial(n - m, qx), and at rate p*
-    Binomial(ones, p*) of the revealed ones and Binomial(m - ones, p*) of the
-    revealed zeros flip. (For a fixed word the subset law is
+    honest noise flips, so each trial is four binomial draws, trial by trial
+    from one ``random.Random`` seeded with ``seed``: the revealed and hidden
+    weights are independent Binomial(m, qx) and Binomial(n - m, qx), and at
+    rate p* Binomial(ones, p*) of the revealed ones and Binomial(m - ones, p*)
+    of the revealed zeros flip. (For a fixed word the subset law is
     ``sampling.empirical_failure_bits``.)
 
     The subset check compares revealed and hidden weights against the
@@ -288,23 +294,22 @@ def verify_concentration(spec: ChainSpec, params: RateParams, trials: int, seed:
     mean with its expectation against the i.i.d. tolerance. Frequencies must
     stay within bound plus three binomial standard deviations.
     """
-    import numpy as np
     require_admissible(trials=trials)
     n, m, epsilon, p_star = params.n, params.m, params.epsilon, params.p_star
     delta = deviation_for_failure(epsilon, m, n)
     delta_prime = hoeffding_deviation(epsilon, m)
 
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     qx = observed_qx(spec)
-    ones = rng.binomial(m, qx, size=trials)
-    rest_ones = rng.binomial(n - m, qx, size=trials)
-    w_sample = ones / m
-    w_rest = rest_ones / (n - m)
-    sampling_violations = int(np.count_nonzero(np.abs(w_sample - w_rest) > delta))
-
-    flipped_ones = ones - rng.binomial(ones, p_star) + rng.binomial(m - ones, p_star)
-    expected = w_sample * (1.0 - p_star) + (1.0 - w_sample) * p_star
-    hoeffding_violations = int(np.count_nonzero(np.abs(flipped_ones / m - expected) > delta_prime))
+    sampling_violations = hoeffding_violations = 0
+    for _ in range(trials):
+        ones = binomial(m, qx, rng)
+        rest_ones = binomial(n - m, qx, rng)
+        w_sample = ones / m
+        sampling_violations += abs(w_sample - rest_ones / (n - m)) > delta
+        flipped_ones = ones - binomial(ones, p_star, rng) + binomial(m - ones, p_star, rng)
+        expected = w_sample * (1.0 - p_star) + (1.0 - w_sample) * p_star
+        hoeffding_violations += abs(flipped_ones / m - expected) > delta_prime
 
     def limit(bound: float) -> float:
         return bound + 3.0 * math.sqrt(bound * (1.0 - bound) / trials)

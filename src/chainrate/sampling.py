@@ -22,8 +22,8 @@ from typing import Iterable, Sequence
 
 # Guard for exhaustive subset enumeration.
 MAX_EXHAUSTIVE_SUBSETS = 5_000_000
-#: Most seeded trials one scan may draw; trial arrays take O(trials) memory.
-MAX_TRIALS = 10**6
+#: Most seeded trials one scan may draw; it bounds a pure-Python scan's time.
+MAX_TRIALS = 10**5
 #: Most rounds a protocol run may have: the top of the analytic sweeps. Far
 #: beyond it (n ~ 1e154) the bounds' float arithmetic overflows.
 MAX_ROUNDS = 10**12

@@ -36,6 +36,8 @@ EPSILON_FAIL_1E36 = 2.5198420997897463e-12
 
 #: The preset chain, which the sampling and simulation checks run on.
 _PRESET = default_chain_config().spec
+#: Unequal Pauli weights (end-to-end cells 1-3 ~0.12, 0.07, 0.02) expose permuted error cells.
+_SKEWED = noise.ChainSpec(1, 0, 0, (BellDiagonal((0.88, 0.07, 0.04, 0.01)),) * 2)
 
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
 
@@ -341,14 +343,14 @@ CHI2_3DOF_P1E4 = 21.1
 
 
 def check_round_sampler(seed: int) -> CheckResult:
-    """Sampled end-to-end symbols follow the folded distribution (4-sigma gate),
-    the symbol counts the simulator draws with its pure-Python multinomial
-    agree with the numpy per-link sampler's (two-sample chi-square, 3 dof,
-    gate at p = 1e-4), and a noiseless chain yields only the identity symbol."""
+    """On ``_SKEWED``, sampled end-to-end symbols follow the folded distribution
+    (4-sigma gate), the symbol counts the simulator draws with its pure-Python
+    multinomial agree with the numpy per-link sampler's (two-sample chi-square,
+    3 dof, gate at p = 1e-4), and a noiseless chain yields only the identity symbol."""
     draws = 200_000
     rng = np.random.default_rng(seed)
-    symbols = montecarlo.sample_rounds(_PRESET, draws, rng)
-    expected = noise.end_to_end_dist(_PRESET)
+    symbols = montecarlo.sample_rounds(_SKEWED, draws, rng)
+    expected = noise.end_to_end_dist(_SKEWED)
     worst_sigma = 0.0
     for index in range(4):
         p = expected.probs[index]
@@ -357,7 +359,7 @@ def check_round_sampler(seed: int) -> CheckResult:
         worst_sigma = max(worst_sigma, abs(freq - p) / sigma)
     # Equal sample sizes: sum over cells of (a - b)**2 / (a + b).
     per_link = np.bincount(symbols, minlength=4).tolist()
-    counted = montecarlo.symbol_counts(_PRESET, draws, random.Random(seed))
+    counted = montecarlo.symbol_counts(_SKEWED, draws, random.Random(seed))
     chi2 = sum((a - b) ** 2 / (a + b) for a, b in zip(per_link, counted))
     noiseless = noise.uniform_chain(2, 0.0, 1, 1)
     clean = montecarlo.sample_rounds(noiseless, 1000, np.random.default_rng(seed))

@@ -173,13 +173,30 @@ def test_simulate_report_and_determinism(capsys):
     assert rc3 == 0 and third != first
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
 def test_simulate_stream_is_pinned(capsys):
     # The seeded stream is pure Python on random.Random, so the report must be
     # byte-identical on every supported interpreter.
-    golden = Path(__file__).parent / "golden" / "simulate_rounds_100000_seed_7.json"
+    golden = GOLDEN / "simulate_rounds_100000_seed_7.json"
     rc, out, err = run(capsys, "simulate", "--rounds", "100000", "--seed", "7")
     assert rc == 0 and err == ""
     assert out == golden.read_text()
+
+
+@pytest.mark.parametrize("argv,golden", [
+    (["--rounds", "2000", "--trials", "500", "--seed", "1"], "mc_verify_rounds_2000_trials_500_seed_1.json"),
+    # The scan above sees no violations; on a noisy chain at a loose epsilon
+    # both counts depend on every draw.
+    (["--config", str(GOLDEN / "noisy_chain.json"), "--epsilon", "0.9", "--rounds", "2000", "--trials", "500",
+      "--seed", "1"], "mc_verify_noisy_chain_epsilon_0.9_seed_1.json"),
+], ids=["preset", "noisy"])
+def test_mc_verify_stream_is_pinned(capsys, argv, golden):
+    # Drawn trial by trial on random.Random, like simulate's stream.
+    rc, out, err = run(capsys, "mc-verify", *argv)
+    assert rc == 0 and err == ""
+    assert out == (GOLDEN / golden).read_text()
 
 
 def test_simulate_accepts_p_star_override(capsys, tmp_path):
@@ -199,9 +216,11 @@ def test_simulate_at_a_trillion_rounds(capsys):
 
 
 def test_trial_count_over_the_cap_exits_one(capsys):
-    rc, out, err = run(capsys, "mc-verify", "--trials", str(MAX_TRIALS + 1))
-    assert rc == 1 and out == ""
-    assert "trials" in err and len(err.splitlines()) == 1
+    # 10^6, the old cap, would take a pure-Python scan tens of seconds.
+    for trials in (MAX_TRIALS + 1, 10**6):
+        rc, out, err = run(capsys, "mc-verify", "--trials", str(trials))
+        assert rc == 1 and out == ""
+        assert "trials" in err and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("rounds", ["inf", "1e400", "nan"])

@@ -1,4 +1,4 @@
-"""The analytic commands and ``simulate`` run without loading numpy; ``mc-verify`` does load it.
+"""The analytic commands, ``simulate`` and ``mc-verify`` run without loading numpy; ``verify`` does load it.
 
 Each case runs in a fresh interpreter, so a module imported by an earlier
 test cannot hide or fake the import.
@@ -60,6 +60,10 @@ def test_montecarlo_import_does_not_load_numpy():
     assert not loads_numpy([], script=IMPORT_MONTECARLO)
 
 
-def test_mc_verify_loads_numpy():
-    # Control: the check sees an import when one happens.
-    assert loads_numpy(["mc-verify", "--rounds", "2000", "--trials", "200"])
+def test_mc_verify_does_not_load_numpy():
+    assert not loads_numpy(["mc-verify", "--rounds", "2000", "--trials", "200"])
+
+
+def test_verify_loads_numpy():
+    # Control: the check sees an import when one happens (the density-matrix oracle needs numpy).
+    assert loads_numpy(["verify"])

@@ -17,8 +17,9 @@ from chainrate.montecarlo import (
     symbol_counts,
     verify_concentration,
 )
+from chainrate.bell import BellDiagonal
 from chainrate.keyrate import RateParams
-from chainrate.noise import end_to_end_dist, noise_parameter, noise_report, observed_qx, uniform_chain
+from chainrate.noise import ChainSpec, end_to_end_dist, noise_parameter, noise_report, observed_qx, uniform_chain
 from chainrate.sampling import (
     MAX_TRIALS,
     deviation_for_failure,
@@ -102,7 +103,9 @@ def test_simulate_report_statistics():
 
 
 def test_symbol_counts_follow_the_analytic_law():
-    spec = uniform_chain(2, 0.2, 1, 0)
+    # Unequal Pauli weights (end-to-end cells 1, 2, 3 near 0.12, 0.07, 0.02),
+    # so counts that land in the wrong error cell show.
+    spec = ChainSpec(1, 0, 0, (BellDiagonal((0.88, 0.07, 0.04, 0.01)),) * 2)
     n = 200_000
     counts = symbol_counts(spec, n, random.Random(5))
     assert sum(counts) == n
