@@ -180,9 +180,9 @@ def _qx_links(repeaters: int, qx: float) -> tuple[BellDiagonal, ...]:
 
 
 def _grid(lo: float, hi: float, steps: int) -> list[float]:
-    if not (2 <= steps <= MAX_ROWS) or hi <= lo:
-        raise ConfigError(f"need 2..{MAX_ROWS} steps and max > min, got [{lo}, {hi}] x {steps}")
     span = hi - lo
+    if not (2 <= steps <= MAX_ROWS and math.isfinite(span) and span > 0):
+        raise ConfigError(f"need 2..{MAX_ROWS} steps and a finite span max - min > 0, got [{lo}, {hi}] x {steps}")
     return [lo + span * i / (steps - 1) for i in range(steps)]
 
 

@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Sequence
 from .bell import bit_error_prob, phase_error_prob
 from .keyrate import RateParams, RateReport, finite_rate
 from .noise import ChainSpec, end_to_end_dist, observed_qx
-from .sampling import deviation_for_failure, hoeffding_deviation, require_admissible
+from .sampling import deviation_for_failure, frequency_limit, hoeffding_deviation, require_admissible
 
 if TYPE_CHECKING:
     import numpy as np
@@ -311,13 +311,10 @@ def verify_concentration(spec: ChainSpec, params: RateParams, trials: int, seed:
         expected = w_sample * (1.0 - p_star) + (1.0 - w_sample) * p_star
         hoeffding_violations += abs(flipped_ones / m - expected) > delta_prime
 
-    def limit(bound: float) -> float:
-        return bound + 3.0 * math.sqrt(bound * (1.0 - bound) / trials)
-
     sampling_bound = min(1.0, epsilon**2)
     hoeffding_bound = min(1.0, epsilon)
-    sampling_limit = limit(sampling_bound)
-    hoeffding_limit = limit(hoeffding_bound)
+    sampling_limit = frequency_limit(sampling_bound, trials)
+    hoeffding_limit = frequency_limit(hoeffding_bound, trials)
     return ConcentrationSummary(
         trials=trials,
         rounds=n,

@@ -39,8 +39,7 @@ def require_admissible(
 
     The one admissibility rule: MIN_EPSILON <= epsilon < 1, m >= 1,
     2m <= n <= MAX_ROUNDS (so n >= 2), and 1 <= trials <= MAX_TRIALS. Every
-    size check in the package goes through here except the deliberately
-    strict one in ``sampling_failure_bound``.
+    size check in the package goes through here.
     """
     if epsilon is not None and not (MIN_EPSILON <= epsilon < 1.0):
         raise ValueError(f"epsilon must be in [{MIN_EPSILON:g}, 1), got {epsilon!r}")
@@ -59,17 +58,22 @@ def _require_deviation(delta: float) -> None:
 
 
 def sampling_failure_bound(delta: float, m: int, n: int) -> float:
-    """Tail bound 2*exp(-delta**2 * m * n / (n + 2)), capped at 1.
+    """Tail bound 2*exp(-delta**2 * m * n / (n + 2)), capped at 1, valid for 1 <= m <= n/2.
 
+    |w(sample) - w(rest)| >= delta puts the sample mean t = delta*(n - m)/n from the word's mean, which
+    Serfling (1974, Cor. 1.1) bounds by 2*exp(-2*m*delta**2*(n - m)**2 / (n*(n - m + 1))). As
+    2*(n - m)**2*(n + 2) >= n**2*(n - m + 1) for m <= n/2, equal at m = n/2, this is Serfling's there and looser below.
     ``delta`` above 1 is vacuous but accepted so the bound stays the exact
     inverse of :func:`deviation_for_failure` over its whole range.
     """
     _require_deviation(delta)
-    # Deliberately stricter than require_admissible: the bound is proved for
-    # m strictly below n/2, while its inverse and the estimators admit m = n/2.
-    if not (1 <= m) or 2 * m >= n:
-        raise ValueError(f"bound requires 1 <= m < n/2, got m={m}, n={n}")
+    require_admissible(m=m, n=n)
     return min(1.0, 2.0 * math.exp(-(delta**2) * m * n / (n + 2)))
+
+
+def frequency_limit(bound: float, trials: int) -> float:
+    """Highest failure frequency over ``trials`` seeded trials that honours ``bound``: bound plus three binomial sigmas."""
+    return bound + 3.0 * math.sqrt(bound * (1.0 - bound) / trials)
 
 
 def deviation_for_failure(epsilon: float, m: int, n: int) -> float:

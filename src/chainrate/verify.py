@@ -250,12 +250,6 @@ def check_sampling_roundtrip() -> CheckResult:
     return CheckResult("sampling_roundtrip", worst <= 1e-12, f"max relative error {worst:.3e}")
 
 
-def _inline_bound(delta: float, m: int, n: int) -> float:
-    # Written out on purpose: valid at m = n/2, where the production function
-    # keeps its strict precondition.
-    return min(1.0, 2.0 * math.exp(-(delta**2) * m * n / (n + 2)))
-
-
 def check_sampling_exhaustive(seed: int) -> CheckResult:
     """Exact subset enumeration honors the analytic bound at n=20, m=10."""
     rng = np.random.default_rng(seed)
@@ -269,7 +263,7 @@ def check_sampling_exhaustive(seed: int) -> CheckResult:
     deltas = (0.15, 0.3, 0.45)
     for label, bits in words.items():
         for delta, exact in zip(deltas, sampling.exhaustive_failure(bits, 10, deltas)):
-            bound = _inline_bound(delta, 10, 20)
+            bound = sampling.sampling_failure_bound(delta, 10, 20)
             ok = ok and exact <= bound
             details.append(f"{label} d={delta}: {exact:.5f} <= {bound:.5f}")
     return CheckResult("sampling_exhaustive", ok, "; ".join(details))
@@ -287,8 +281,7 @@ def check_sampling_empirical(seed: int) -> CheckResult:
     ok = True
     for label, bits in words.items():
         freq = sampling.empirical_failure_bits(bits, m, delta, trials, seed)
-        bound = _inline_bound(delta, m, n)
-        limit = bound + 3.0 * math.sqrt(bound * (1.0 - bound) / trials)
+        limit = sampling.frequency_limit(sampling.sampling_failure_bound(delta, m, n), trials)
         ok = ok and freq <= limit
         details.append(f"{label}: {freq:.3e} <= {limit:.3e}")
     return CheckResult("sampling_empirical", ok, "; ".join(details))

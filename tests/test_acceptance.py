@@ -17,7 +17,7 @@ from chainrate.cli import main
 from chainrate.keyrate import RateParams
 from chainrate.montecarlo import sample_rounds, simulate_e91
 from chainrate.noise import ChainSpec, noise_parameter, observed_qx, uniform_chain
-from chainrate.sampling import empirical_failure_bits, epsilon_ledger, exhaustive_failure
+from chainrate.sampling import empirical_failure_bits, epsilon_ledger, exhaustive_failure, sampling_failure_bound
 from chainrate.verify import (
     BB84_ASYMPTOTIC_THRESHOLD,
     EPSILON_FAIL_1E36,
@@ -106,7 +106,6 @@ def test_criterion_05_sampling_roundtrips():
 
 def test_criterion_06_concentration_bound_honored():
     start = time.perf_counter()
-    bound = lambda delta, m, n: min(1.0, 2.0 * math.exp(-(delta**2) * m * n / (n + 2)))
     rng = np.random.default_rng(8)
     checks = []
 
@@ -118,7 +117,7 @@ def test_criterion_06_concentration_bound_honored():
     deltas = (0.15, 0.3, 0.45)
     for word in (half_word, chain_word):
         for delta, exact in zip(deltas, exhaustive_failure(word, m, deltas)):
-            checks.append(exact <= bound(delta, m, n))
+            checks.append(exact <= sampling_failure_bound(delta, m, n))
 
     # Monte Carlo at n=10^4, m=500 with 10^5 subset draws per setting.
     n, m, trials = 10**4, 500, 10**5
@@ -127,7 +126,7 @@ def test_criterion_06_concentration_bound_honored():
     for index, word in enumerate((half_word, chain_word)):
         for delta in (0.05, 0.1):
             freq = empirical_failure_bits(word, m, delta, trials=trials, seed=100 + index)
-            checks.append(freq <= bound(delta, m, n))
+            checks.append(freq <= sampling_failure_bound(delta, m, n))
     elapsed = time.perf_counter() - start
     _line(
         6,

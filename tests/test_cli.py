@@ -157,6 +157,14 @@ def test_bounds_honors_epsilon_flag(capsys):
     assert json.loads(loose_out)["delta"] < json.loads(strict_out)["delta"]
 
 
+def test_bounds_at_half_split(capsys):
+    rc, out, err = run(capsys, "bounds", "--rounds", "10", "--m-fraction", "0.5")
+    assert rc == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["m"] == 5
+    assert math.isclose(payload["failure_bound_at_delta"], payload["epsilon"] ** 2, rel_tol=1e-9)
+
+
 def test_simulate_report_and_determinism(capsys):
     rc, first, err = run(capsys, "simulate", "--rounds", "2e4", "--seed", "7")
     assert rc == 0 and err == ""
@@ -377,6 +385,11 @@ def test_grid_validation(capsys):
     rc, _, err = run(capsys, "noise", "--steps", "1")
     assert rc == 1
     assert "steps" in err or "2" in err
+    # lo + inf * 0 is NaN: the message must show the values given, not a grid point.
+    for argv in (["noise", "--q-max", "inf"], ["rate-asymptotic", "--qx-max", "inf"]):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 1 and out == "" and len(err.splitlines()) == 1
+        assert "inf]" in err and "nan" not in err
 
 
 #: The long flags each subcommand reads; it must accept no others.

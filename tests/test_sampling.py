@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ SMOOTHING_1E36 = 2.5198420997897463e-12
 
 
 def test_params_validation():
-    require_admissible(epsilon=0.1, m=50, n=100)  # m = n/2 is allowed for the estimators
+    require_admissible(epsilon=0.1, m=50, n=100)  # m = n/2 is admissible
     require_admissible(epsilon=MIN_EPSILON, m=1, n=MAX_ROUNDS)
     for epsilon, m, n in (
         (0.1, 1, 1),
@@ -67,8 +68,8 @@ def test_frozen_deviations():
     st.integers(min_value=3, max_value=10**8),
 )
 def test_bound_inverts_deviation(epsilon, m, n):
-    if 2 * m >= n:
-        m = (n - 1) // 2
+    if 2 * m > n:
+        m = n // 2
     delta = deviation_for_failure(epsilon, m, n)
     assert math.isclose(sampling_failure_bound(delta, m, n), epsilon**2, rel_tol=1e-12)
 
@@ -93,9 +94,44 @@ def test_bound_accepts_vacuous_tolerance():
     assert 0.0 < value < 1.0
 
 
-def test_bound_rejects_half_split():
-    with pytest.raises(ValueError):
-        sampling_failure_bound(0.1, 50, 100)
+def _serfling(delta, m, n):
+    # Serfling (1974), Cor. 1.1, two-sided, at t = delta * (n - m) / n from the word's mean.
+    return 2.0 * math.exp(-2.0 * m * delta**2 * (n - m) ** 2 / (n * (n - m + 1)))
+
+
+def test_bound_is_serfling_at_half_split_and_looser_below():
+    rng = random.Random(12)
+    cases = [(1e-2, 1, 2), (1e-6, 50, 100), (1e-40, 1, MAX_ROUNDS), (1e-40, MAX_ROUNDS // 2, MAX_ROUNDS)]
+    for _ in range(50_000):
+        n = max(2, round(10 ** rng.uniform(math.log10(2), 12)))
+        m = n // 2 if rng.random() < 0.5 else min(n // 2, round(10 ** rng.uniform(0, math.log10(n // 2))))
+        cases.append((10 ** rng.uniform(-40, -2), m, n))
+    for epsilon, m, n in cases:
+        delta = deviation_for_failure(epsilon, m, n)
+        bound, serfling = sampling_failure_bound(delta, m, n), _serfling(delta, m, n)
+        assert bound >= serfling * (1 - 1e-12), (epsilon, m, n)
+        if 2 * m == n:
+            assert math.isclose(bound, serfling, rel_tol=1e-12), (epsilon, m, n)
+    for m, n in ((0, 100), (51, 100)):
+        with pytest.raises(ValueError, match="m"):
+            sampling_failure_bound(0.1, m, n)
+
+
+def test_bound_holds_exactly_at_half_split():
+    # Exact hypergeometric P(|w(sample) - w(rest)| >= d) for every weight and
+    # every deviation d the word can attain; at m = n/2 a sample holding k of
+    # the word's ones deviates by |2k - ones| / m.
+    for n in range(4, 41, 2):
+        m = n // 2
+        for ones in range(n + 1):
+            mass = Counter()
+            for k in range(max(0, ones - m), min(ones, m) + 1):
+                mass[abs(2 * k - ones)] += math.comb(ones, k) * math.comb(n - ones, m - k)
+            tail = 0
+            for gap in sorted(mass, reverse=True):
+                tail += mass[gap]
+                if gap:
+                    assert tail / math.comb(n, m) <= sampling_failure_bound(gap / m, m, n), (n, ones, gap)
 
 
 @pytest.mark.parametrize("delta", [0.0, -0.2, float("inf"), float("nan")])
@@ -107,11 +143,6 @@ def test_bound_rejects_bad_delta(delta):
 def test_bound_monotone_in_delta_and_m():
     assert sampling_failure_bound(0.3, 100, 1000) < sampling_failure_bound(0.2, 100, 1000)
     assert sampling_failure_bound(0.2, 400, 1000) < sampling_failure_bound(0.2, 100, 1000)
-
-
-def test_deviation_accepts_half_split():
-    # The inverse is defined up to m = n/2 even though the bound stays strict.
-    assert deviation_for_failure(1e-6, 50, 100) > 0.0
 
 
 def test_hoeffding_validation():
