@@ -134,6 +134,14 @@ def test_bound_holds_exactly_at_half_split():
                     assert tail / math.comb(n, m) <= sampling_failure_bound(gap / m, m, n), (n, ones, gap)
 
 
+def test_bound_rejects_half_split():
+    # The split's edge is the first m past n/2: m = n/2 itself is proved (see the Serfling test).
+    assert sampling_failure_bound(0.5, 50, 100) < 1.0
+    for m, n in ((51, 100), (50, 99), (2, 3)):
+        with pytest.raises(ValueError):
+            sampling_failure_bound(0.1, m, n)
+
+
 @pytest.mark.parametrize("delta", [0.0, -0.2, float("inf"), float("nan")])
 def test_bound_rejects_bad_delta(delta):
     with pytest.raises(ValueError):
@@ -143,6 +151,11 @@ def test_bound_rejects_bad_delta(delta):
 def test_bound_monotone_in_delta_and_m():
     assert sampling_failure_bound(0.3, 100, 1000) < sampling_failure_bound(0.2, 100, 1000)
     assert sampling_failure_bound(0.2, 400, 1000) < sampling_failure_bound(0.2, 100, 1000)
+
+
+def test_deviation_accepts_half_split():
+    # The inverse is defined up to m = n/2, as the bound is.
+    assert deviation_for_failure(1e-6, 50, 100) > 0.0
 
 
 def test_hoeffding_validation():
