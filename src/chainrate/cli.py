@@ -145,9 +145,10 @@ def _load_config(args: argparse.Namespace) -> ChainConfig:
 
 
 def _sample_size(rounds: int, fraction: float, epsilon: float) -> int:
-    if not (0.0 < fraction < 1.0):
-        raise ConfigError(f"--m-fraction must be in (0, 1), got {fraction}")
-    size = max(1, round(fraction * rounds))
+    """The one rule for m: round(fraction * rounds), at least 1 and at most rounds // 2."""
+    if not (0.0 < fraction <= 0.5):
+        raise ConfigError(f"--m-fraction must be in (0, 0.5], got {fraction}")
+    size = max(1, min(round(fraction * rounds), rounds // 2))
     try:
         require_admissible(epsilon=epsilon, m=size, n=rounds)
     except ValueError as exc:
@@ -231,11 +232,12 @@ def _rate_params(args: argparse.Namespace, rounds: int, p_star: float) -> RatePa
 
 def _finite_row(args: argparse.Namespace, key: Any, qx: float, rounds: int, p_stars: Sequence[float]) -> list[Any]:
     """``key``, then the rate per honest-zone parameter and the baseline, each raw and clamped."""
+    params = _rate_params(args, rounds, 0.0)
     row = [key]
     for p_star in p_stars:
-        report = finite_rate(qx, _rate_params(args, rounds, p_star))
+        report = finite_rate(qx, dataclasses.replace(params, p_star=p_star))
         row += [report.rate, report.rate_clamped]
-    baseline = bb84_finite(qx, rounds, _sample_size(rounds, args.m_fraction, args.epsilon), args.epsilon)
+    baseline = bb84_finite(qx, rounds, params.m, args.epsilon)
     return row + [baseline, max(0.0, baseline)]
 
 
@@ -315,12 +317,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_mc_verify(args: argparse.Namespace) -> int:
     from .montecarlo import verify_concentration
     config = _load_config(args)
-    params = RateParams(
-        n=args.rounds,
-        m=_sample_size(args.rounds, args.m_fraction, args.epsilon),
-        epsilon=args.epsilon,
-        p_star=resolve_p_star(config.spec, config.p_star_override),
-    )
+    params = _rate_params(args, args.rounds, resolve_p_star(config.spec, config.p_star_override))
     summary = verify_concentration(config.spec, params, args.trials, args.seed)
     _emit_json(summary, args.out)
     return 0 if summary.ok else 2
@@ -343,7 +340,7 @@ def _protocol_flags(epsilon: float) -> argparse.ArgumentParser:
     """``--epsilon`` with this command's default, and ``--m-fraction``."""
     parent = _Parser(add_help=False)
     parent.add_argument("--epsilon", type=float, default=epsilon, help=f"failure target (default {epsilon:g})")
-    parent.add_argument("--m-fraction", type=float, default=0.07, help="test-sample fraction of rounds (default 0.07)")
+    parent.add_argument("--m-fraction", type=float, default=0.07, help="test-sample fraction f in (0, 0.5]: m = round(f*n), capped at n // 2 (default 0.07)")
     return parent
 
 
@@ -405,7 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc = sub.add_parser("mc-verify", parents=[config, out, seed, _protocol_flags(MC_VERIFY_EPSILON)], help="concentration-bound scan")
     p_mc.add_argument("--rounds", type=_positive_int, default=2000)
     p_mc.add_argument("--trials", type=_positive_int, default=2000)
-    p_mc.set_defaults(handler=cmd_mc_verify)
+    # The scan reads no leak settings, so mc-verify takes no leak flags; RateParams gets their defaults.
+    p_mc.set_defaults(handler=cmd_mc_verify, ec_factor=BASELINE_EC_FACTOR, strict_leak=False)
 
     p_verify = sub.add_parser("verify", parents=[out, seed], help="self-verification suite")
     p_verify.add_argument("--inject-fault", choices=("convolve",), default=None, help="negative control")

@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Sequence
 from .bell import bit_error_prob, phase_error_prob
 from .keyrate import RateParams, RateReport, finite_rate
 from .noise import ChainSpec, end_to_end_dist, observed_qx
-from .sampling import deviation_for_failure, frequency_limit, hoeffding_deviation, require_admissible
+from .sampling import deviation_for_failure, frequency_limit, hoeffding_deviation, require_admissible, subset_deviates
 
 if TYPE_CHECKING:
     import numpy as np
@@ -233,8 +233,7 @@ def simulate_e91(spec: ChainSpec, params: RateParams, seed: int) -> MCReport:
     dist = end_to_end_dist(spec)
 
     delta = deviation_for_failure(params.epsilon, m, n)
-    hidden_qx = (hidden[1] + hidden[3]) / (n - m)
-    violations = int(abs(qx_hat - hidden_qx) > delta)
+    violations = int(subset_deviates(test[1] + test[3], hidden[1] + hidden[3], m, n, delta))
 
     return MCReport(
         rounds=n,
@@ -305,14 +304,14 @@ def verify_concentration(spec: ChainSpec, params: RateParams, trials: int, seed:
     for _ in range(trials):
         ones = binomial(m, qx, rng)
         rest_ones = binomial(n - m, qx, rng)
+        sampling_violations += subset_deviates(ones, rest_ones, m, n, delta)
         w_sample = ones / m
-        sampling_violations += abs(w_sample - rest_ones / (n - m)) > delta
         flipped_ones = ones - binomial(ones, p_star, rng) + binomial(m - ones, p_star, rng)
         expected = w_sample * (1.0 - p_star) + (1.0 - w_sample) * p_star
         hoeffding_violations += abs(flipped_ones / m - expected) > delta_prime
 
-    sampling_bound = min(1.0, epsilon**2)
-    hoeffding_bound = min(1.0, epsilon)
+    sampling_bound = epsilon**2
+    hoeffding_bound = epsilon
     sampling_limit = frequency_limit(sampling_bound, trials)
     hoeffding_limit = frequency_limit(hoeffding_bound, trials)
     return ConcentrationSummary(

@@ -89,7 +89,7 @@ def honest_marginals(spec: ChainSpec) -> tuple[BellDiagonal, BellDiagonal]:
     to neither. An empty segment contributes the deterministic (0,0) symbol.
     """
     left = fold_convolve(spec.links[: spec.honest_left])
-    right = fold_convolve(spec.links[len(spec.links) - spec.honest_right :] if spec.honest_right else ())
+    right = fold_convolve(spec.links[len(spec.links) - spec.honest_right :])
     return left, right
 
 

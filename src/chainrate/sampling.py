@@ -2,8 +2,9 @@
 
 The protocol reveals a uniformly random size-``m`` subset of an ``n``-symbol
 word and must bound how far the hidden part's relative weight can sit from the
-revealed part's. ``sampling_failure_bound`` is the analytic tail bound for
-that estimate; ``deviation_for_failure`` inverts it so a target failure
+revealed part's (``subset_deviates`` is the one definition of a deviation beyond
+the tolerance). ``sampling_failure_bound`` is the analytic tail bound for that
+estimate; ``deviation_for_failure`` inverts it so a target failure
 probability picks the deviation tolerance. ``hoeffding_deviation`` is the
 standard i.i.d. mean bound used for the honest-noise contribution. The
 estimators below exist to check the analytic bounds against seeded sampling
@@ -18,7 +19,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 # Guard for exhaustive subset enumeration.
 MAX_EXHAUSTIVE_SUBSETS = 5_000_000
@@ -69,6 +70,15 @@ def sampling_failure_bound(delta: float, m: int, n: int) -> float:
     _require_deviation(delta)
     require_admissible(m=m, n=n)
     return min(1.0, 2.0 * math.exp(-(delta**2) * m * n / (n + 2)))
+
+
+def subset_deviates(ones: Any, rest_ones: Any, m: int, n: int, delta: float) -> Any:
+    """Whether a revealed sample of ``m`` holding ``ones`` ones deviates from the hidden ``n - m`` holding ``rest_ones``.
+
+    The event is |ones/m - rest_ones/(n - m)| > delta, strictly: a deviation exactly equal to ``delta`` is not
+    counted. Only ``/``, ``-``, ``abs`` and ``>`` appear, so it also works elementwise on numpy arrays.
+    """
+    return abs(ones / m - rest_ones / (n - m)) > delta
 
 
 def frequency_limit(bound: float, trials: int) -> float:
@@ -148,9 +158,7 @@ def empirical_failure_bits(
     _require_deviation(delta)
     total_ones = sum(bits)
     ones_in_sample = np.random.default_rng(seed).hypergeometric(total_ones, n - total_ones, m, size=trials)
-    w_sample = ones_in_sample / m
-    w_rest = (total_ones - ones_in_sample) / (n - m)
-    return int(np.count_nonzero(np.abs(w_sample - w_rest) > delta)) / trials
+    return int(np.count_nonzero(subset_deviates(ones_in_sample, total_ones - ones_in_sample, m, n, delta))) / trials
 
 
 def exhaustive_failure(word: Sequence[int], m: int, deltas: Sequence[float]) -> tuple[float, ...]:
@@ -172,11 +180,8 @@ def exhaustive_failure(word: Sequence[int], m: int, deltas: Sequence[float]) -> 
     histogram = Counter(map(sum, itertools.combinations(bits, m)))
     fractions = []
     for delta in deltas:
-        failures = 0
-        for ones_in_sample, subsets in histogram.items():
-            w_sample = ones_in_sample / m
-            w_rest = (total_ones - ones_in_sample) / (n - m)
-            if abs(w_sample - w_rest) > delta:
-                failures += subsets
+        failures = sum(
+            subsets for ones, subsets in histogram.items() if subset_deviates(ones, total_ones - ones, m, n, delta)
+        )
         fractions.append(failures / n_subsets)
     return tuple(fractions)

@@ -143,8 +143,8 @@ def check_oracle_equivalence(
     """
     fn = convolve_fn if convolve_fn is not None else bell.convolve
     rng = np.random.default_rng(seed)
-    pool = _named_pool() + [random_dist(rng) for _ in range(10)]
     named = _named_pool()
+    pool = named + [random_dist(rng) for _ in range(10)]
     chains: list[list[BellDiagonal]] = [[d] for d in pool]
     chains += [[a, b] for a in named for b in named]
     for length in (2, 3, 4):
@@ -226,11 +226,8 @@ def check_noise_parameter_routes(seed: int) -> CheckResult:
         p_r = bell.phase_error_prob(right)
         parity = p_l * (1.0 - p_r) + p_r * (1.0 - p_l)
         worst = max(worst, abs(double_sum - parity))
-        honest_links = links[:honest_left] + (links[len(links) - honest_right:] if honest_right else ())
-        if honest_links:
-            worst = max(worst, abs(double_sum - enumerate_phase_parity(honest_links)))
-        else:
-            worst = max(worst, abs(double_sum - 0.0))
+        honest_links = links[:honest_left] + links[len(links) - honest_right:]
+        worst = max(worst, abs(double_sum - enumerate_phase_parity(honest_links)))
     return CheckResult("noise_parameter_routes", worst <= 1e-12, f"{chains} chains, max deviation {worst:.3e}")
 
 

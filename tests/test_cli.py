@@ -165,6 +165,21 @@ def test_bounds_at_half_split(capsys):
     assert math.isclose(payload["failure_bound_at_delta"], payload["epsilon"] ** 2, rel_tol=1e-9)
 
 
+def test_half_split_fraction_runs_at_odd_rounds(capsys):
+    # --m-fraction 0.5 takes m = n // 2 at odd n, where round(n / 2) would exceed n/2.
+    rc, out, err = run(capsys, "rate-finite", "--n-min", "10", "--n-max", "100", "--per-decade", "5",
+                       "--m-fraction", "0.5", "--epsilon", "1e-5")
+    assert rc == 0 and err == ""
+    _, rows = parse_csv(out)
+    assert "63" in [row[0] for row in rows]
+    rc, out, err = run(capsys, "bounds", "--rounds", "63", "--m-fraction", "0.5")
+    assert rc == 0 and err == ""
+    assert json.loads(out)["m"] == 31
+    rc, out, err = run(capsys, "mc-verify", "--rounds", "63", "--m-fraction", "0.5", "--trials", "10")
+    assert rc in (0, 2) and err == ""
+    assert json.loads(out)["sample_size"] == 31
+
+
 def test_simulate_report_and_determinism(capsys):
     rc, first, err = run(capsys, "simulate", "--rounds", "2e4", "--seed", "7")
     assert rc == 0 and err == ""
@@ -353,9 +368,11 @@ def test_config_schema_error_exits_one(capsys, tmp_path):
 
 
 def test_m_fraction_validation(capsys):
-    rc, _, err = run(capsys, "bounds", "--rounds", "1000", "--m-fraction", "0.6")
-    assert rc == 1
-    assert "m-fraction" in err
+    for fraction in ("0.6", "0.75"):
+        rc, _, err = run(capsys, "bounds", "--rounds", "1000", "--m-fraction", fraction)
+        assert rc == 1
+        assert len(err.splitlines()) == 1
+        assert "m-fraction" in err and "(0, 0.5]" in err
 
 
 def test_usage_errors_exit_one(capsys):

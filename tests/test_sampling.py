@@ -21,6 +21,7 @@ from chainrate.sampling import (
     hoeffding_deviation,
     require_admissible,
     sampling_failure_bound,
+    subset_deviates,
 )
 from chainrate.verify import EPSILON_FAIL_1E36, EPSILON_PA_1E36
 
@@ -195,6 +196,15 @@ def test_epsilon_ledger_rejects_vacuous_settings():
 def test_exhaustive_failure_tiny_case_by_hand():
     # Word 1100, sample 2 of 4, tolerance 0.4: 2 of the 6 subsets fail.
     assert exhaustive_failure([1, 1, 0, 0], 2, (0.4,)) == pytest.approx((2.0 / 6.0,))
+
+
+def test_deviation_equal_to_delta_is_not_counted():
+    # Word 1100, sample 2 of 4: the samples 11 and 00 deviate from the rest by exactly 1.0.
+    assert not subset_deviates(2, 0, 2, 4, 1.0)
+    assert subset_deviates(2, 0, 2, 4, 0.75)
+    assert subset_deviates(np.array([2, 1]), np.array([0, 1]), 2, 4, 0.75).tolist() == [True, False]
+    assert exhaustive_failure([1, 1, 0, 0], 2, (1.0, 0.75)) == (0.0, pytest.approx(2.0 / 6.0))
+    assert empirical_failure_bits([1, 0], 1, 1.0, trials=100, seed=0) == 0.0
 
 
 def test_exhaustive_failure_zero_word_never_fails():
