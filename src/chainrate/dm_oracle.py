@@ -6,6 +6,7 @@ measurements as explicit projections, apply the conditional Pauli corrections,
 and read the final two-qubit state back off as a distribution over the four
 maximally entangled states. It exists to certify the fast distribution-level
 algebra, so it shares no code path with it. Capped at 8 qubits (4 links).
+Link factors are validated one by one; branch, averaged and final states in full.
 """
 
 from __future__ import annotations
@@ -66,6 +67,8 @@ def validate_density_matrix(rho: np.ndarray) -> int:
     n_qubits = dim.bit_length() - 1
     if dim != 2**n_qubits or not (1 <= n_qubits <= 8):
         raise ValueError(f"dimension {dim} is not 2**k for k in 1..8")
+    if not np.all(np.isfinite(rho)):
+        raise ValueError("matrix has non-finite entries")
     if np.max(np.abs(rho - rho.conj().T)) > DM_TOL:
         raise ValueError("matrix is not Hermitian within tolerance")
     trace = complex(np.trace(rho))
@@ -112,7 +115,10 @@ def bell_swap(rho: np.ndarray, pair: tuple[int, int]) -> tuple[SwapOutcome, ...]
     Returns all four branches. Probabilities sum to 1; each post state is the
     normalized reduced state on the remaining qubits.
     """
-    n_qubits = validate_density_matrix(rho)
+    return _swap_branches(rho, validate_density_matrix(rho), pair)
+
+
+def _swap_branches(rho: np.ndarray, n_qubits: int, pair: tuple[int, int]) -> tuple[SwapOutcome, ...]:
     i, j = pair
     if not (0 <= i < n_qubits and 0 <= j < n_qubits) or i == j:
         raise ValueError(f"invalid qubit pair {pair} for {n_qubits} qubits")
@@ -196,7 +202,9 @@ def simulate_chain_exact(
     qubit of pair r-1 and the left qubit of pair r, measures them in the
     entangled basis, and the announced outcome is corrected on the leftmost
     qubit. Branches are averaged with their Born weights. ``order`` optionally
-    permutes the station schedule (default: left to right).
+    permutes the station schedule (default: left to right). Each link factor is
+    validated, not their product: the spectrum of A⊗B is the products of theirs.
+    Every branch, averaged and final state is validated by its spectrum.
     """
     n_links = len(links)
     if not (1 <= n_links <= MAX_LINKS):
@@ -206,20 +214,22 @@ def simulate_chain_exact(
         if sorted(order) != stations:
             raise ValueError(f"order must permute stations {stations}, got {list(order)}")
         stations = list(order)
-    rho = reduce(np.kron, [bell_diagonal_dm(d) for d in links])
+    factors = [bell_diagonal_dm(d) for d in links]
+    n_qubits = sum(validate_density_matrix(factor) for factor in factors)
+    rho = reduce(np.kron, factors)
     labels = list(range(2 * n_links))
     for station in stations:
         i = labels.index(2 * station - 1)
         j = labels.index(2 * station)
-        n_qubits = len(labels)
         averaged = np.zeros((2 ** (n_qubits - 2),) * 2, dtype=complex)
-        for branch in bell_swap(rho, (i, j)):
+        for branch in _swap_branches(rho, n_qubits, (i, j)):
             if branch.degenerate:
                 continue
             # Leftmost qubit keeps position 0 after any pair removal.
             corrected = pauli_correct(branch.post_state, branch.outcome, 0)
             averaged += branch.probability * corrected
         rho = averaged
+        n_qubits = validate_density_matrix(rho)
         del labels[max(i, j)]
         del labels[min(i, j)]
     return dm_to_bell_diagonal(rho)

@@ -1,8 +1,11 @@
 """Density-matrix reference path: states, swaps, corrections, chain simulation."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
 
+from chainrate import dm_oracle
 from chainrate.bell import BellDiagonal, convolve, fold_convolve
 from chainrate.dm_oracle import (
     MAX_LINKS,
@@ -52,6 +55,48 @@ def test_validate_rejects_negative_eigenvalue():
     rho = np.diag([1.5, -0.5]).astype(complex)
     with pytest.raises(ValueError):
         validate_density_matrix(rho)
+
+
+def test_validate_rejects_a_nan_entry():
+    rho = np.eye(4, dtype=complex) / 4.0
+    rho[0, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        validate_density_matrix(rho)
+
+
+def test_validate_rejects_an_all_nan_matrix():
+    with pytest.raises(ValueError, match="non-finite"):
+        validate_density_matrix(np.full((4, 4), np.nan))
+
+
+def _non_hermitian_4q():
+    rho = np.kron(bell_diagonal_dm(UNIFORM), bell_diagonal_dm(UNIFORM))
+    rho[0, 5] += 0.01j
+    return rho
+
+
+def _negative_eigenvalue_4q():
+    return np.diag([-0.1] + [1.1 / 15] * 15).astype(complex)
+
+
+def _nan_4q():
+    rho = np.eye(16, dtype=complex) / 16.0
+    rho[3, 3] = np.nan
+    return rho
+
+
+@pytest.mark.parametrize(
+    "make_state, reason",
+    [(_non_hermitian_4q, "Hermitian"), (_negative_eigenvalue_4q, "negative eigenvalue"), (_nan_4q, "non-finite")],
+)
+@pytest.mark.parametrize(
+    "operation",
+    [lambda rho: bell_swap(rho, (1, 2)), lambda rho: pauli_correct(rho, 0b11, 0)],
+    ids=["bell_swap", "pauli_correct"],
+)
+def test_public_operations_reject_invalid_states(make_state, reason, operation):
+    with pytest.raises(ValueError, match=reason):
+        operation(make_state())
 
 
 def test_swap_input_validation():
@@ -110,6 +155,27 @@ def test_dm_decomposition_rejects_larger_systems():
 def test_chain_simulation_matches_convolution(n_links):
     links = [random_dist(RNG) for _ in range(n_links)]
     exact = simulate_chain_exact(links)
+    fast = fold_convolve(links)
+    assert max(abs(a - b) for a, b in zip(exact.probs, fast.probs)) < 1e-10
+
+
+def test_chain_simulation_decomposes_no_product_state(monkeypatch):
+    """The initial product is certified through its 4x4 factors: a Kronecker
+    product of valid states is valid, so only post-swap states (at most 6
+    qubits) reach eigvalsh."""
+    links = [random_dist(RNG) for _ in range(MAX_LINKS)]
+    factors = [bell_diagonal_dm(d) for d in links]
+    assert validate_density_matrix(reduce(np.kron, factors)) == 2 * MAX_LINKS
+    dims = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording_eigvalsh(matrix, *args, **kwargs):
+        dims.append(np.shape(matrix)[0])
+        return eigvalsh(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(dm_oracle.np.linalg, "eigvalsh", recording_eigvalsh)
+    exact = simulate_chain_exact(links)
+    assert dims and max(dims) <= 64
     fast = fold_convolve(links)
     assert max(abs(a - b) for a, b in zip(exact.probs, fast.probs)) < 1e-10
 
