@@ -6,7 +6,8 @@ measurements as explicit projections, apply the conditional Pauli corrections,
 and read the final two-qubit state back off as a distribution over the four
 maximally entangled states. It exists to certify the fast distribution-level
 algebra, so it shares no code path with it. Capped at 8 qubits (4 links).
-Link factors are validated one by one; branch, averaged and final states in full.
+Link factors and first-swap branches above 16x16 are certified through their
+two-qubit factors or marginals, averaged states by convexity, all others by spectrum.
 """
 
 from __future__ import annotations
@@ -54,12 +55,8 @@ def bell_diagonal_dm(dist: BellDiagonal) -> np.ndarray:
     return rho
 
 
-def validate_density_matrix(rho: np.ndarray) -> int:
-    """Check Hermiticity, unit trace, and positivity within DM_TOL; return the qubit count.
-
-    Raises ValueError when any check fails or the dimension is not a power of
-    two between 2 and 2**8.
-    """
+def _check_hermitian_unit_trace(rho: np.ndarray) -> int:
+    """Shape, finiteness, Hermiticity and unit trace within DM_TOL; return the qubit count."""
     rho = np.asarray(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {rho.shape}")
@@ -74,9 +71,39 @@ def validate_density_matrix(rho: np.ndarray) -> int:
     trace = complex(np.trace(rho))
     if abs(trace - 1.0) > DM_TOL:
         raise ValueError(f"trace must be 1 within tolerance, got {trace}")
+    return n_qubits
+
+
+def validate_density_matrix(rho: np.ndarray) -> int:
+    """Check Hermiticity, unit trace, and positivity within DM_TOL; return the qubit count.
+
+    Raises ValueError when any check fails or the dimension is not a power of
+    two between 2 and 2**8.
+    """
+    n_qubits = _check_hermitian_unit_trace(rho)
     eigenvalues = np.linalg.eigvalsh(rho)
     if float(eigenvalues.min()) < -DM_TOL:
         raise ValueError(f"matrix has negative eigenvalue {eigenvalues.min()}")
+    return n_qubits
+
+
+def _validate_product(rho: np.ndarray) -> int:
+    """Certify ``rho`` as a product of consecutive two-qubit states; return the qubit count.
+
+    Each 4x4 marginal (a partial trace) is validated in full, and rho must match their
+    Kronecker product P entrywise within DM_TOL / dim. As ||A||_2 <= dim * max|a_ij|,
+    Weyl's inequality gives λ_min(rho) >= λ_min(P) - DM_TOL, where the spectrum of P is
+    the products of the marginals' spectra. Raises ValueError for any other state.
+    """
+    n_qubits = _check_hermitian_unit_trace(rho)
+    kets = _LETTERS[: n_qubits // 2]
+    tensor = np.asarray(rho, dtype=complex).reshape((4,) * 2 * len(kets))
+    marginals = [np.einsum(f"{kets}{kets[:b]}Z{kets[b + 1 :]}->{kets[b]}Z", tensor) for b in range(len(kets))]
+    for marginal in marginals:
+        validate_density_matrix(marginal)
+    deviation = float(np.max(np.abs(rho - reduce(np.kron, marginals))))
+    if deviation > DM_TOL / 2**n_qubits:
+        raise ValueError(f"state is not a product of its two-qubit marginals: deviation {deviation:.3e}")
     return n_qubits
 
 
@@ -148,7 +175,10 @@ def pauli_correct(rho: np.ndarray, outcome: int, target: int) -> np.ndarray:
     Defined so that a state labelled s ^ outcome is mapped back to the state
     labelled s when the correction acts on either qubit of the pair.
     """
-    n_qubits = validate_density_matrix(rho)
+    return _pauli_correct(rho, validate_density_matrix(rho), outcome, target)
+
+
+def _pauli_correct(rho: np.ndarray, n_qubits: int, outcome: int, target: int) -> np.ndarray:
     if not (0 <= target < n_qubits):
         raise ValueError(f"target qubit {target} out of range for {n_qubits} qubits")
     gate = np.eye(2, dtype=complex)
@@ -198,13 +228,15 @@ def simulate_chain_exact(
 ) -> BellDiagonal:
     """End-to-end distribution of a swapped chain, by brute force.
 
-    ``links[i]`` is the state of pair i; station r (1-based) holds the right
-    qubit of pair r-1 and the left qubit of pair r, measures them in the
-    entangled basis, and the announced outcome is corrected on the leftmost
-    qubit. Branches are averaged with their Born weights. ``order`` optionally
-    permutes the station schedule (default: left to right). Each link factor is
-    validated, not their product: the spectrum of A⊗B is the products of theirs.
-    Every branch, averaged and final state is validated by its spectrum.
+    ``links[i]`` is the state of pair i; station r (1-based) holds the right qubit of
+    pair r-1 and the left qubit of pair r, measures them in the entangled basis, and
+    the announced outcome is corrected on the leftmost qubit. Branches are averaged
+    with their Born weights. ``order`` optionally permutes the station schedule
+    (default: left to right). Each link factor is validated, not their product: the
+    spectrum of A⊗B is the products of theirs. First-swap branches above 16x16 are
+    certified as products (``_validate_product``), averaged states by convexity: finite,
+    Hermitian, of unit trace, and mixing certified branches with positive Born weights
+    that sum to 1. All other states, at most 16x16, are validated by their spectrum.
     """
     n_links = len(links)
     if not (1 <= n_links <= MAX_LINKS):
@@ -221,15 +253,17 @@ def simulate_chain_exact(
     for station in stations:
         i = labels.index(2 * station - 1)
         j = labels.index(2 * station)
+        certify = _validate_product if station == stations[0] and n_qubits - 2 > 4 else validate_density_matrix
         averaged = np.zeros((2 ** (n_qubits - 2),) * 2, dtype=complex)
         for branch in _swap_branches(rho, n_qubits, (i, j)):
             if branch.degenerate:
                 continue
+            certify(branch.post_state)
             # Leftmost qubit keeps position 0 after any pair removal.
-            corrected = pauli_correct(branch.post_state, branch.outcome, 0)
+            corrected = _pauli_correct(branch.post_state, n_qubits - 2, branch.outcome, 0)
             averaged += branch.probability * corrected
         rho = averaged
-        n_qubits = validate_density_matrix(rho)
+        n_qubits = _check_hermitian_unit_trace(rho)
         del labels[max(i, j)]
         del labels[min(i, j)]
     return dm_to_bell_diagonal(rho)

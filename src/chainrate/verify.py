@@ -56,14 +56,10 @@ def enumerate_phase_parity(dists: Sequence[BellDiagonal]) -> float:
     convolution code path.
     """
     total = 0.0
-    for combo in itertools.product(range(4), repeat=len(dists)):
-        parity = 0
-        weight = 1.0
-        for dist, index in zip(dists, combo):
-            parity ^= index & 1
-            weight *= dist.probs[index]
-        if parity:
-            total += weight
+    phase_bits = itertools.product((0, 1, 0, 1), repeat=len(dists))
+    for bits, probs in zip(phase_bits, itertools.product(*(d.probs for d in dists))):
+        if sum(bits) & 1:
+            total += math.prod(probs)
     return total
 
 

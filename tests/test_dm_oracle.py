@@ -1,5 +1,6 @@
 """Density-matrix reference path: states, swaps, corrections, chain simulation."""
 
+import itertools
 from functools import reduce
 
 import numpy as np
@@ -20,6 +21,12 @@ from chainrate.verify import random_dist
 
 RNG = np.random.default_rng(413)
 UNIFORM = BellDiagonal((0.25, 0.25, 0.25, 0.25))
+#: Link states whose Kronecker product the product-certificate tests perturb.
+PRODUCT_DISTS = [
+    BellDiagonal((0.7, 0.1, 0.15, 0.05)),
+    BellDiagonal((0.4, 0.3, 0.2, 0.1)),
+    BellDiagonal((0.55, 0.05, 0.25, 0.15)),
+]
 
 
 def test_diagonal_dm_eigenvalues_are_the_weights():
@@ -160,9 +167,10 @@ def test_chain_simulation_matches_convolution(n_links):
 
 
 def test_chain_simulation_decomposes_no_product_state(monkeypatch):
-    """The initial product is certified through its 4x4 factors: a Kronecker
-    product of valid states is valid, so only post-swap states (at most 6
-    qubits) reach eigvalsh."""
+    """The initial product is certified through its 4x4 factors, the first
+    swap's 6-qubit branches through their 4x4 marginals and the averaged states
+    by convexity, so in every station order only the 4-qubit branches of later
+    swaps and smaller states reach eigvalsh."""
     links = [random_dist(RNG) for _ in range(MAX_LINKS)]
     factors = [bell_diagonal_dm(d) for d in links]
     assert validate_density_matrix(reduce(np.kron, factors)) == 2 * MAX_LINKS
@@ -174,10 +182,11 @@ def test_chain_simulation_decomposes_no_product_state(monkeypatch):
         return eigvalsh(matrix, *args, **kwargs)
 
     monkeypatch.setattr(dm_oracle.np.linalg, "eigvalsh", recording_eigvalsh)
-    exact = simulate_chain_exact(links)
-    assert dims and max(dims) <= 64
     fast = fold_convolve(links)
-    assert max(abs(a - b) for a, b in zip(exact.probs, fast.probs)) < 1e-10
+    for order in itertools.permutations(range(1, MAX_LINKS)):
+        exact = simulate_chain_exact(links, order=order)
+        assert max(abs(a - b) for a, b in zip(exact.probs, fast.probs)) < 1e-10
+    assert dims and max(dims) <= 16
 
 
 def test_chain_simulation_single_link_is_identity():
@@ -191,6 +200,47 @@ def test_chain_simulation_station_order_is_irrelevant():
     forward = simulate_chain_exact(links, order=(1, 2))
     backward = simulate_chain_exact(links, order=(2, 1))
     assert np.allclose(forward.probs, backward.probs, atol=1e-10)
+
+
+def test_chain_simulation_every_order_on_max_links_matches_convolution():
+    """Swapping any station but 1 first leaves an averaged state that mixes
+    products, which only the convexity certificate covers."""
+    links = [random_dist(RNG) for _ in range(MAX_LINKS)]
+    fast = fold_convolve(links)
+    orders = list(itertools.permutations(range(1, MAX_LINKS)))
+    assert len(orders) == 6
+    for order in orders:
+        exact = simulate_chain_exact(links, order=order)
+        assert max(abs(a - b) for a, b in zip(exact.probs, fast.probs)) < 1e-10
+
+
+def _three_factor_product(dists):
+    return reduce(np.kron, [bell_diagonal_dm(d) for d in dists])
+
+
+def test_product_certificate_accepts_a_product():
+    assert dm_oracle._validate_product(_three_factor_product(PRODUCT_DISTS)) == 6
+    for _ in range(5):
+        assert dm_oracle._validate_product(_three_factor_product([random_dist(RNG) for _ in range(3)])) == 6
+
+
+def test_product_certificate_rejects_a_correlated_state():
+    other = [BellDiagonal((0.1, 0.2, 0.3, 0.4))] * 3
+    mixture = (_three_factor_product(PRODUCT_DISTS) + _three_factor_product(other)) / 2.0
+    assert validate_density_matrix(mixture) == 6
+    with pytest.raises(ValueError, match="not a product"):
+        dm_oracle._validate_product(mixture)
+
+
+def test_product_certificate_rejects_a_perturbed_product():
+    rho = _three_factor_product(PRODUCT_DISTS)
+    rho[0, 0] += 0.05
+    rho[63, 63] -= 0.05
+    assert np.linalg.eigvalsh(rho).min() < -0.01
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        validate_density_matrix(rho)
+    with pytest.raises(ValueError, match="not a product"):
+        dm_oracle._validate_product(rho)
 
 
 def test_chain_simulation_rejects_bad_order():

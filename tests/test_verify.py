@@ -1,5 +1,7 @@
 """Self-verification suite: individual checks pass, and the negative control trips."""
 
+import itertools
+
 import numpy as np
 
 from chainrate.bell import BellDiagonal, fold_convolve
@@ -16,6 +18,7 @@ from chainrate.verify import (
     check_swap_identity,
     enumerate_phase_parity,
     random_dist,
+    run_all,
 )
 
 
@@ -28,6 +31,42 @@ def test_enumeration_matches_convolution():
 def test_enumeration_single_link():
     d = depolarizing_dist(0.08)
     assert abs(enumerate_phase_parity([d]) - 0.04) < 1e-15
+
+
+def _nested_loop_phase_parity(dists):
+    """The per-link loop enumerate_phase_parity replaced, kept as its float-for-float reference."""
+    total = 0.0
+    for combo in itertools.product(range(4), repeat=len(dists)):
+        parity = 0
+        weight = 1.0
+        for dist, index in zip(dists, combo):
+            parity ^= index & 1
+            weight *= dist.probs[index]
+        if parity:
+            total += weight
+    return total
+
+
+def test_enumeration_is_float_identical_to_the_nested_loop():
+    rng = np.random.default_rng(29)
+    for n_links in range(8):
+        for _ in range(3):
+            dists = [random_dist(rng) for _ in range(n_links)]
+            assert enumerate_phase_parity(dists) == _nested_loop_phase_parity(dists)
+
+
+def test_run_all_decomposes_nothing_above_16x16(monkeypatch):
+    dims = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording_eigvalsh(matrix, *args, **kwargs):
+        dims.append(np.shape(matrix)[0])
+        return eigvalsh(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+    results = run_all(0)
+    assert len(results) == 17 and all(r.ok for r in results)
+    assert dims and max(dims) <= 16
 
 
 def test_random_dist_is_normalized():
