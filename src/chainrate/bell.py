@@ -10,7 +10,7 @@ of entangled pairs is swapped end to end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 from typing import Iterable
 
@@ -18,23 +18,23 @@ from typing import Iterable
 NORMALIZATION_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class BellDiagonal:
+class BellDiagonal(namedtuple("BellDiagonal", "probs")):
     """Probability distribution over the four symbols: ``probs[s]`` is the weight of symbol ``s``."""
 
-    probs: tuple[float, float, float, float]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.probs, tuple):
-            object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
-        if len(self.probs) != 4:
-            raise ValueError(f"expected 4 probabilities, got {len(self.probs)}")
-        for p in self.probs:
+    def __new__(cls, probs: tuple[float, float, float, float]) -> "BellDiagonal":
+        if not isinstance(probs, tuple):
+            probs = tuple(float(p) for p in probs)
+        if len(probs) != 4:
+            raise ValueError(f"expected 4 probabilities, got {len(probs)}")
+        for p in probs:
             if not (p >= 0.0):  # also rejects NaN
                 raise ValueError(f"probabilities must be >= 0, got {p!r}")
-        total = sum(self.probs)
+        total = sum(probs)
         if abs(total - 1.0) > NORMALIZATION_TOL:
             raise ValueError(f"probabilities must sum to 1 within {NORMALIZATION_TOL}, got {total!r}")
+        return super().__new__(cls, probs)
 
     @classmethod
     def point(cls) -> "BellDiagonal":
@@ -48,11 +48,12 @@ def convolve(p: BellDiagonal, q: BellDiagonal) -> BellDiagonal:
     Models one ideal swap of two noisy links: the end-to-end symbol is the sum
     of the per-link symbols, so its law is the convolution over the group.
     """
+    pp, qp = p.probs, q.probs
     out = [0.0, 0.0, 0.0, 0.0]
     for s in range(4):
         acc = 0.0
         for a in range(4):
-            acc += p.probs[a] * q.probs[s ^ a]
+            acc += pp[a] * qp[s ^ a]
         out[s] = acc
     return BellDiagonal(tuple(out))
 

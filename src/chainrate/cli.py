@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -103,10 +102,15 @@ def _emit_csv(header: Sequence[str], rows: Sequence[Sequence[Any]], out: str | N
     _emit(buffer.getvalue(), out)
 
 
+def _as_dict(record: Any) -> Any:
+    """A named-tuple record as a dict, nested records included; ``json`` would write it as an array."""
+    if not hasattr(record, "_asdict"):
+        return record
+    return {key: _as_dict(value) for key, value in record._asdict().items()}
+
+
 def _emit_json(payload: Any, out: str | None) -> None:
-    if dataclasses.is_dataclass(payload) and not isinstance(payload, type):
-        payload = dataclasses.asdict(payload)
-    _emit(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n", out)
+    _emit(json.dumps(_as_dict(payload), indent=2, sort_keys=True, allow_nan=False) + "\n", out)
 
 
 def _positive_int(text: str) -> int:
@@ -235,7 +239,7 @@ def _finite_row(args: argparse.Namespace, key: Any, qx: float, rounds: int, p_st
     params = _rate_params(args, rounds, 0.0)
     row = [key]
     for p_star in p_stars:
-        report = finite_rate(qx, dataclasses.replace(params, p_star=p_star))
+        report = finite_rate(qx, _rate_params(args, rounds, p_star))
         row += [report.rate, report.rate_clamped]
     baseline = bb84_finite(qx, rounds, params.m, args.epsilon)
     return row + [baseline, max(0.0, baseline)]

@@ -19,8 +19,7 @@ renormalized exactly before use. Errors carry the offending key path.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from .bell import BellDiagonal
 from .noise import ChainSpec, depolarizing_dist
@@ -34,8 +33,7 @@ class ConfigError(ValueError):
     """Invalid configuration content; the message names the key at fault."""
 
 
-@dataclass(frozen=True)
-class ChainConfig:
+class ChainConfig(NamedTuple):
     """Validated configuration: a chain plus an optional honest-zone override."""
 
     spec: ChainSpec

@@ -13,9 +13,8 @@ two-qubit factors or marginals, averaged states by convexity, all others by spec
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -107,8 +106,7 @@ def _validate_product(rho: np.ndarray) -> int:
     return n_qubits
 
 
-@dataclass(frozen=True)
-class SwapOutcome:
+class SwapOutcome(NamedTuple):
     """One measurement branch of a station's pair measurement.
 
     ``post_state`` lives on the remaining qubits, in their original order.

@@ -12,7 +12,8 @@ All logarithms are base 2; rates are per protocol round.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 from .sampling import deviation_for_failure, epsilon_ledger, hoeffding_deviation, require_admissible
 
@@ -72,8 +73,7 @@ def corrected_phase(
     return raw, ()
 
 
-@dataclass(frozen=True)
-class RateParams:
+class RateParams(namedtuple("RateParams", "n m epsilon p_star ec_factor strict_leak")):
     """Protocol parameters for the finite-size rate.
 
     ``n`` total rounds, ``m`` of them revealed for testing (admissible as
@@ -83,23 +83,26 @@ class RateParams:
     kept ones.
     """
 
-    n: int
-    m: int
-    epsilon: float
-    p_star: float = 0.0
-    ec_factor: float = BASELINE_EC_FACTOR
-    strict_leak: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        require_admissible(epsilon=self.epsilon, m=self.m, n=self.n)
-        if not (0.0 <= self.p_star < 0.5):
-            raise ValueError(f"honest-zone parameter must be in [0, 0.5), got {self.p_star!r}")
-        if not (0.0 < self.ec_factor < math.inf):
-            raise ValueError(f"error-correction factor must be positive and finite, got {self.ec_factor!r}")
+    def __new__(
+        cls,
+        n: int,
+        m: int,
+        epsilon: float,
+        p_star: float = 0.0,
+        ec_factor: float = BASELINE_EC_FACTOR,
+        strict_leak: bool = False,
+    ) -> "RateParams":
+        require_admissible(epsilon=epsilon, m=m, n=n)
+        if not (0.0 <= p_star < 0.5):
+            raise ValueError(f"honest-zone parameter must be in [0, 0.5), got {p_star!r}")
+        if not (0.0 < ec_factor < math.inf):
+            raise ValueError(f"error-correction factor must be positive and finite, got {ec_factor!r}")
+        return super().__new__(cls, n, m, epsilon, p_star, ec_factor, strict_leak)
 
 
-@dataclass(frozen=True)
-class RateReport:
+class RateReport(NamedTuple):
     """Finite-size rate with its intermediate quantities."""
 
     rate: float

@@ -27,8 +27,7 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .bell import bit_error_prob, phase_error_prob
 from .keyrate import RateParams, RateReport, finite_rate
@@ -170,8 +169,7 @@ def multinomial(n: int, probs: Sequence[float], rng: random.Random) -> tuple[int
     return tuple(counts)
 
 
-@dataclass(frozen=True)
-class MCReport:
+class MCReport(NamedTuple):
     """Observed statistics of one simulated run plus the rate they imply."""
 
     rounds: int
@@ -249,8 +247,7 @@ def simulate_e91(spec: ChainSpec, params: RateParams, seed: int) -> MCReport:
     )
 
 
-@dataclass(frozen=True)
-class ConcentrationSummary:
+class ConcentrationSummary(NamedTuple):
     """Violation counts for the two estimation bounds over many seeded trials."""
 
     trials: int

@@ -11,8 +11,8 @@ both segments because their noise is attributed to the adversary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections import namedtuple
+from typing import NamedTuple, Sequence
 
 from .bell import BellDiagonal, bit_error_prob, fold_convolve, phase_error_prob
 
@@ -24,35 +24,30 @@ def depolarizing_dist(q: float) -> BellDiagonal:
     return BellDiagonal((1.0 - 0.75 * q, 0.25 * q, 0.25 * q, 0.25 * q))
 
 
-@dataclass(frozen=True)
-class ChainSpec:
+class ChainSpec(namedtuple("ChainSpec", "repeaters honest_left honest_right links")):
     """A repeater chain with an honest prefix and suffix of stations.
 
     ``links`` has one distribution per link, left to right, length
     ``repeaters + 1``. ``honest_left + honest_right <= repeaters``.
     """
 
-    repeaters: int
-    honest_left: int
-    honest_right: int
-    links: tuple[BellDiagonal, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.repeaters < 1:
-            raise ValueError(f"need at least one station, got {self.repeaters}")
-        if self.honest_left < 0 or self.honest_right < 0:
+    def __new__(cls, repeaters: int, honest_left: int, honest_right: int, links: tuple[BellDiagonal, ...]) -> "ChainSpec":
+        if repeaters < 1:
+            raise ValueError(f"need at least one station, got {repeaters}")
+        if honest_left < 0 or honest_right < 0:
             raise ValueError("honest station counts must be >= 0")
-        if self.honest_left + self.honest_right > self.repeaters:
-            raise ValueError(
-                f"honest counts {self.honest_left}+{self.honest_right} exceed {self.repeaters} stations"
-            )
-        if not isinstance(self.links, tuple):
-            object.__setattr__(self, "links", tuple(self.links))
-        if len(self.links) != self.repeaters + 1:
-            raise ValueError(f"expected {self.repeaters + 1} links, got {len(self.links)}")
-        for link in self.links:
+        if honest_left + honest_right > repeaters:
+            raise ValueError(f"honest counts {honest_left}+{honest_right} exceed {repeaters} stations")
+        if not isinstance(links, tuple):
+            links = tuple(links)
+        if len(links) != repeaters + 1:
+            raise ValueError(f"expected {repeaters + 1} links, got {len(links)}")
+        for link in links:
             if not isinstance(link, BellDiagonal):
                 raise TypeError(f"links must be BellDiagonal, got {type(link).__name__}")
+        return super().__new__(cls, repeaters, honest_left, honest_right, links)
 
 
 def uniform_chain(repeaters: int, q: float, honest_left: int, honest_right: int) -> ChainSpec:
@@ -100,11 +95,12 @@ def noise_parameter(spec: ChainSpec) -> float:
     to symbol pairs whose phase coordinates differ.
     """
     left, right = honest_marginals(spec)
+    lp, rp = left.probs, right.probs
     total = 0.0
     for x in range(4):
         for y in range(4):
             if (x ^ y) & 1:
-                total += left.probs[x] * right.probs[y]
+                total += lp[x] * rp[y]
     return total
 
 
@@ -113,8 +109,7 @@ def resolve_p_star(spec: ChainSpec, override: float | None) -> float:
     return noise_parameter(spec) if override is None else override
 
 
-@dataclass(frozen=True)
-class NoiseReport:
+class NoiseReport(NamedTuple):
     """End-to-end noise figures of a chain plus its honest-zone parameter."""
 
     end_to_end: BellDiagonal

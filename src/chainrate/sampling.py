@@ -18,8 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
 # Guard for exhaustive subset enumeration.
 MAX_EXHAUSTIVE_SUBSETS = 5_000_000
@@ -98,8 +97,7 @@ def hoeffding_deviation(epsilon: float, m: int) -> float:
     return math.sqrt(math.log(2.0 / epsilon) / (2.0 * m))
 
 
-@dataclass(frozen=True)
-class EpsilonLedger:
+class EpsilonLedger(NamedTuple):
     """Security-parameter bookkeeping derived from the single user-facing epsilon."""
 
     epsilon: float

@@ -1,6 +1,7 @@
 """Symbol algebra: distributions, XOR-convolution."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -32,6 +33,17 @@ def dist_strategy():
 def test_distribution_validation(probs):
     with pytest.raises(ValueError):
         BellDiagonal(probs)
+    with pytest.raises(ValueError):
+        BellDiagonal(list(probs))
+
+
+def test_distribution_stores_a_tuple_and_is_frozen():
+    d = BellDiagonal([0.4, 0.3, 0.2, 0.1])
+    assert d.probs == (0.4, 0.3, 0.2, 0.1) and isinstance(d.probs, tuple)
+    assert d == BellDiagonal((0.4, 0.3, 0.2, 0.1)) and hash(d) == hash(BellDiagonal((0.4, 0.3, 0.2, 0.1)))
+    assert repr(d) == "BellDiagonal(probs=(0.4, 0.3, 0.2, 0.1))"
+    with pytest.raises(AttributeError):
+        d.probs = (1.0, 0.0, 0.0, 0.0)
 
 
 def test_point_and_uniform():
@@ -90,6 +102,25 @@ def test_phase_marginal_composes_independently(p, q):
         rel_tol=0,
         abs_tol=1e-14,
     )
+
+
+def test_convolve_is_bit_identical_to_the_attribute_loop():
+    # convolve reads each operand's probs once; the sum order, and so every float, must match this loop.
+    rng = random.Random(16)
+
+    def draw():
+        raw = [rng.random() for _ in range(4)]
+        return BellDiagonal(tuple(v / sum(raw) for v in raw))
+
+    for _ in range(500):
+        p, q = draw(), draw()
+        want = [0.0, 0.0, 0.0, 0.0]
+        for s in range(4):
+            acc = 0.0
+            for a in range(4):
+                acc += p.probs[a] * q.probs[s ^ a]
+            want[s] = acc
+        assert convolve(p, q).probs == tuple(want)
 
 
 def test_fold_convolve_empty_is_identity():

@@ -484,6 +484,16 @@ def test_non_finite_json_is_a_one_line_error(capsys, monkeypatch):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("sweep", ["N", "qx"])
+def test_each_row_validates_its_p_star(capsys, monkeypatch, sweep):
+    # Every row's RateParams goes through its constructor, so an out-of-range p* never reaches a rate.
+    monkeypatch.setattr(cli, "_p_stars", lambda links, honest, override: [0.5])
+    monkeypatch.setattr(cli, "finite_rate", lambda qx, params: pytest.fail(f"finite_rate got {params}"))
+    rc, out, err = run(capsys, "rate-finite", "--sweep", sweep, "--steps", "3", "--n-min", "1e5", "--n-max", "1e6")
+    assert rc == 1 and out == ""
+    assert err == "chainrate: error: honest-zone parameter must be in [0, 0.5), got 0.5\n"
+
+
 def test_tables_are_capped_at_max_rows(capsys, monkeypatch):
     monkeypatch.setattr(cli, "MAX_ROWS", 5)
     assert run(capsys, "noise", "--steps", "5")[0] == 0

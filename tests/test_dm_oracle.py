@@ -243,6 +243,21 @@ def test_product_certificate_rejects_a_perturbed_product():
         dm_oracle._validate_product(rho)
 
 
+def test_product_certificate_scales_its_tolerance_with_dimension():
+    # A coherence far below DM_TOL, yet above DM_TOL / dim: spectral validation
+    # would pass it, the product certificate must not.
+    rng = np.random.default_rng(16)
+    rho = _three_factor_product([random_dist(rng) for _ in range(3)])
+    rho[0, 1] += 1e-11
+    rho[1, 0] += 1e-11
+    tensor = rho.reshape((4,) * 6)
+    marginals = [np.einsum(spec, tensor) for spec in ("abcdbc->ad", "abcaec->be", "abcabf->cf")]
+    deviation = np.max(np.abs(rho - reduce(np.kron, marginals)))
+    assert dm_oracle.DM_TOL / 64 < deviation < dm_oracle.DM_TOL
+    with pytest.raises(ValueError, match="not a product"):
+        dm_oracle._validate_product(rho)
+
+
 def test_chain_simulation_rejects_bad_order():
     links = [UNIFORM] * 3
     with pytest.raises(ValueError):

@@ -1,9 +1,12 @@
 """The analytic commands, ``simulate`` and ``mc-verify`` run without loading numpy; ``verify`` does load it.
 
-Each case runs in a fresh interpreter, so a module imported by an earlier
-test cannot hide or fake the import.
+None of those commands loads ``dataclasses`` or ``inspect`` either: their
+import is about a third of ``import chainrate.cli``, so chainrate's records
+are named tuples. Each case runs in a fresh interpreter, so a module imported
+by an earlier test cannot hide or fake the import.
 """
 
+import functools
 import os
 import subprocess
 import sys
@@ -21,14 +24,17 @@ import chainrate.cli as cli
 if sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(sys.argv[1:]) == 0
-print("numpy" in sys.modules)
+print(" ".join(sys.modules))
 """
 
 IMPORT_MONTECARLO = """
 import sys
 import chainrate.montecarlo
-print("numpy" in sys.modules)
+print(" ".join(sys.modules))
 """
+
+#: What a bare interpreter loads in this environment, ``site`` and its hooks included.
+BARE = "import sys; print(' '.join(sys.modules))"
 
 #: The README's analytic commands.
 ANALYTIC = (
@@ -38,13 +44,21 @@ ANALYTIC = (
     ["noise", "--steps", "9", "--honest", "1,2,3,4"],
     ["bounds", "--rounds", "1e7", "--epsilon", "1e-36"],
 )
+SIMULATE = ["simulate", "--rounds", "1e4"]
+MC_VERIFY = ["mc-verify", "--rounds", "2000", "--trials", "200"]
 
 
-def loads_numpy(argv, script=SCRIPT):
+@functools.cache
+def loaded_modules(argv: tuple[str, ...], script: str = SCRIPT) -> frozenset[str]:
+    """Names in ``sys.modules`` after ``script`` ran with ``argv`` in a fresh interpreter."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
     result = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    return {"True": True, "False": False}[result.stdout.strip()]
+    return frozenset(result.stdout.split())
+
+
+def loads_numpy(argv, script=SCRIPT):
+    return "numpy" in loaded_modules(tuple(argv), script)
 
 
 @pytest.mark.parametrize("argv", [[], *ANALYTIC], ids=lambda argv: " ".join(argv) or "import")
@@ -53,7 +67,7 @@ def test_analytic_paths_do_not_load_numpy(argv):
 
 
 def test_simulate_does_not_load_numpy():
-    assert not loads_numpy(["simulate", "--rounds", "1e4"])
+    assert not loads_numpy(SIMULATE)
 
 
 def test_montecarlo_import_does_not_load_numpy():
@@ -61,7 +75,14 @@ def test_montecarlo_import_does_not_load_numpy():
 
 
 def test_mc_verify_does_not_load_numpy():
-    assert not loads_numpy(["mc-verify", "--rounds", "2000", "--trials", "200"])
+    assert not loads_numpy(MC_VERIFY)
+
+
+@pytest.mark.parametrize("argv", [[], *ANALYTIC, SIMULATE, MC_VERIFY], ids=lambda argv: " ".join(argv) or "import")
+def test_command_paths_do_not_load_dataclasses(argv):
+    # Only what the command adds to a bare interpreter counts, so a site hook can neither fake nor hide it.
+    added = loaded_modules(tuple(argv)) - loaded_modules((), BARE)
+    assert not added & {"dataclasses", "inspect"}
 
 
 def test_verify_loads_numpy():

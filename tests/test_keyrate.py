@@ -135,6 +135,15 @@ def test_rate_params_validation():
     assert RateParams(n=MAX_ROUNDS, m=10, epsilon=1e-9).n == MAX_ROUNDS
 
 
+def test_rate_params_keyword_form_keeps_its_defaults():
+    # The README's form: p_star given, the leak settings left at their defaults.
+    params = RateParams(n=10**8, m=7 * 10**6, epsilon=1e-36, p_star=P_STAR)
+    assert (params.ec_factor, params.strict_leak) == (BASELINE_EC_FACTOR, False)
+    assert RateParams(10**8, 7 * 10**6, 1e-36) == RateParams(n=10**8, m=7 * 10**6, epsilon=1e-36, p_star=0.0)
+    with pytest.raises(AttributeError):
+        params.p_star = 0.0
+
+
 def test_finite_rate_frozen_preset():
     params = RateParams(n=10**8, m=7_000_000, epsilon=1e-36, p_star=P_STAR)
     report = finite_rate(QX, params)

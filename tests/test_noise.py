@@ -60,6 +60,12 @@ def test_chain_spec_validation():
         ChainSpec(2, 0, 0, links3[:2])  # wrong link count
     with pytest.raises(TypeError):
         ChainSpec(2, 0, 0, ((0.25, 0.25, 0.25, 0.25),) * 3)
+    spec = ChainSpec(2, 1, 0, list(links3))
+    assert spec.links == links3 and isinstance(spec.links, tuple)
+    with pytest.raises(AttributeError):
+        spec.links = links3[:1]
+    with pytest.raises(AttributeError):
+        spec.repeaters = 3
 
 
 def test_balanced_chain_puts_extra_station_on_the_left():
