@@ -37,6 +37,11 @@ class BellDiagonal(namedtuple("BellDiagonal", "probs")):
         return super().__new__(cls, probs)
 
     @classmethod
+    def _make(cls, iterable) -> "BellDiagonal":
+        """Build through the constructor, so ``_replace`` checks its fields too."""
+        return cls(*iterable)
+
+    @classmethod
     def point(cls) -> "BellDiagonal":
         """Deterministic distribution on symbol 0, the convolution identity."""
         return cls((1.0, 0.0, 0.0, 0.0))
@@ -47,20 +52,25 @@ def convolve(p: BellDiagonal, q: BellDiagonal) -> BellDiagonal:
 
     Models one ideal swap of two noisy links: the end-to-end symbol is the sum
     of the per-link symbols, so its law is the convolution over the group.
+    Each entry is ``0.0`` plus its four products in the order of ``for a in range(4)``:
+    the float operations of ``acc += p(a) * q(s ^ a)``, so bit-identical to that loop.
     """
-    pp, qp = p.probs, q.probs
-    out = [0.0, 0.0, 0.0, 0.0]
-    for s in range(4):
-        acc = 0.0
-        for a in range(4):
-            acc += pp[a] * qp[s ^ a]
-        out[s] = acc
-    return BellDiagonal(tuple(out))
+    (p0, p1, p2, p3), (q0, q1, q2, q3) = p.probs, q.probs
+    return BellDiagonal((
+        0.0 + p0 * q0 + p1 * q1 + p2 * q2 + p3 * q3,
+        0.0 + p0 * q1 + p1 * q0 + p2 * q3 + p3 * q2,
+        0.0 + p0 * q2 + p1 * q3 + p2 * q0 + p3 * q1,
+        0.0 + p0 * q3 + p1 * q2 + p2 * q1 + p3 * q0,
+    ))
 
 
 def fold_convolve(dists: Iterable[BellDiagonal]) -> BellDiagonal:
-    """Convolution of any number of distributions; empty input gives the identity."""
-    return reduce(convolve, dists, BellDiagonal.point())
+    """Convolution of any number of distributions: none gives the identity, one comes back as it is.
+
+    Starting from the first instead of ``point()`` is exact: ``0.0 + 1.0 * d + 0.0 * ...`` is ``d`` for finite ``d >= 0`` except ``-0.0``.
+    """
+    rest = iter(dists)
+    return reduce(convolve, rest, next(rest, None) or BellDiagonal.point())
 
 
 def phase_error_prob(p: BellDiagonal) -> float:

@@ -101,6 +101,11 @@ class RateParams(namedtuple("RateParams", "n m epsilon p_star ec_factor strict_l
             raise ValueError(f"error-correction factor must be positive and finite, got {ec_factor!r}")
         return super().__new__(cls, n, m, epsilon, p_star, ec_factor, strict_leak)
 
+    @classmethod
+    def _make(cls, iterable) -> "RateParams":
+        """Build through the constructor, so ``_replace`` checks its fields too."""
+        return cls(*iterable)
+
 
 class RateReport(NamedTuple):
     """Finite-size rate with its intermediate quantities."""

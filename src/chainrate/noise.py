@@ -49,6 +49,11 @@ class ChainSpec(namedtuple("ChainSpec", "repeaters honest_left honest_right link
                 raise TypeError(f"links must be BellDiagonal, got {type(link).__name__}")
         return super().__new__(cls, repeaters, honest_left, honest_right, links)
 
+    @classmethod
+    def _make(cls, iterable) -> "ChainSpec":
+        """Build through the constructor, so ``_replace`` checks its fields too."""
+        return cls(*iterable)
+
 
 def uniform_chain(repeaters: int, q: float, honest_left: int, honest_right: int) -> ChainSpec:
     """Chain with identical depolarizing links of strength ``q``."""
@@ -91,17 +96,12 @@ def honest_marginals(spec: ChainSpec) -> tuple[BellDiagonal, BellDiagonal]:
 def noise_parameter(spec: ChainSpec) -> float:
     """Probability that the honest segments' phase contributions disagree.
 
-    Computed as the literal double sum over both honest marginals, restricted
-    to symbol pairs whose phase coordinates differ.
+    The literal double sum over both honest marginals of the products with ``x ^ y`` odd, written
+    out from ``0.0`` in the nested loop's (x, y) order, so the float is bit-identical to that loop's.
     """
     left, right = honest_marginals(spec)
-    lp, rp = left.probs, right.probs
-    total = 0.0
-    for x in range(4):
-        for y in range(4):
-            if (x ^ y) & 1:
-                total += lp[x] * rp[y]
-    return total
+    (l0, l1, l2, l3), (r0, r1, r2, r3) = left.probs, right.probs
+    return 0.0 + l0 * r1 + l0 * r3 + l1 * r0 + l1 * r2 + l2 * r1 + l2 * r3 + l3 * r0 + l3 * r2
 
 
 def resolve_p_star(spec: ChainSpec, override: float | None) -> float:

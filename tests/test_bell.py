@@ -37,6 +37,15 @@ def test_distribution_validation(probs):
         BellDiagonal(list(probs))
 
 
+def test_make_and_replace_go_through_the_constructor():
+    with pytest.raises(ValueError, match="expected 4 probabilities, got 3"):
+        BellDiagonal((1, 0, 0, 0))._replace(probs=(2.0, -1.0, 0.0))
+    with pytest.raises(ValueError, match="must be >= 0, got -0.5"):
+        BellDiagonal._make([(1.5, -0.5, 0.0, 0.0)])
+    d = BellDiagonal.point()._replace(probs=[0.5, 0.5, 0.0, 0.0])
+    assert type(d) is BellDiagonal and d.probs == (0.5, 0.5, 0.0, 0.0)
+
+
 def test_distribution_stores_a_tuple_and_is_frozen():
     d = BellDiagonal([0.4, 0.3, 0.2, 0.1])
     assert d.probs == (0.4, 0.3, 0.2, 0.1) and isinstance(d.probs, tuple)
@@ -105,22 +114,24 @@ def test_phase_marginal_composes_independently(p, q):
 
 
 def test_convolve_is_bit_identical_to_the_attribute_loop():
-    # convolve reads each operand's probs once; the sum order, and so every float, must match this loop.
+    # The sum order, and so every float, must match this loop; -0.0 passes the >= 0 check, and the
+    # loop's sums start at 0.0, so the last pair's all-negative-zero sums must come out as 0.0.
     rng = random.Random(16)
 
     def draw():
         raw = [rng.random() for _ in range(4)]
         return BellDiagonal(tuple(v / sum(raw) for v in raw))
 
-    for _ in range(500):
-        p, q = draw(), draw()
+    pairs = [(draw(), draw()) for _ in range(500)]
+    pairs.append((BellDiagonal((1.0, -0.0, 0.0, 0.0)), BellDiagonal((1.0, -0.0, -0.0, -0.0))))
+    for p, q in pairs:
         want = [0.0, 0.0, 0.0, 0.0]
         for s in range(4):
             acc = 0.0
             for a in range(4):
                 acc += p.probs[a] * q.probs[s ^ a]
             want[s] = acc
-        assert convolve(p, q).probs == tuple(want)
+        assert [x.hex() for x in convolve(p, q).probs] == [x.hex() for x in want]
 
 
 def test_fold_convolve_empty_is_identity():
@@ -129,7 +140,8 @@ def test_fold_convolve_empty_is_identity():
 
 def test_fold_convolve_single():
     d = BellDiagonal((0.7, 0.1, 0.1, 0.1))
-    assert fold_convolve([d]) == d
+    assert fold_convolve([d]) is d
+    assert fold_convolve(iter([d])) is d
 
 
 def test_error_prob_readout():

@@ -135,6 +135,15 @@ def test_rate_params_validation():
     assert RateParams(n=MAX_ROUNDS, m=10, epsilon=1e-9).n == MAX_ROUNDS
 
 
+def test_rate_params_replace_goes_through_the_constructor():
+    params = RateParams(n=10**8, m=7 * 10**6, epsilon=1e-36)
+    with pytest.raises(ValueError, match="error-correction factor must be positive and finite, got -1.0"):
+        params._replace(ec_factor=-1.0)
+    with pytest.raises(ValueError, match="honest-zone parameter"):
+        RateParams._make((10**8, 7 * 10**6, 1e-36, 0.5, 1.2, False))
+    assert params._replace(p_star=0.1) == RateParams(n=10**8, m=7 * 10**6, epsilon=1e-36, p_star=0.1)
+
+
 def test_rate_params_keyword_form_keeps_its_defaults():
     # The README's form: p_star given, the leak settings left at their defaults.
     params = RateParams(n=10**8, m=7 * 10**6, epsilon=1e-36, p_star=P_STAR)

@@ -1,13 +1,16 @@
 """Chain noise model: closed forms, honest marginals, the disagreement parameter."""
 
 import math
+import random
+from functools import reduce
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainrate.bell import BellDiagonal, bit_error_prob, phase_error_prob
+from chainrate import bell
+from chainrate.bell import BellDiagonal, bit_error_prob, fold_convolve, phase_error_prob
 from chainrate.noise import (
     ChainSpec,
     balanced_honest_chain,
@@ -23,12 +26,36 @@ from chainrate.noise import (
 from chainrate.verify import enumerate_phase_parity, random_dist
 
 
+def sparse_chain(seed, max_repeaters=8):
+    """A seeded chain with any honest split whose links are often the identity or have zero entries."""
+    rng = random.Random(seed)
+    repeaters = rng.randint(1, max_repeaters)
+    links = []
+    for _ in range(repeaters + 1):
+        raw = [0.0 if rng.random() < 0.3 else rng.random() for _ in range(4)]
+        links.append(BellDiagonal(tuple(v / sum(raw) for v in raw)) if any(raw) and rng.random() < 0.8 else BellDiagonal.point())
+    left = rng.randint(0, repeaters)
+    return ChainSpec(repeaters, left, rng.randint(0, repeaters - left), tuple(links))
+
+
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+
+
 def random_chain(rng, max_repeaters=6):
     repeaters = int(rng.integers(1, max_repeaters + 1))
     links = tuple(random_dist(rng) for _ in range(repeaters + 1))
     left = int(rng.integers(0, repeaters + 1))
     right = int(rng.integers(0, repeaters - left + 1))
     return ChainSpec(repeaters, left, right, links)
+
+
+def test_chain_spec_replace_goes_through_the_constructor():
+    spec = uniform_chain(5, 0.03, 2, 2)
+    with pytest.raises(ValueError, match="honest counts 4\\+2 exceed 5 stations"):
+        spec._replace(honest_left=4)
+    with pytest.raises(ValueError, match="expected 6 links, got 5"):
+        ChainSpec._make((5, 2, 2, spec.links[:5]))
+    assert spec._replace(honest_left=3) == uniform_chain(5, 0.03, 3, 2)
 
 
 def test_depolarizing_dist_layout():
@@ -114,6 +141,56 @@ def test_honest_marginals_empty_segments_are_deterministic():
     assert left == BellDiagonal.point()
     assert right == BellDiagonal.point()
     assert noise_parameter(spec) == 0.0
+
+
+@given(SEEDS)
+def test_fold_is_bit_identical_to_a_fold_from_the_identity(seed):
+    links = sparse_chain(seed).links[: seed % 10]
+    folded = fold_convolve(links).probs
+    from_point = reduce(bell.convolve, links, BellDiagonal.point()).probs
+    assert [x.hex() for x in folded] == [x.hex() for x in from_point]
+
+
+@given(SEEDS)
+def test_noise_parameter_is_bit_identical_to_the_double_loop(seed):
+    spec = sparse_chain(seed)
+    left, right = honest_marginals(spec)
+    total = 0.0
+    for x in range(4):
+        for y in range(4):
+            if (x ^ y) & 1:
+                total += left.probs[x] * right.probs[y]
+    assert noise_parameter(spec).hex() == total.hex()
+
+
+def test_noise_parameter_adds_from_positive_zero_as_the_loop_did():
+    # Every odd-parity product of these single-link marginals is -0.0; the loop's sum started at 0.0.
+    signed = BellDiagonal((1.0, -0.0, 0.0, -0.0))
+    assert noise_parameter(ChainSpec(2, 1, 1, (signed, BellDiagonal.point(), signed))).hex() == (0.0).hex()
+
+
+@given(SEEDS)
+def test_reversed_chain_with_swapped_split_has_the_same_noise(seed):
+    spec = sparse_chain(seed)
+    mirror = ChainSpec(spec.repeaters, spec.honest_right, spec.honest_left, spec.links[::-1])
+    assert abs(observed_qx(mirror) - observed_qx(spec)) <= 1e-15
+    assert abs(noise_parameter(mirror) - noise_parameter(spec)) <= 1e-15
+
+
+def test_folds_convolve_once_per_link_after_the_first(monkeypatch):
+    calls = []
+    convolve = bell.convolve
+    monkeypatch.setattr(bell, "convolve", lambda p, q: calls.append(1) or convolve(p, q))
+    for repeaters in range(1, 7):
+        for left in range(repeaters + 1):
+            for right in range(repeaters - left + 1):
+                spec = uniform_chain(repeaters, 0.03, left, right)
+                calls.clear()
+                end_to_end_dist(spec)
+                assert len(calls) == repeaters
+                calls.clear()
+                noise_parameter(spec)
+                assert len(calls) == max(left - 1, 0) + max(right - 1, 0)
 
 
 def test_noise_parameter_zero_requires_no_honest_stations():
