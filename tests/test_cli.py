@@ -4,7 +4,6 @@ import csv
 import io
 import json
 import math
-from pathlib import Path
 
 import pytest
 
@@ -12,7 +11,7 @@ from chainrate import cli, montecarlo, verify
 from chainrate.cli import build_parser, main
 from chainrate.keyrate import RateParams, finite_rate
 from chainrate.noise import noise_parameter, observed_qx, uniform_chain
-from chainrate.sampling import MAX_TRIALS, deviation_for_failure, hoeffding_deviation
+from chainrate.sampling import deviation_for_failure, hoeffding_deviation
 
 
 def run(capsys, *argv):
@@ -54,32 +53,6 @@ def test_noise_sweep_table(capsys):
     assert row[3] == format(noise_parameter(uniform_chain(5, q, 1, 1)), ".12g")
 
 
-def test_noise_honest_default_adapts_to_small_chains(capsys, tmp_path):
-    config = write_config(tmp_path, THREE_REPEATERS)
-    rc, out, _ = run(capsys, "noise", "--config", config, "--steps", "2", "--q-max", "0.05")
-    assert rc == 0
-    header, _ = parse_csv(out)
-    assert header == ["q", "qx_total", "p_star_h1", "p_star_h2", "p_star_h3"]
-
-
-def test_noise_explicit_honest_is_validated(capsys, tmp_path):
-    config = write_config(tmp_path, THREE_REPEATERS)
-    rc, _, err = run(capsys, "noise", "--config", config, "--honest", "4", "--steps", "2")
-    assert rc == 1
-    assert "exceeds 3 stations" in err
-
-
-@pytest.mark.parametrize("command", ["noise", "rate-finite", "rate-asymptotic"])
-def test_repeated_honest_count_is_rejected(capsys, command):
-    # A repeat would print a second column under the same header name.
-    with pytest.raises(SystemExit) as exited:
-        main([command, "--honest", "2,1,2"])
-    assert exited.value.code == 1
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1
-    assert "honest count 2 is repeated" in err
-
-
 def test_rate_finite_round_sweep(capsys):
     rc, out, err = run(capsys, "rate-finite", "--sweep", "N", "--n-min", "1e5", "--n-max", "1e7", "--per-decade", "1")
     assert rc == 0 and err == ""
@@ -113,12 +86,6 @@ def test_rate_finite_noise_sweep(capsys):
     assert header[0] == "qx"
     assert len(rows) == 5
     assert float(rows[-1][0]) == 0.12
-
-
-def test_rate_finite_rejects_sweep_into_saturation(capsys):
-    rc, _, err = run(capsys, "rate-finite", "--sweep", "qx", "--qx-max", "0.6", "--steps", "3")
-    assert rc == 1
-    assert "0.5" in err
 
 
 def test_rate_asymptotic_table_and_threshold_row(capsys):
@@ -196,32 +163,6 @@ def test_simulate_report_and_determinism(capsys):
     assert rc3 == 0 and third != first
 
 
-GOLDEN = Path(__file__).parent / "golden"
-
-
-def test_simulate_stream_is_pinned(capsys):
-    # The seeded stream is pure Python on random.Random, so the report must be
-    # byte-identical on every supported interpreter.
-    golden = GOLDEN / "simulate_rounds_100000_seed_7.json"
-    rc, out, err = run(capsys, "simulate", "--rounds", "100000", "--seed", "7")
-    assert rc == 0 and err == ""
-    assert out == golden.read_text()
-
-
-@pytest.mark.parametrize("argv,golden", [
-    (["--rounds", "2000", "--trials", "500", "--seed", "1"], "mc_verify_rounds_2000_trials_500_seed_1.json"),
-    # The scan above sees no violations; on a noisy chain at a loose epsilon
-    # both counts depend on every draw.
-    (["--config", str(GOLDEN / "noisy_chain.json"), "--epsilon", "0.9", "--rounds", "2000", "--trials", "500",
-      "--seed", "1"], "mc_verify_noisy_chain_epsilon_0.9_seed_1.json"),
-], ids=["preset", "noisy"])
-def test_mc_verify_stream_is_pinned(capsys, argv, golden):
-    # Drawn trial by trial on random.Random, like simulate's stream.
-    rc, out, err = run(capsys, "mc-verify", *argv)
-    assert rc == 0 and err == ""
-    assert out == (GOLDEN / golden).read_text()
-
-
 def test_simulate_accepts_p_star_override(capsys, tmp_path):
     config = write_config(tmp_path, dict(THREE_REPEATERS, p_star_override=0.01))
     rc, out, _ = run(capsys, "simulate", "--config", config, "--rounds", "1e4", "--seed", "1")
@@ -238,23 +179,6 @@ def test_simulate_at_a_trillion_rounds(capsys):
     assert abs(payload["qx_hat"] - qx) <= 6 * math.sqrt(qx * (1 - qx) / m)
 
 
-def test_trial_count_over_the_cap_exits_one(capsys):
-    # 10^6, the old cap, would take a pure-Python scan tens of seconds.
-    for trials in (MAX_TRIALS + 1, 10**6):
-        rc, out, err = run(capsys, "mc-verify", "--trials", str(trials))
-        assert rc == 1 and out == ""
-        assert "trials" in err and len(err.splitlines()) == 1
-
-
-@pytest.mark.parametrize("rounds", ["inf", "1e400", "nan"])
-def test_non_finite_round_count_is_a_one_line_error(capsys, rounds):
-    with pytest.raises(SystemExit) as exit_info:
-        main(["simulate", "--rounds", rounds])
-    assert exit_info.value.code == 1
-    err = capsys.readouterr().err
-    assert "--rounds" in err and len(err.splitlines()) == 1
-
-
 @pytest.mark.parametrize("argv,lo,hi", [
     (["--n-max", "99999999999"], 10**5, 99_999_999_999),
     (["--n-min", "10", "--per-decade", "66"], 10, 10**12),
@@ -266,13 +190,6 @@ def test_round_grid_stays_within_its_ends(capsys, argv, lo, hi):
     rounds = [int(row[0]) for row in parse_csv(out)[1]]
     assert rounds[0] == lo and rounds[-1] == hi
     assert rounds == sorted(set(rounds))
-
-
-@pytest.mark.parametrize("per_decade", ["0", "-1"])
-def test_per_decade_must_be_positive(capsys, per_decade):
-    rc, out, err = run(capsys, "rate-finite", "--per-decade", per_decade)
-    assert rc == 1 and out == ""
-    assert "per-decade" in err and len(err.splitlines()) == 1
 
 
 def test_mc_verify_passes_on_honest_chain(capsys):
@@ -302,16 +219,6 @@ def test_verify_fault_injection_is_caught(capsys):
     assert out.endswith("16/17 checks passed\n")
 
 
-@pytest.mark.parametrize("command", ["simulate", "mc-verify", "verify"])
-def test_negative_seed_names_the_flag(capsys, command):
-    with pytest.raises(SystemExit) as exit_info:
-        main([command, "--seed", "-1"])
-    assert exit_info.value.code == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"chainrate {command}: error: argument --seed: expected a non-negative integer, got '-1'\n"
-
-
 def test_out_writes_file_instead_of_stdout(capsys, tmp_path):
     target = tmp_path / "table.csv"
     rc, out, _ = run(capsys, "noise", "--steps", "2", "--q-max", "0.05", "--out", str(target))
@@ -339,12 +246,6 @@ def test_unwritable_out_is_a_one_line_error(capsys, monkeypatch, tmp_path, argv,
     assert err == f"chainrate: error: cannot write {path}: {reason}\n"
 
 
-def test_missing_config_file_is_a_validation_error(capsys):
-    rc, _, err = run(capsys, "noise", "--config", "/no/such/file.json", "--steps", "2")
-    assert rc == 1
-    assert "error" in err
-
-
 def test_deeply_nested_config_is_a_one_line_error(capsys, tmp_path):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000 + "]" * 100_000)
@@ -360,53 +261,14 @@ def test_huge_integer_in_config_is_a_one_line_error(capsys, tmp_path):
     assert err.startswith(f"chainrate: error: {config}.links[0].q: ") and len(err.splitlines()) == 1
 
 
-def test_config_schema_error_exits_one(capsys, tmp_path):
-    config = write_config(tmp_path, dict(THREE_REPEATERS, links=THREE_REPEATERS["links"][:2]))
-    rc, _, err = run(capsys, "noise", "--config", config, "--steps", "2")
-    assert rc == 1
-    assert "links" in err
-
-
-def test_m_fraction_validation(capsys):
-    for fraction in ("0.6", "0.75"):
-        rc, _, err = run(capsys, "bounds", "--rounds", "1000", "--m-fraction", fraction)
-        assert rc == 1
-        assert len(err.splitlines()) == 1
-        assert "m-fraction" in err and "(0, 0.5]" in err
-
-
 def test_usage_errors_exit_one(capsys):
-    with pytest.raises(SystemExit) as exit1:
+    # An unknown subcommand is an argparse choices error, whose wording differs
+    # between Python releases, so tests/golden/cli/cases.txt cannot pin it.
+    with pytest.raises(SystemExit) as exited:
         main(["no-such-command"])
-    assert exit1.value.code == 1
-    capsys.readouterr()
-    with pytest.raises(SystemExit) as exit2:
-        main(["noise", "--steps", "two"])
-    assert exit2.value.code == 1
-    capsys.readouterr()
-    with pytest.raises(SystemExit) as exit3:
-        main(["simulate", "--rounds", "2.5"])
-    assert exit3.value.code == 1
-    capsys.readouterr()
-    with pytest.raises(SystemExit) as exit4:
-        main(["noise", "--honest", "1,-2"])
-    assert exit4.value.code == 1
-    capsys.readouterr()
-    with pytest.raises(SystemExit) as exit5:
-        main([])
-    assert exit5.value.code == 1
-    capsys.readouterr()
-
-
-def test_grid_validation(capsys):
-    rc, _, err = run(capsys, "noise", "--steps", "1")
-    assert rc == 1
-    assert "steps" in err or "2" in err
-    # lo + inf * 0 is NaN: the message must show the values given, not a grid point.
-    for argv in (["noise", "--q-max", "inf"], ["rate-asymptotic", "--qx-max", "inf"]):
-        rc, out, err = run(capsys, *argv)
-        assert rc == 1 and out == "" and len(err.splitlines()) == 1
-        assert "inf]" in err and "nan" not in err
+    assert exited.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
 
 
 #: The long flags each subcommand reads; it must accept no others.
@@ -432,49 +294,12 @@ def test_each_subcommand_accepts_only_the_flags_it_reads():
         assert flags - {"-h"} == FLAGS[command], command
 
 
-@pytest.mark.parametrize("argv", [
-    ["rate-asymptotic", "--epsilon", "1e-3"],
-    ["verify", "--config", "chain.json"],
-    ["noise", "--seed", "1"],
-    ["bounds", "--config", "chain.json"],
-    ["mc-verify", "--ec-factor", "1.1"],
-    ["rate-finite", "--seed", "1"],
-])
-def test_unread_flags_are_usage_errors(capsys, argv):
-    with pytest.raises(SystemExit) as exit_info:
-        main(argv)
-    assert exit_info.value.code == 1
-    captured = capsys.readouterr()
-    assert captured.out == "" and len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
-
-
-@pytest.mark.parametrize("extra", [["--config", "CONFIG"], ["--sweep", "qx"]])
-def test_q_conflicts_exit_one(capsys, tmp_path, extra):
-    argv = ["rate-finite", "--q", "0.05"] + [write_config(tmp_path, THREE_REPEATERS) if a == "CONFIG" else a for a in extra]
-    rc, out, err = run(capsys, *argv)
-    assert rc == 1 and out == ""
-    assert "--q" in err and len(err.splitlines()) == 1
-
-
 def test_q_sets_the_round_sweep_links(capsys):
     _, out, _ = run(capsys, "rate-finite", "--q", "0.05", "--n-min", "1e7", "--n-max", "1e8", "--per-decade", "1")
     _, rows = parse_csv(out)
     chain = uniform_chain(5, 0.05, 2, 2)
     params = RateParams(n=10**7, m=700_000, epsilon=1e-36, p_star=noise_parameter(chain))
     assert float(rows[0][5]) == pytest.approx(finite_rate(observed_qx(chain), params).rate, rel=1e-10)
-
-
-@pytest.mark.parametrize("argv", [
-    ["rate-finite", "--ec-factor", "inf"],
-    ["simulate", "--ec-factor", "nan", "--rounds", "1e4"],
-    ["bounds", "--epsilon", "1e-200"],
-    ["bounds", "--rounds", "1e13"],
-    ["rate-finite", "--n-max", "1e300", "--per-decade", "1"],
-])
-def test_out_of_range_protocol_inputs_exit_one(capsys, argv):
-    rc, out, err = run(capsys, *argv)
-    assert rc == 1 and out == ""
-    assert len(err.splitlines()) == 1
 
 
 def test_non_finite_json_is_a_one_line_error(capsys, monkeypatch):
