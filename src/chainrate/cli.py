@@ -115,14 +115,20 @@ def _emit_json(payload: Any, out: str | None) -> None:
 
 def _positive_int(text: str) -> int:
     # Accepts scientific notation like 1e7 for convenience.
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
     if not math.isfinite(value) or value < 1 or value != int(value):
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return int(value)
 
 
 def _seed(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
     if value < 0:
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return value
