@@ -41,11 +41,7 @@ def capped_entropy(p: float) -> float:
     Keeps the function monotone so a pessimistic (over-)estimate of an error
     rate can never make the bound look better.
     """
-    if not (0.0 <= p <= 1.0):
-        raise ValueError(f"entropy argument must be in [0, 1], got {p!r}")
-    if p >= 0.5:
-        return 1.0
-    return binary_entropy(p)
+    return 1.0 if 0.5 <= p <= 1.0 else binary_entropy(p)
 
 
 def corrected_phase(
@@ -130,12 +126,10 @@ def finite_rate(qx_observed: float, params: RateParams) -> RateReport:
     ``strict_leak``. Negative values are reported raw; ``rate_clamped`` floors
     at zero.
     """
-    if not (0.0 <= qx_observed <= 1.0):
-        raise ValueError(f"observed phase rate must be in [0, 1], got {qx_observed!r}")
-    ledger = epsilon_ledger(params.epsilon)
     delta = deviation_for_failure(params.epsilon, params.m, params.n)
     delta_prime = hoeffding_deviation(params.epsilon, params.m)
     corrected, flags = corrected_phase(qx_observed, params.p_star, delta, delta_prime)
+    ledger = epsilon_ledger(params.epsilon)
     min_entropy = 1.0 - capped_entropy(corrected)
     kept_fraction = (params.n - params.m) / params.n
     leak = params.ec_factor * capped_entropy(min(1.0, qx_observed + delta))
