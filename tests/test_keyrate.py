@@ -24,8 +24,8 @@ from chainrate.noise import noise_parameter, observed_qx, uniform_chain
 from chainrate.sampling import MAX_ROUNDS
 from chainrate.verify import BB84_ASYMPTOTIC_THRESHOLD
 
-# Reference values computed once with 50-digit arithmetic (H_011 regenerates
-# with tools/references.py; the rate values need the whole formula in mpmath).
+# Reference values computed with 50-digit arithmetic; tools/references.py
+# regenerates each one.
 H_011 = 0.499915958164528
 CORRECTED_NAMED = 0.02954930532023043
 ASYM_NAMED = 0.39344569140754502

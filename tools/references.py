@@ -12,10 +12,6 @@ It prints one line per constant and exits 1 if any checked-in float is
 more than 1 ulp from the nearest float of the regenerated value. mpmath is
 not a dependency of the package; ``tests/test_references.py`` skips
 without it.
-
-Left out on purpose: the rate references in ``tests/test_keyrate.py``
-(``RATE_1E8``, ``ASYM_*``, ``CORRECTED_NAMED``, ``BB84F_1E8``) need the
-whole finite-size rate formula rewritten in mpmath.
 """
 
 from __future__ import annotations
@@ -46,7 +42,17 @@ LOCATIONS = {
     "DPRIME_7E6": "tests/test_sampling.py",
     "H_011": "tests/test_keyrate.py",
     "QX_PRESET": "tests/test_acceptance.py",
+    "CORRECTED_NAMED": "tests/test_keyrate.py",
+    "ASYM_NAMED": "tests/test_keyrate.py",
+    "ASYM_PRESET": "tests/test_keyrate.py",
+    "RATE_1E8": "tests/test_keyrate.py",
+    "RATE_1E8_STRICT": "tests/test_keyrate.py",
+    "BB84F_1E8": "tests/test_keyrate.py",
 }
+
+#: ``keyrate.BASELINE_EC_FACTOR``, the rates' error-correction inefficiency, as
+#: a decimal string: an mpf made at import would hold only the nearest float.
+EC_FACTOR = "1.2"
 
 
 def _entropy(p: mpf) -> mpf:
@@ -63,10 +69,41 @@ def _iid_deviation(m: int) -> mpf:
     return mpmath.sqrt(mpmath.log(2 / EPSILON) / (2 * m))
 
 
+def _corrected(qx: mpf, p_star: mpf, delta: mpf = 0, delta_prime: mpf = 0) -> mpf:
+    # keyrate.corrected_phase away from its clamps.
+    return (qx - p_star + delta_prime) / (1 - 2 * p_star) + delta
+
+
+def _asymptotic(qx: mpf, p_star: mpf) -> mpf:
+    return 1 - _entropy(_corrected(qx, p_star)) - _entropy(qx)
+
+
+def _finite(qx: mpf, p_star: mpf, n: int, m: int, strict_leak: bool) -> mpf:
+    # keyrate.finite_rate at EPSILON, away from the entropy caps.
+    delta = _subset_deviation(m, n)
+    kept = mpf(n - m) / n
+    min_entropy = 1 - _entropy(_corrected(qx, p_star, delta, _iid_deviation(m)))
+    leak = mpf(EC_FACTOR) * _entropy(qx + delta) * (1 if strict_leak else kept)
+    return kept * min_entropy - leak - mpmath.log(1 / EPSILON, 2) / n
+
+
+def _bb84_finite(qx: mpf, n: int, m: int) -> mpf:
+    # keyrate.bb84_finite at EPSILON, away from the entropy cap.
+    nu = mpmath.sqrt(n * (m + 1) * mpmath.log(2 / EPSILON) / (mpf(m) ** 2 * (n - m)))
+    pessimistic = _entropy(qx + nu)
+    return mpf(n - m) / n * (1 - pessimistic - mpf(EC_FACTOR) * pessimistic)
+
+
 def regenerate() -> dict[str, mpf]:
     """Every constant in LOCATIONS, recomputed at DIGITS significant digits."""
     with mp.workdps(DIGITS):
         cube_root = mpmath.cbrt(2 * EPSILON)
+        # The preset: six depolarizing links at q = 0.03, so the phase error
+        # is (1 - 0.97**6) / 2; two honest stations at each end, so each end
+        # zone spans two links and p* = (1 - 0.97**4) / 2.
+        qx_preset = (1 - mpf("0.97") ** 6) / 2
+        p_star_preset = (1 - mpf("0.97") ** 4) / 2
+        qx_named, p_star_named = mpf("0.08351"), mpf("0.05735")
         return {
             # Asymptotic BB84 rate 1 - 2*h(q) reaches zero.
             "BB84_ASYMPTOTIC_THRESHOLD": mpmath.findroot(lambda q: 1 - 2 * _entropy(q), mpf("0.11")),
@@ -79,8 +116,13 @@ def regenerate() -> dict[str, mpf]:
             "DPRIME_7E5": _iid_deviation(700_000),
             "DPRIME_7E6": _iid_deviation(7_000_000),
             "H_011": _entropy(mpf("0.11")),
-            # Phase error of six depolarizing links at q = 0.03: (1 - 0.97**6) / 2.
-            "QX_PRESET": (1 - mpf("0.97") ** 6) / 2,
+            "QX_PRESET": qx_preset,
+            "CORRECTED_NAMED": _corrected(qx_named, p_star_named),
+            "ASYM_NAMED": _asymptotic(qx_named, p_star_named),
+            "ASYM_PRESET": _asymptotic(qx_preset, p_star_preset),
+            "RATE_1E8": _finite(qx_preset, p_star_preset, 10**8, 7_000_000, strict_leak=False),
+            "RATE_1E8_STRICT": _finite(qx_preset, p_star_preset, 10**8, 7_000_000, strict_leak=True),
+            "BB84F_1E8": _bb84_finite(qx_preset, 10**8, 7_000_000),
         }
 
 
