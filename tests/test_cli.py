@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -31,12 +32,7 @@ def write_config(tmp_path, payload):
     return str(path)
 
 
-THREE_REPEATERS = {
-    "repeaters": 3,
-    "honest_left": 1,
-    "honest_right": 1,
-    "links": [{"type": "depolarizing", "q": 0.02}] * 4,
-}
+THREE_REPEATERS = json.loads((Path(__file__).parent / "golden" / "three_repeaters.json").read_text())
 
 
 def test_noise_sweep_table(capsys):
