@@ -155,12 +155,17 @@ def _load_config(args: argparse.Namespace) -> ChainConfig:
 
 
 def _sample_size(rounds: int, fraction: float, epsilon: float) -> int:
-    """The one rule for m: round(fraction * rounds), at least 1 and at most rounds // 2."""
+    """The one rule for m: round(fraction * rounds), at least 1 and at most rounds // 2.
+
+    ``epsilon`` and ``rounds`` are checked before m is taken, so only the m
+    rule's error is reported against ``--m-fraction``.
+    """
     if not (0.0 < fraction <= 0.5):
         raise ConfigError(f"--m-fraction must be in (0, 0.5], got {fraction}")
+    require_admissible(epsilon=epsilon, n=rounds)
     size = max(1, min(round(fraction * rounds), rounds // 2))
     try:
-        require_admissible(epsilon=epsilon, m=size, n=rounds)
+        require_admissible(m=size, n=rounds)
     except ValueError as exc:
         raise ConfigError(f"{rounds} rounds at --m-fraction {fraction}: {exc}") from exc
     return size

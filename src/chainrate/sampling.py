@@ -10,7 +10,8 @@ standard i.i.d. mean bound used for the honest-noise contribution. The
 estimators below exist to check the analytic bounds against seeded sampling
 (``empirical_failure_bits``) and exhaustive enumeration
 (``exhaustive_failure(word, m, deltas)``, one exact fraction per tolerance
-from a single pass over the subsets).
+from a ones-in-sample histogram that pairs the subsets of the word's two
+halves).
 """
 
 from __future__ import annotations
@@ -38,15 +39,18 @@ def require_admissible(
     """Check the given parts of a (failure target, revealed sample, total rounds) triple and a trial count.
 
     The one admissibility rule: MIN_EPSILON <= epsilon < 1, m >= 1,
-    2m <= n <= MAX_ROUNDS (so n >= 2), and 1 <= trials <= MAX_TRIALS. Every
-    size check in the package goes through here.
+    2 <= n <= MAX_ROUNDS, 2m <= n when both are given, and
+    1 <= trials <= MAX_TRIALS. Every size check in the package goes through
+    here.
     """
     if epsilon is not None and not (MIN_EPSILON <= epsilon < 1.0):
         raise ValueError(f"epsilon must be in [{MIN_EPSILON:g}, 1), got {epsilon!r}")
     if m is not None and not m >= 1:
         raise ValueError(f"test sample must be >= 1, got m={m}")
-    if n is not None and not (2 * m <= n <= MAX_ROUNDS):
-        raise ValueError(f"need m <= n/2 and n <= {MAX_ROUNDS}, got m={m}, n={n}")
+    if n is not None and not (2 <= n <= MAX_ROUNDS):
+        raise ValueError(f"rounds must be in 2..{MAX_ROUNDS}, got n={n}")
+    if m is not None and n is not None and not 2 * m <= n:
+        raise ValueError(f"need m <= n/2, got m={m}, n={n}")
     if trials is not None and not (1 <= trials <= MAX_TRIALS):
         raise ValueError(f"trials must be in 1..{MAX_TRIALS}, got {trials}")
 
@@ -162,9 +166,15 @@ def empirical_failure_bits(
 def exhaustive_failure(word: Sequence[int], m: int, deltas: Sequence[float]) -> tuple[float, ...]:
     """Exact failure probability for each tolerance in ``deltas``, by enumerating every size-``m`` subset.
 
-    One pass over all C(n, m) subsets tallies how many ones each sample holds;
-    every tolerance's failures are then counted off that histogram. Only
-    feasible for tiny words; refuses more than MAX_EXHAUSTIVE_SUBSETS subsets.
+    A size-``m`` subset is exactly one pair of a ``j``-subset of the left
+    ``n // 2`` positions and an ``(m - j)``-subset of the rest, and holds the
+    sum of their ones. So each half's subsets are enumerated once, position by
+    position, and the histogram of ones per sample adds up the pairs' counts.
+    No binomial coefficient enters and positions are never grouped by bit
+    value, so the histogram stays an independent check of the hypergeometric
+    count C(K, k) * C(n - K, m - k). Every tolerance's failures are then
+    counted off it. Only feasible for tiny words; refuses more than
+    MAX_EXHAUSTIVE_SUBSETS subsets.
     """
     bits = _as_bits(word)
     n = len(bits)
@@ -175,7 +185,13 @@ def exhaustive_failure(word: Sequence[int], m: int, deltas: Sequence[float]) -> 
     if n_subsets > MAX_EXHAUSTIVE_SUBSETS:
         raise ValueError(f"{n_subsets} subsets exceed the enumeration guard")
     total_ones = sum(bits)
-    histogram = Counter(map(sum, itertools.combinations(bits, m)))
+    left, right = bits[: n // 2], bits[n // 2:]
+    histogram: Counter[int] = Counter()
+    for j in range(max(0, m - len(right)), min(m, len(left)) + 1):
+        right_counts = Counter(map(sum, itertools.combinations(right, m - j)))
+        for a, left_subsets in Counter(map(sum, itertools.combinations(left, j))).items():
+            for b, right_subsets in right_counts.items():
+                histogram[a + b] += left_subsets * right_subsets
     fractions = []
     for delta in deltas:
         failures = sum(

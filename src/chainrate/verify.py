@@ -14,7 +14,6 @@ then fail, proving the oracle actually constrains the implementation.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from functools import reduce
@@ -51,20 +50,37 @@ def enumerate_phase_parity(dists: Sequence[BellDiagonal]) -> float:
     """Probability of odd total phase over independent per-link symbols.
 
     Exhaustive sum over all 4**L symbol tuples; shares nothing with the
-    convolution code path.
+    convolution code path. The weights and phase parities of the first L - 1
+    links' tuples are built as prefix products in lexicographic order; each
+    prefix then takes the last link's four symbols in turn. So every weight is
+    the same left-to-right product of its L probabilities, no list holds more
+    than 4**(L-1) entries, and the odd tuples are added one by one in
+    lexicographic order (never with ``sum``, whose compensated summation from
+    Python 3.12 on would change the bits).
     """
+    if not dists:
+        return 0.0
+    weights, odd = [1.0], [0]
+    for dist in dists[:-1]:
+        weights = [w * p for w in weights for p in dist.probs]
+        odd = [parity ^ bit for parity in odd for bit in (0, 1, 0, 1)]
+    p0, p1, p2, p3 = dists[-1].probs
     total = 0.0
-    phase_bits = itertools.product((0, 1, 0, 1), repeat=len(dists))
-    for bits, probs in zip(phase_bits, itertools.product(*(d.probs for d in dists))):
-        if sum(bits) & 1:
-            total += math.prod(probs)
+    for weight, parity in zip(weights, odd):
+        if parity:
+            total += weight * p0
+            total += weight * p2
+        else:
+            total += weight * p1
+            total += weight * p3
     return total
 
 
 def random_dist(rng: np.random.Generator) -> BellDiagonal:
     """A random distribution over the four symbols (flat Dirichlet)."""
     raw = rng.dirichlet((1.0, 1.0, 1.0, 1.0))
-    return BellDiagonal(tuple(float(v) / float(raw.sum()) for v in raw))
+    total = float(raw.sum())
+    return BellDiagonal(tuple(float(v) / total for v in raw))
 
 
 def _named_pool() -> list[BellDiagonal]:

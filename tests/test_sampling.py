@@ -1,5 +1,6 @@
 """Estimation bounds: inverses, frozen reference values, empirical agreement."""
 
+import itertools
 import math
 import random
 from collections import Counter
@@ -236,7 +237,7 @@ def _hypergeometric_failure(n, m, ones, delta):
     return failing / math.comb(n, m)
 
 
-@pytest.mark.parametrize("n, m", [(20, 10), (9, 4)])
+@pytest.mark.parametrize("n, m", [(24, 12), (20, 10), (9, 4)])
 def test_exhaustive_failure_equals_hypergeometric_counts(n, m):
     # The enumeration's ones-in-sample histogram must be C(K, k) * C(n - K, m - k)
     # for a word of weight K wherever its ones sit, so the fractions are equal
@@ -248,6 +249,36 @@ def test_exhaustive_failure_equals_hypergeometric_counts(n, m):
         word = [int(i in positions) for i in range(n)]
         expected = tuple(_hypergeometric_failure(n, m, ones, delta) for delta in deltas)
         assert exhaustive_failure(word, m, deltas) == expected, f"weight {ones}"
+
+
+def _one_pass_failure(bits, m, deltas):
+    """The single pass over all subsets that exhaustive_failure replaced, kept as its float-for-float reference."""
+    n, total_ones = len(bits), sum(bits)
+    histogram = Counter(map(sum, itertools.combinations(bits, m)))
+    return tuple(
+        sum(count for ones, count in histogram.items() if subset_deviates(ones, total_ones - ones, m, n, delta))
+        / math.comb(n, m)
+        for delta in deltas
+    )
+
+
+SPLIT_DELTAS = (0.05, 0.15, 0.3, 0.45, 0.7)
+
+
+def test_split_enumeration_is_float_identical_to_one_pass_on_every_small_word():
+    for n in range(2, 11):
+        for word in itertools.product((0, 1), repeat=n):
+            for m in range(1, n // 2 + 1):
+                assert exhaustive_failure(word, m, SPLIT_DELTAS) == _one_pass_failure(word, m, SPLIT_DELTAS), (word, m)
+
+
+@pytest.mark.parametrize("n", range(11, 21))
+def test_split_enumeration_is_float_identical_to_one_pass_on_seeded_words(n):
+    rng = random.Random(n)
+    positions = set(rng.sample(range(n), rng.randint(0, n)))
+    word = [int(i in positions) for i in range(n)]
+    for m in range(1, n // 2 + 1):
+        assert exhaustive_failure(word, m, SPLIT_DELTAS) == _one_pass_failure(word, m, SPLIT_DELTAS), (word, m)
 
 
 def test_empirical_failure_is_deterministic():
