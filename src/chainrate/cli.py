@@ -52,13 +52,7 @@ from .noise import (
     strength_for_observed_qx,
     uniform_chain,
 )
-from .sampling import (
-    deviation_for_failure,
-    epsilon_ledger,
-    hoeffding_deviation,
-    require_admissible,
-    sampling_failure_bound,
-)
+from .sampling import MAX_ROUNDS, deviation_for_failure, epsilon_ledger, hoeffding_deviation, sampling_failure_bound
 
 DEFAULT_EPSILON = 1e-36
 # The concentration scan tests the bound at its own epsilon; the key-rate
@@ -154,21 +148,15 @@ def _load_config(args: argparse.Namespace) -> ChainConfig:
     return load_chain_config(args.config)
 
 
-def _sample_size(rounds: int, fraction: float, epsilon: float) -> int:
+def _sample_size(rounds: int, fraction: float) -> int:
     """The one rule for m: round(fraction * rounds), at least 1 and at most rounds // 2.
 
-    ``epsilon`` and ``rounds`` are checked before m is taken, so only the m
-    rule's error is reported against ``--m-fraction``.
+    ``RateParams`` and ``deviation_for_failure`` check the (n, m, epsilon)
+    triple; as m >= 1, an out-of-range epsilon or round count is what they report.
     """
     if not (0.0 < fraction <= 0.5):
         raise ConfigError(f"--m-fraction must be in (0, 0.5], got {fraction}")
-    require_admissible(epsilon=epsilon, n=rounds)
-    size = max(1, min(round(fraction * rounds), rounds // 2))
-    try:
-        require_admissible(m=size, n=rounds)
-    except ValueError as exc:
-        raise ConfigError(f"{rounds} rounds at --m-fraction {fraction}: {exc}") from exc
-    return size
+    return max(1, min(round(fraction * rounds), rounds // 2))
 
 
 def _resolve_honest(
@@ -218,6 +206,9 @@ def cmd_noise(args: argparse.Namespace) -> int:
 def _round_grid(n_min: int, n_max: int, per_decade: int) -> list[int]:
     if n_min < 10 or n_max <= n_min:
         raise ConfigError(f"need 10 <= n-min < n-max, got {n_min}, {n_max}")
+    if n_max > MAX_ROUNDS:
+        # 13 significant digits: a 13-digit count prints exactly, a larger one as 1e+300, not 301 digits.
+        raise ConfigError(f"--n-max must be at most {MAX_ROUNDS}, got {n_max:.13g}")
     if per_decade < 1:
         raise ConfigError(f"--per-decade must be >= 1, got {per_decade}")
     exponent = math.log10(n_min)
@@ -237,7 +228,7 @@ def _rate_params(args: argparse.Namespace, rounds: int, p_star: float) -> RatePa
     """``RateParams`` at ``rounds`` from ``--m-fraction``, ``--epsilon``, ``--ec-factor`` and ``--strict-leak``."""
     return RateParams(
         n=rounds,
-        m=_sample_size(rounds, args.m_fraction, args.epsilon),
+        m=_sample_size(rounds, args.m_fraction),
         epsilon=args.epsilon,
         p_star=p_star,
         ec_factor=args.ec_factor,
@@ -250,7 +241,7 @@ def _finite_row(args: argparse.Namespace, key: Any, qx: float, rounds: int, p_st
     params = _rate_params(args, rounds, 0.0)
     row = [key]
     for p_star in p_stars:
-        report = finite_rate(qx, _rate_params(args, rounds, p_star))
+        report = finite_rate(qx, params._replace(p_star=p_star))
         row += [report.rate, report.rate_clamped]
     baseline = bb84_finite(qx, rounds, params.m, args.epsilon)
     return row + [baseline, max(0.0, baseline)]
@@ -301,7 +292,7 @@ def cmd_rate_asymptotic(args: argparse.Namespace) -> int:
 def cmd_bounds(args: argparse.Namespace) -> int:
     epsilon = args.epsilon
     rounds = args.rounds
-    sample = _sample_size(rounds, args.m_fraction, epsilon)
+    sample = _sample_size(rounds, args.m_fraction)
     delta = deviation_for_failure(epsilon, sample, rounds)
     ledger = epsilon_ledger(epsilon)
     payload = {

@@ -204,15 +204,6 @@ def sample_rounds(spec: ChainSpec, rounds: int, rng: np.random.Generator) -> np.
     return folded
 
 
-def symbol_counts(spec: ChainSpec, rounds: int, rng: random.Random) -> tuple[int, ...]:
-    """How many of ``rounds`` i.i.d. rounds carry each end-to-end symbol, by index.
-
-    One multinomial draw: the same law as counting the symbols of
-    ``sample_rounds(spec, rounds, ...)``, without materializing the rounds.
-    """
-    return multinomial(rounds, end_to_end_dist(spec).probs, rng)
-
-
 def simulate_e91(spec: ChainSpec, params: RateParams, seed: int) -> MCReport:
     """Simulate one run: reveal a uniformly random test subset, rate the rest.
 
@@ -229,12 +220,12 @@ def simulate_e91(spec: ChainSpec, params: RateParams, seed: int) -> MCReport:
     """
     rng = random.Random(seed)
     n, m = params.n, params.m
-    test = symbol_counts(spec, m, rng)
-    hidden = symbol_counts(spec, n - m, rng)
+    dist = end_to_end_dist(spec)
+    test = multinomial(m, dist.probs, rng)
+    hidden = multinomial(n - m, dist.probs, rng)
 
     qx_hat = (test[1] + test[3]) / m
     qz_hat = (hidden[2] + hidden[3]) / (n - m)
-    dist = end_to_end_dist(spec)
 
     delta = deviation_for_failure(params.epsilon, m, n)
     violations = int(subset_deviates(test[1] + test[3], hidden[1] + hidden[3], m, n, delta))

@@ -345,8 +345,10 @@ CHI2_3DOF_P1E4 = 21.1
 def check_round_sampler(seed: int) -> CheckResult:
     """On ``_SKEWED``, sampled end-to-end symbols follow the folded distribution
     (4-sigma gate), the symbol counts the simulator draws with its pure-Python
-    multinomial agree with the numpy per-link sampler's (two-sample chi-square,
-    3 dof, gate at p = 1e-4), and a noiseless chain yields only the identity symbol."""
+    multinomial over that distribution (the same law as counting the symbols of
+    ``sample_rounds``) agree with the numpy per-link sampler's (two-sample
+    chi-square, 3 dof, gate at p = 1e-4), and a noiseless chain yields only the
+    identity symbol."""
     draws = 200_000
     rng = np.random.default_rng(seed)
     symbols = montecarlo.sample_rounds(_SKEWED, draws, rng)
@@ -359,7 +361,7 @@ def check_round_sampler(seed: int) -> CheckResult:
         worst_sigma = max(worst_sigma, abs(freq - p) / sigma)
     # Equal sample sizes: sum over cells of (a - b)**2 / (a + b).
     per_link = np.bincount(symbols, minlength=4).tolist()
-    counted = montecarlo.symbol_counts(_SKEWED, draws, random.Random(seed))
+    counted = montecarlo.multinomial(draws, expected.probs, random.Random(seed))
     chi2 = sum((a - b) ** 2 / (a + b) for a, b in zip(per_link, counted))
     noiseless = noise.uniform_chain(2, 0.0, 1, 1)
     clean = montecarlo.sample_rounds(noiseless, 1000, np.random.default_rng(seed))

@@ -13,6 +13,7 @@ from chainrate.cli import build_parser, main
 from chainrate.keyrate import RateParams, finite_rate
 from chainrate.noise import noise_parameter, observed_qx, uniform_chain
 from chainrate.sampling import deviation_for_failure, hoeffding_deviation
+from chainrate.verify import EPSILON_FAIL_1E36, EPSILON_PA_1E36
 
 
 def run(capsys, *argv):
@@ -109,9 +110,10 @@ def test_bounds_report(capsys):
     assert math.isclose(payload["delta"], deviation_for_failure(1e-36, 700_000, 10**7), rel_tol=1e-12)
     assert math.isclose(payload["delta_prime"], hoeffding_deviation(1e-36, 700_000), rel_tol=1e-12)
     assert math.isclose(payload["failure_bound_at_delta"], 1e-72, rel_tol=1e-9)
-    assert math.isclose(payload["epsilon_pa"], 5.0396841995794927e-12, rel_tol=1e-12)
-    assert math.isclose(payload["epsilon_fail"], 2.5198420997897463e-12, rel_tol=1e-12)
-    assert math.isclose(payload["smoothing"], 2.5198420997897463e-12, rel_tol=1e-12)
+    assert math.isclose(payload["epsilon_pa"], EPSILON_PA_1E36, rel_tol=1e-12)
+    assert math.isclose(payload["epsilon_fail"], EPSILON_FAIL_1E36, rel_tol=1e-12)
+    # smoothing = epsilon_fail + 8 epsilon: the same float at this tolerance.
+    assert math.isclose(payload["smoothing"], EPSILON_FAIL_1E36, rel_tol=1e-12)
 
 
 def test_bounds_honors_epsilon_flag(capsys):
@@ -348,6 +350,14 @@ def test_each_row_validates_its_p_star(capsys, monkeypatch, sweep):
     rc, out, err = run(capsys, "rate-finite", "--sweep", sweep, "--steps", "3", "--n-min", "1e5", "--n-max", "1e6")
     assert rc == 1 and out == ""
     assert err == "chainrate: error: honest-zone parameter must be in [0, 0.5), got 0.5\n"
+
+
+@pytest.mark.parametrize("n_max,shown", [("1e300", "1e+300"), ("1000000000001", "1000000000001")])
+def test_n_max_above_max_rounds_is_refused_before_any_row(capsys, monkeypatch, n_max, shown):
+    monkeypatch.setattr(cli, "finite_rate", lambda qx, params: pytest.fail(f"finite_rate got {params}"))
+    rc, out, err = run(capsys, "rate-finite", "--n-max", n_max, "--per-decade", "1")
+    assert rc == 1 and out == ""
+    assert err == f"chainrate: error: --n-max must be at most 1000000000000, got {shown}\n"
 
 
 def test_tables_are_capped_at_max_rows(capsys, monkeypatch):

@@ -22,7 +22,7 @@ from chainrate.keyrate import (
 )
 from chainrate.noise import noise_parameter, observed_qx, uniform_chain
 from chainrate.sampling import MAX_ROUNDS
-from chainrate.verify import BB84_ASYMPTOTIC_THRESHOLD
+from chainrate.verify import BB84_ASYMPTOTIC_THRESHOLD, EPSILON_FAIL_1E36, EPSILON_PA_1E36
 
 # Reference values computed with 50-digit arithmetic; tools/references.py
 # regenerates each one.
@@ -161,8 +161,8 @@ def test_finite_rate_frozen_preset():
     assert report.clamp_flags == ()
     assert math.isclose(report.delta, 0.0048767564924374642, rel_tol=1e-12)
     assert math.isclose(report.delta_prime, 0.0024434491214607973, rel_tol=1e-12)
-    assert math.isclose(report.epsilon_pa, 5.0396841995794927e-12, rel_tol=1e-12)
-    assert math.isclose(report.epsilon_fail, 2.5198420997897463e-12, rel_tol=1e-12)
+    assert math.isclose(report.epsilon_pa, EPSILON_PA_1E36, rel_tol=1e-12)
+    assert math.isclose(report.epsilon_fail, EPSILON_FAIL_1E36, rel_tol=1e-12)
 
 
 def test_finite_rate_strict_leak_variant():

@@ -14,7 +14,6 @@ from chainrate.montecarlo import (
     multinomial,
     sample_rounds,
     simulate_e91,
-    symbol_counts,
     verify_concentration,
 )
 from chainrate.bell import BellDiagonal
@@ -102,14 +101,14 @@ def test_simulate_report_statistics():
     assert report.rate_from_observation.delta > 0.0
 
 
-def test_symbol_counts_follow_the_analytic_law():
-    # Unequal Pauli weights (end-to-end cells 1, 2, 3 near 0.12, 0.07, 0.02),
-    # so counts that land in the wrong error cell show.
+def test_multinomial_counts_follow_the_analytic_law():
+    # The simulator's draw: unequal Pauli weights (end-to-end cells 1, 2, 3 near
+    # 0.12, 0.07, 0.02), so counts that land in the wrong error cell show.
     spec = ChainSpec(1, 0, 0, (BellDiagonal((0.88, 0.07, 0.04, 0.01)),) * 2)
     n = 200_000
-    counts = symbol_counts(spec, n, random.Random(5))
-    assert sum(counts) == n
     expected = end_to_end_dist(spec).probs
+    counts = multinomial(n, expected, random.Random(5))
+    assert sum(counts) == n
     for index in range(4):
         sigma = math.sqrt(expected[index] * (1 - expected[index]) / n)
         assert abs(counts[index] / n - expected[index]) < 4.5 * sigma
@@ -303,21 +302,15 @@ def _two_proportion_z(hits_a, n_a, hits_b, n_b):
     return (hits_a / n_a - hits_b / n_b) / se
 
 
-@pytest.mark.parametrize("word", [None, HALF_WORD], ids=["honest", "injected"])
-def test_concentration_count_law_matches_literal_trials(word):
-    # A fixed word's subset law is empirical_failure_bits; only the honest scan flips bits.
-    sampling, hoeffding = _literal_scan(word, seed=22)
-    if word is None:
-        params = _params(NOISY, SCAN_N, SCAN_M, epsilon=LOOSE_EPSILON)
-        summary = verify_concentration(NOISY, params, COUNT_TRIALS, seed=21)
-        violations = summary.sampling_violations
-        assert summary.hoeffding_violations > 0.1 * COUNT_TRIALS
-        assert abs(_two_proportion_z(summary.hoeffding_violations, COUNT_TRIALS, hoeffding, LITERAL_TRIALS)) <= 4.0
-    else:
-        delta = deviation_for_failure(LOOSE_EPSILON, SCAN_M, SCAN_N)
-        violations = round(empirical_failure_bits(word, SCAN_M, delta, COUNT_TRIALS, seed=21) * COUNT_TRIALS)
-    assert violations > 0.03 * COUNT_TRIALS
-    assert abs(_two_proportion_z(violations, COUNT_TRIALS, sampling, LITERAL_TRIALS)) <= 4.0
+def test_concentration_count_law_matches_literal_trials():
+    # The honest scan; a fixed word's subset law is the next test's.
+    sampling, hoeffding = _literal_scan(None, seed=22)
+    params = _params(NOISY, SCAN_N, SCAN_M, epsilon=LOOSE_EPSILON)
+    summary = verify_concentration(NOISY, params, COUNT_TRIALS, seed=21)
+    assert summary.hoeffding_violations > 0.1 * COUNT_TRIALS
+    assert abs(_two_proportion_z(summary.hoeffding_violations, COUNT_TRIALS, hoeffding, LITERAL_TRIALS)) <= 4.0
+    assert summary.sampling_violations > 0.03 * COUNT_TRIALS
+    assert abs(_two_proportion_z(summary.sampling_violations, COUNT_TRIALS, sampling, LITERAL_TRIALS)) <= 4.0
 
 
 def test_empirical_failure_count_law_matches_literal_subsets():
