@@ -1,19 +1,19 @@
-"""Exact density-matrix reference for small swapped chains.
+"""Exact density-matrix reference for swapped chains.
 
-Everything in this module is deliberately literal: build the full multi-qubit
-state of a chain of noisy entangled pairs, perform the middle-station pair
-measurements as explicit projections, apply the conditional Pauli corrections,
-and read the final two-qubit state back off as a distribution over the four
-maximally entangled states. It exists to certify the fast distribution-level
-algebra, so it shares no code path with it. Capped at 8 qubits (4 links).
-Link factors and first-swap branches above 16x16 are certified through their
-two-qubit factors or marginals, averaged states by convexity, all others by spectrum.
+Everything in this module is deliberately literal: density matrices of noisy
+entangled pairs, the middle-station pair measurements as explicit projections,
+the conditional Pauli corrections, and the final two-qubit state read back off
+as a distribution over the four maximally entangled states. It exists to
+certify the fast distribution-level algebra, so it shares no code path with it.
+Pairs that no station has joined share no operation, so a chain's state is
+always a product of two-qubit segment states; a station joins the two segments
+that meet at it, so no state exceeds 16x16 and every state kept is 4x4 and
+validated by its spectrum. The public operations take states of 1..8 qubits.
 """
 
 from __future__ import annotations
 
 import math
-from functools import reduce
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -23,10 +23,13 @@ from .bell import BellDiagonal
 # State-validity and agreement tolerance for everything density-matrix shaped.
 DM_TOL = 1e-10
 
-MAX_LINKS = 4
+#: A time guard, not a size limit: each station costs well under a millisecond.
+MAX_LINKS = 64
 
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+#: The correction of each announced symbol: X**bt, then Z**ph.
+_CORRECTIONS = tuple(np.linalg.matrix_power(_Z, s & 1) @ np.linalg.matrix_power(_X, s >> 1) for s in range(4))
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
@@ -45,6 +48,10 @@ def bell_state_vector(symbol: int) -> np.ndarray:
     return vec
 
 
+#: The four basis states as 2x2 amplitude arrays, indexed by symbol.
+_BELL_BASIS = np.array([bell_state_vector(s).reshape(2, 2) for s in range(4)])
+
+
 def bell_diagonal_dm(dist: BellDiagonal) -> np.ndarray:
     """Two-qubit density matrix diagonal in the entangled basis with weights ``dist``."""
     rho = np.zeros((4, 4), dtype=complex)
@@ -54,8 +61,12 @@ def bell_diagonal_dm(dist: BellDiagonal) -> np.ndarray:
     return rho
 
 
-def _check_hermitian_unit_trace(rho: np.ndarray) -> int:
-    """Shape, finiteness, Hermiticity and unit trace within DM_TOL; return the qubit count."""
+def validate_density_matrix(rho: np.ndarray) -> int:
+    """Check Hermiticity, unit trace, and positivity within DM_TOL; return the qubit count.
+
+    Raises ValueError when any check fails or the dimension is not a power of
+    two between 2 and 2**8.
+    """
     rho = np.asarray(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {rho.shape}")
@@ -63,46 +74,16 @@ def _check_hermitian_unit_trace(rho: np.ndarray) -> int:
     n_qubits = dim.bit_length() - 1
     if dim != 2**n_qubits or not (1 <= n_qubits <= 8):
         raise ValueError(f"dimension {dim} is not 2**k for k in 1..8")
-    if not np.all(np.isfinite(rho)):
+    if not np.isfinite(rho).all():
         raise ValueError("matrix has non-finite entries")
-    if np.max(np.abs(rho - rho.conj().T)) > DM_TOL:
+    if np.abs(rho - rho.conj().T).max() > DM_TOL:
         raise ValueError("matrix is not Hermitian within tolerance")
-    trace = complex(np.trace(rho))
+    trace = complex(rho.trace())
     if abs(trace - 1.0) > DM_TOL:
         raise ValueError(f"trace must be 1 within tolerance, got {trace}")
-    return n_qubits
-
-
-def validate_density_matrix(rho: np.ndarray) -> int:
-    """Check Hermiticity, unit trace, and positivity within DM_TOL; return the qubit count.
-
-    Raises ValueError when any check fails or the dimension is not a power of
-    two between 2 and 2**8.
-    """
-    n_qubits = _check_hermitian_unit_trace(rho)
     eigenvalues = np.linalg.eigvalsh(rho)
     if float(eigenvalues.min()) < -DM_TOL:
         raise ValueError(f"matrix has negative eigenvalue {eigenvalues.min()}")
-    return n_qubits
-
-
-def _validate_product(rho: np.ndarray) -> int:
-    """Certify ``rho`` as a product of consecutive two-qubit states; return the qubit count.
-
-    Each 4x4 marginal (a partial trace) is validated in full, and rho must match their
-    Kronecker product P entrywise within DM_TOL / dim. As ||A||_2 <= dim * max|a_ij|,
-    Weyl's inequality gives λ_min(rho) >= λ_min(P) - DM_TOL, where the spectrum of P is
-    the products of the marginals' spectra. Raises ValueError for any other state.
-    """
-    n_qubits = _check_hermitian_unit_trace(rho)
-    kets = _LETTERS[: n_qubits // 2]
-    tensor = np.asarray(rho, dtype=complex).reshape((4,) * 2 * len(kets))
-    marginals = [np.einsum(f"{kets}{kets[:b]}Z{kets[b + 1 :]}->{kets[b]}Z", tensor) for b in range(len(kets))]
-    for marginal in marginals:
-        validate_density_matrix(marginal)
-    deviation = float(np.max(np.abs(rho - reduce(np.kron, marginals))))
-    if deviation > DM_TOL / 2**n_qubits:
-        raise ValueError(f"state is not a product of its two-qubit marginals: deviation {deviation:.3e}")
     return n_qubits
 
 
@@ -124,14 +105,13 @@ def _as_tensor(rho: np.ndarray, n_qubits: int) -> np.ndarray:
     return np.asarray(rho, dtype=complex).reshape((2,) * (2 * n_qubits))
 
 
-def _project_pair(tensor: np.ndarray, n_qubits: int, pair: tuple[int, int], vec4: np.ndarray) -> np.ndarray:
-    """<v| rho |v> on qubit pair ``pair``: an operator on the remaining qubits."""
+def _project_pair(tensor: np.ndarray, n_qubits: int, pair: tuple[int, int]) -> np.ndarray:
+    """<v_s| rho |v_s> on qubit pair ``pair`` for each basis state s, stacked along axis 0."""
     i, j = pair
     letters = _LETTERS[: 2 * n_qubits]
     kept = "".join(l for k, l in enumerate(letters) if k not in (i, j, n_qubits + i, n_qubits + j))
-    spec = f"{letters},{letters[i]}{letters[j]},{letters[n_qubits + i]}{letters[n_qubits + j]}->{kept}"
-    vec = vec4.reshape(2, 2)
-    return np.einsum(spec, tensor, vec.conj(), vec)
+    spec = f"{letters},z{letters[i]}{letters[j]},z{letters[n_qubits + i]}{letters[n_qubits + j]}->z{kept}"
+    return np.einsum(spec, tensor, _BELL_BASIS.conj(), _BELL_BASIS)
 
 
 def bell_swap(rho: np.ndarray, pair: tuple[int, int]) -> tuple[SwapOutcome, ...]:
@@ -152,9 +132,8 @@ def _swap_branches(rho: np.ndarray, n_qubits: int, pair: tuple[int, int]) -> tup
     tensor = _as_tensor(rho, n_qubits)
     remaining_dim = 2 ** (n_qubits - 2)
     outcomes = []
-    for symbol in range(4):
-        reduced = _project_pair(tensor, n_qubits, pair, bell_state_vector(symbol))
-        reduced = reduced.reshape(remaining_dim, remaining_dim)
+    projected = _project_pair(tensor, n_qubits, pair).reshape(4, remaining_dim, remaining_dim)
+    for symbol, reduced in enumerate(projected):
         probability = float(np.trace(reduced).real)
         if probability < 1e-15:
             placeholder = np.eye(remaining_dim, dtype=complex) / remaining_dim
@@ -179,11 +158,7 @@ def pauli_correct(rho: np.ndarray, outcome: int, target: int) -> np.ndarray:
 def _pauli_correct(rho: np.ndarray, n_qubits: int, outcome: int, target: int) -> np.ndarray:
     if not (0 <= target < n_qubits):
         raise ValueError(f"target qubit {target} out of range for {n_qubits} qubits")
-    gate = np.eye(2, dtype=complex)
-    if outcome >> 1:
-        gate = _X @ gate
-    if outcome & 1:
-        gate = _Z @ gate
+    gate = _CORRECTIONS[outcome]
     tensor = _as_tensor(rho, n_qubits)
     letters = _LETTERS[: 2 * n_qubits]
     ket, bra = "Y", "Z"
@@ -224,17 +199,18 @@ def simulate_chain_exact(
     links: Sequence[BellDiagonal],
     order: Sequence[int] | None = None,
 ) -> BellDiagonal:
-    """End-to-end distribution of a swapped chain, by brute force.
+    """End-to-end distribution of a swapped chain, one segment join at a time.
 
     ``links[i]`` is the state of pair i; station r (1-based) holds the right qubit of
     pair r-1 and the left qubit of pair r, measures them in the entangled basis, and
-    the announced outcome is corrected on the leftmost qubit. Branches are averaged
-    with their Born weights. ``order`` optionally permutes the station schedule
-    (default: left to right). Each link factor is validated, not their product: the
-    spectrum of A⊗B is the products of theirs. First-swap branches above 16x16 are
-    certified as products (``_validate_product``), averaged states by convexity: finite,
-    Hermitian, of unit trace, and mixing certified branches with positive Born weights
-    that sum to 1. All other states, at most 16x16, are validated by their spectrum.
+    the announced outcome is corrected on the left end of the joined segment.
+    Branches are averaged with their Born weights. ``order`` optionally permutes the
+    station schedule (default: left to right). Pairs that no station has joined
+    share no operation, so the chain's state is always a product of two-qubit
+    segment states, and station r only acts on the segment ending at r and the one
+    starting at r: it measures qubits 1 and 2 of their 16x16 product. Each link
+    state, each 4x4 branch and each Born average is validated by its spectrum.
+    ``MAX_LINKS`` only bounds the running time.
     """
     n_links = len(links)
     if not (1 <= n_links <= MAX_LINKS):
@@ -244,24 +220,19 @@ def simulate_chain_exact(
         if sorted(order) != stations:
             raise ValueError(f"order must permute stations {stations}, got {list(order)}")
         stations = list(order)
-    factors = [bell_diagonal_dm(d) for d in links]
-    n_qubits = sum(validate_density_matrix(factor) for factor in factors)
-    rho = reduce(np.kron, factors)
-    labels = list(range(2 * n_links))
+    segments = [bell_diagonal_dm(d) for d in links]
+    for segment in segments:
+        validate_density_matrix(segment)
+    # Segment k runs from node ends[k - 1] (node 0 for k = 0) to node ends[k].
+    ends = list(range(1, n_links + 1))
     for station in stations:
-        i = labels.index(2 * station - 1)
-        j = labels.index(2 * station)
-        certify = _validate_product if station == stations[0] and n_qubits - 2 > 4 else validate_density_matrix
-        averaged = np.zeros((2 ** (n_qubits - 2),) * 2, dtype=complex)
-        for branch in _swap_branches(rho, n_qubits, (i, j)):
-            if branch.degenerate:
-                continue
-            certify(branch.post_state)
-            # Leftmost qubit keeps position 0 after any pair removal.
-            corrected = _pauli_correct(branch.post_state, n_qubits - 2, branch.outcome, 0)
-            averaged += branch.probability * corrected
-        rho = averaged
-        n_qubits = _check_hermitian_unit_trace(rho)
-        del labels[max(i, j)]
-        del labels[min(i, j)]
-    return dm_to_bell_diagonal(rho)
+        k = ends.index(station)
+        joined = np.zeros((4, 4), dtype=complex)
+        for branch in _swap_branches(np.kron(segments[k], segments[k + 1]), 4, (1, 2)):
+            validate_density_matrix(branch.post_state)
+            # After the pair is removed, the joined segment's left end is qubit 0.
+            joined += branch.probability * _pauli_correct(branch.post_state, 2, branch.outcome, 0)
+        validate_density_matrix(joined)
+        segments[k : k + 2] = [joined]
+        del ends[k]
+    return dm_to_bell_diagonal(segments[0])

@@ -149,7 +149,8 @@ def check_oracle_equivalence(
     """Folded convolution equals the exact multi-qubit simulation, link for link.
 
     Covers every single link over the whole pool, every ordered pair of the
-    named distributions, and seeded random 2-, 3-, and 4-link chains.
+    named distributions, the preset chain, and seeded random 2-, 3-, 4- and
+    6-link chains.
     """
     fn = convolve_fn if convolve_fn is not None else bell.convolve
     rng = np.random.default_rng(seed)
@@ -157,7 +158,8 @@ def check_oracle_equivalence(
     pool = named + [random_dist(rng) for _ in range(10)]
     chains: list[list[BellDiagonal]] = [[d] for d in pool]
     chains += [[a, b] for a in named for b in named]
-    for length in (2, 3, 4):
+    chains.append(list(_PRESET.links))
+    for length in (2, 3, 4, 6):
         for _ in range(random_chains):
             chains.append([pool[i] for i in rng.integers(0, len(pool), size=length)])
     worst = 0.0
@@ -174,18 +176,19 @@ def check_oracle_equivalence(
 
 
 def check_swap_order(seed: int) -> CheckResult:
-    """Station measurement order does not change the end-to-end distribution."""
+    """Station measurement order does not change the end-to-end distribution:
+    6-link chains swapped left to right and in a seeded permutation."""
     rng = np.random.default_rng(seed)
-    trios = [
-        [depolarizing_dist(0.05)] * 3,
-        [depolarizing_dist(0.01), BellDiagonal.point(), depolarizing_dist(0.3)],
+    chains = [
+        [depolarizing_dist(0.05)] * 6,
+        [depolarizing_dist(0.01), BellDiagonal.point(), depolarizing_dist(0.3)] * 2,
     ]
-    trios += [[random_dist(rng) for _ in range(3)] for _ in range(4)]
+    chains += [[random_dist(rng) for _ in range(6)] for _ in range(4)]
     worst = 0.0
-    for links in trios:
-        left_first = dm_oracle.simulate_chain_exact(links, order=(1, 2))
-        right_first = dm_oracle.simulate_chain_exact(links, order=(2, 1))
-        worst = max(worst, max(abs(p - q) for p, q in zip(left_first.probs, right_first.probs)))
+    for links in chains:
+        left_first = dm_oracle.simulate_chain_exact(links)
+        shuffled = dm_oracle.simulate_chain_exact(links, order=rng.permutation(range(1, len(links))).tolist())
+        worst = max(worst, max(abs(p - q) for p, q in zip(left_first.probs, shuffled.probs)))
     return CheckResult("swap_order", worst <= 1e-10, f"max deviation {worst:.3e}")
 
 

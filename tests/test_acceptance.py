@@ -58,7 +58,7 @@ def test_criterion_01_oracle_equivalence():
     _line(
         1,
         result.ok and elapsed < 10.0,
-        f"density-matrix reference vs convolution fold on chains of 1..4 links: "
+        f"density-matrix reference vs convolution fold on the preset and chains of 1..6 links: "
         f"{result.detail} (tol 1e-10), {elapsed:.1f}s (< 10s)",
     )
 

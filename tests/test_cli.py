@@ -14,6 +14,7 @@ from chainrate.keyrate import RateParams, finite_rate
 from chainrate.noise import noise_parameter, observed_qx, uniform_chain
 from chainrate.sampling import deviation_for_failure, hoeffding_deviation
 from chainrate.verify import EPSILON_FAIL_1E36, EPSILON_PA_1E36
+from test_sampling import SMOOTHING_1E36
 
 
 def run(capsys, *argv):
@@ -112,8 +113,7 @@ def test_bounds_report(capsys):
     assert math.isclose(payload["failure_bound_at_delta"], 1e-72, rel_tol=1e-9)
     assert math.isclose(payload["epsilon_pa"], EPSILON_PA_1E36, rel_tol=1e-12)
     assert math.isclose(payload["epsilon_fail"], EPSILON_FAIL_1E36, rel_tol=1e-12)
-    # smoothing = epsilon_fail + 8 epsilon: the same float at this tolerance.
-    assert math.isclose(payload["smoothing"], EPSILON_FAIL_1E36, rel_tol=1e-12)
+    assert math.isclose(payload["smoothing"], SMOOTHING_1E36, rel_tol=1e-12)
 
 
 def test_bounds_honors_epsilon_flag(capsys):

@@ -90,6 +90,8 @@ def test_parse_null_override_is_absent():
         (valid_payload(links=[{"type": "depolarizing", "q": 10**400}] * 4), "links[0].q"),
         (valid_payload(links=[{"type": "explicit", "probs": [10**400, 0, 0, 0]}] * 4), "probs[0]"),
         (valid_payload(p_star_override=-(10**5000)), "p_star_override"),
+        # An explicit link with a key it does not read.
+        (valid_payload(links=[{"type": "explicit", "probs": [1.0, 0.0, 0.0, 0.0], "x": 1}] * 4), "unknown keys"),
     ],
 )
 def test_parse_error_paths(payload, fragment):

@@ -2,12 +2,14 @@
 
 import itertools
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from chainrate import dm_oracle
+from chainrate import dm_oracle, noise
 from chainrate.bell import BellDiagonal, convolve, fold_convolve
+from chainrate.config import default_chain_config, load_chain_config
 from chainrate.dm_oracle import (
     MAX_LINKS,
     bell_diagonal_dm,
@@ -19,14 +21,8 @@ from chainrate.dm_oracle import (
 )
 from chainrate.verify import random_dist
 
-RNG = np.random.default_rng(413)
+GOLDEN = Path(__file__).resolve().parent / "golden"
 UNIFORM = BellDiagonal((0.25, 0.25, 0.25, 0.25))
-#: Link states whose Kronecker product the product-certificate tests perturb.
-PRODUCT_DISTS = [
-    BellDiagonal((0.7, 0.1, 0.15, 0.05)),
-    BellDiagonal((0.4, 0.3, 0.2, 0.1)),
-    BellDiagonal((0.55, 0.05, 0.25, 0.15)),
-]
 
 
 def test_diagonal_dm_eigenvalues_are_the_weights():
@@ -121,14 +117,32 @@ def test_swap_branch_probabilities_follow_the_convolution():
     """Swapping two diagonal pairs p and q: the middle qubits are maximally
     mixed, so each outcome x has probability 1/4, and branch x leaves the
     outer pair labelled s with probability convolve(p, q)(s + x)."""
+    rng = np.random.default_rng(4131)
     for _ in range(5):
-        p, q = random_dist(RNG), random_dist(RNG)
+        p, q = random_dist(rng), random_dist(rng)
         folded = convolve(p, q)
         for br in bell_swap(np.kron(bell_diagonal_dm(p), bell_diagonal_dm(q)), (1, 2)):
             assert abs(br.probability - 0.25) < 1e-12
             post = dm_to_bell_diagonal(br.post_state)
             for s in range(4):
                 assert abs(post.probs[s] - folded.probs[s ^ br.outcome]) < 1e-12
+
+
+def test_swap_flags_zero_probability_branches_as_degenerate():
+    """On |00><00| x |00><00| the middle pair is |00>: half on each phase of the
+    equal-bit states, nothing on the unequal-bit ones."""
+    zero = np.zeros((4, 4), dtype=complex)
+    zero[0, 0] = 1.0
+    branches = bell_swap(np.kron(zero, zero), (1, 2))
+    assert [br.outcome for br in branches] == [0, 1, 2, 3]
+    assert [br.degenerate for br in branches] == [False, False, True, True]
+    for br in branches[:2]:
+        assert abs(br.probability - 0.5) < 1e-12
+        assert np.allclose(br.post_state, zero, atol=1e-12)
+    for br in branches[2:]:
+        assert br.probability == 0.0
+        assert validate_density_matrix(br.post_state) == 2
+        assert np.array_equal(br.post_state, np.eye(4) / 4.0)
 
 
 def test_pauli_correction_target_range():
@@ -138,8 +152,9 @@ def test_pauli_correction_target_range():
 
 
 def test_dm_decomposition_roundtrip():
+    rng = np.random.default_rng(4132)
     for _ in range(10):
-        dist = random_dist(RNG)
+        dist = random_dist(rng)
         back = dm_to_bell_diagonal(bell_diagonal_dm(dist))
         assert np.allclose(back.probs, dist.probs, atol=1e-12)
 
@@ -158,35 +173,87 @@ def test_dm_decomposition_rejects_larger_systems():
         dm_to_bell_diagonal(rho)
 
 
-@pytest.mark.parametrize("n_links", [1, 2, 3, 4])
+def _full_kron_reference(links, order):
+    """The whole chain as one state, swapped with the public operations: the
+    correction goes on the chain's leftmost qubit, and no product is assumed."""
+    rho = reduce(np.kron, [bell_diagonal_dm(d) for d in links])
+    labels = list(range(2 * len(links)))
+    for station in order:
+        i, j = labels.index(2 * station - 1), labels.index(2 * station)
+        rho = sum(br.probability * pauli_correct(br.post_state, br.outcome, 0) for br in bell_swap(rho, (i, j)))
+        del labels[j], labels[i]
+    return rho
+
+
+def _every_order(n_links, seed):
+    rng = np.random.default_rng(seed)
+    links = [random_dist(rng) for _ in range(n_links)]
+    return [pytest.param(links, order, id=f"{n_links}links-{order}") for order in itertools.permutations(range(1, n_links))]
+
+
+@pytest.mark.parametrize(
+    "links, order",
+    _every_order(1, 4131) + _every_order(2, 4132) + _every_order(3, 4133) + _every_order(4, 4134),
+)
+def test_segment_joins_match_the_full_kron_reference(links, order):
+    """The segment-product premise: joining two-qubit segments gives the same
+    final state, entry for entry, as swapping the full Kronecker product."""
+    segment = bell_diagonal_dm(simulate_chain_exact(links, order))
+    assert np.max(np.abs(_full_kron_reference(links, order) - segment)) < 1e-12
+
+
+# MAX_LINKS is a time guard only: the longest chain it admits is exact too.
+@pytest.mark.parametrize("n_links", [1, 2, 3, 4, MAX_LINKS])
 def test_chain_simulation_matches_convolution(n_links):
-    links = [random_dist(RNG) for _ in range(n_links)]
+    rng = np.random.default_rng([413, n_links])
+    links = [random_dist(rng) for _ in range(n_links)]
     exact = simulate_chain_exact(links)
     fast = fold_convolve(links)
     assert max(abs(a - b) for a, b in zip(exact.probs, fast.probs)) < 1e-10
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        default_chain_config(),
+        load_chain_config(str(GOLDEN / "noisy_chain.json")),
+        load_chain_config(str(GOLDEN / "three_repeaters.json")),
+    ],
+    ids=["preset", "noisy_chain", "three_repeaters"],
+)
+def test_chain_simulation_matches_every_rated_chain(config):
+    exact = simulate_chain_exact(config.spec.links)
+    fast = noise.end_to_end_dist(config.spec)
+    assert max(abs(a - b) for a, b in zip(exact.probs, fast.probs)) < 1e-10
+
+
 def test_chain_simulation_decomposes_no_product_state(monkeypatch):
-    """The initial product is certified through its 4x4 factors, the first
-    swap's 6-qubit branches through their 4x4 marginals and the averaged states
-    by convexity, so in every station order only the 4-qubit branches of later
-    swaps and smaller states reach eigvalsh."""
-    links = [random_dist(RNG) for _ in range(MAX_LINKS)]
-    factors = [bell_diagonal_dm(d) for d in links]
-    assert validate_density_matrix(reduce(np.kron, factors)) == 2 * MAX_LINKS
-    dims = []
-    eigvalsh = np.linalg.eigvalsh
+    """Each station joins two 4x4 segment states through one 16x16 product, so
+    in any station order only 4x4 states reach eigvalsh and no product is larger."""
+    rng = np.random.default_rng(4136)
+    links = [random_dist(rng) for _ in range(6)]
+    eig_dims, kron_dims = [], []
+    eigvalsh, kron = np.linalg.eigvalsh, np.kron
 
     def recording_eigvalsh(matrix, *args, **kwargs):
-        dims.append(np.shape(matrix)[0])
+        eig_dims.append(np.shape(matrix))
         return eigvalsh(matrix, *args, **kwargs)
 
+    def recording_kron(a, b):
+        product = kron(a, b)
+        kron_dims.append(product.shape)
+        return product
+
     monkeypatch.setattr(dm_oracle.np.linalg, "eigvalsh", recording_eigvalsh)
+    monkeypatch.setattr(dm_oracle.np, "kron", recording_kron)
     fast = fold_convolve(links)
-    for order in itertools.permutations(range(1, MAX_LINKS)):
+    orders = [(1, 2, 3, 4, 5), (5, 4, 3, 2, 1), (3, 1, 5, 2, 4), (2, 4, 1, 5, 3)]
+    for order in orders:
         exact = simulate_chain_exact(links, order=order)
         assert max(abs(a - b) for a, b in zip(exact.probs, fast.probs)) < 1e-10
-    assert dims and max(dims) <= 16
+    assert eig_dims and set(eig_dims) == {(4, 4)}
+    assert kron_dims and set(kron_dims) == {(16, 16)}
+    assert len(kron_dims) == 5 * len(orders)
 
 
 def test_chain_simulation_single_link_is_identity():
@@ -196,66 +263,22 @@ def test_chain_simulation_single_link_is_identity():
 
 
 def test_chain_simulation_station_order_is_irrelevant():
-    links = [random_dist(RNG) for _ in range(3)]
+    rng = np.random.default_rng(4137)
+    links = [random_dist(rng) for _ in range(3)]
     forward = simulate_chain_exact(links, order=(1, 2))
     backward = simulate_chain_exact(links, order=(2, 1))
     assert np.allclose(forward.probs, backward.probs, atol=1e-10)
 
 
-def test_chain_simulation_every_order_on_max_links_matches_convolution():
-    """Swapping any station but 1 first leaves an averaged state that mixes
-    products, which only the convexity certificate covers."""
-    links = [random_dist(RNG) for _ in range(MAX_LINKS)]
+def test_chain_simulation_every_order_on_five_links_matches_convolution():
+    rng = np.random.default_rng(4138)
+    links = [random_dist(rng) for _ in range(5)]
     fast = fold_convolve(links)
-    orders = list(itertools.permutations(range(1, MAX_LINKS)))
-    assert len(orders) == 6
+    orders = list(itertools.permutations(range(1, 5)))
+    assert len(orders) == 24
     for order in orders:
         exact = simulate_chain_exact(links, order=order)
         assert max(abs(a - b) for a, b in zip(exact.probs, fast.probs)) < 1e-10
-
-
-def _three_factor_product(dists):
-    return reduce(np.kron, [bell_diagonal_dm(d) for d in dists])
-
-
-def test_product_certificate_accepts_a_product():
-    assert dm_oracle._validate_product(_three_factor_product(PRODUCT_DISTS)) == 6
-    for _ in range(5):
-        assert dm_oracle._validate_product(_three_factor_product([random_dist(RNG) for _ in range(3)])) == 6
-
-
-def test_product_certificate_rejects_a_correlated_state():
-    other = [BellDiagonal((0.1, 0.2, 0.3, 0.4))] * 3
-    mixture = (_three_factor_product(PRODUCT_DISTS) + _three_factor_product(other)) / 2.0
-    assert validate_density_matrix(mixture) == 6
-    with pytest.raises(ValueError, match="not a product"):
-        dm_oracle._validate_product(mixture)
-
-
-def test_product_certificate_rejects_a_perturbed_product():
-    rho = _three_factor_product(PRODUCT_DISTS)
-    rho[0, 0] += 0.05
-    rho[63, 63] -= 0.05
-    assert np.linalg.eigvalsh(rho).min() < -0.01
-    with pytest.raises(ValueError, match="negative eigenvalue"):
-        validate_density_matrix(rho)
-    with pytest.raises(ValueError, match="not a product"):
-        dm_oracle._validate_product(rho)
-
-
-def test_product_certificate_scales_its_tolerance_with_dimension():
-    # A coherence far below DM_TOL, yet above DM_TOL / dim: spectral validation
-    # would pass it, the product certificate must not.
-    rng = np.random.default_rng(16)
-    rho = _three_factor_product([random_dist(rng) for _ in range(3)])
-    rho[0, 1] += 1e-11
-    rho[1, 0] += 1e-11
-    tensor = rho.reshape((4,) * 6)
-    marginals = [np.einsum(spec, tensor) for spec in ("abcdbc->ad", "abcaec->be", "abcabf->cf")]
-    deviation = np.max(np.abs(rho - reduce(np.kron, marginals)))
-    assert dm_oracle.DM_TOL / 64 < deviation < dm_oracle.DM_TOL
-    with pytest.raises(ValueError, match="not a product"):
-        dm_oracle._validate_product(rho)
 
 
 def test_chain_simulation_rejects_bad_order():

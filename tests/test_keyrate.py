@@ -23,6 +23,7 @@ from chainrate.keyrate import (
 from chainrate.noise import noise_parameter, observed_qx, uniform_chain
 from chainrate.sampling import MAX_ROUNDS
 from chainrate.verify import BB84_ASYMPTOTIC_THRESHOLD, EPSILON_FAIL_1E36, EPSILON_PA_1E36
+from test_sampling import DELTA_7E6_1E8, DPRIME_7E6
 
 # Reference values computed with 50-digit arithmetic; tools/references.py
 # regenerates each one.
@@ -159,8 +160,8 @@ def test_finite_rate_frozen_preset():
     assert math.isclose(report.rate, RATE_1E8, rel_tol=1e-12)
     assert report.rate_clamped == report.rate
     assert report.clamp_flags == ()
-    assert math.isclose(report.delta, 0.0048767564924374642, rel_tol=1e-12)
-    assert math.isclose(report.delta_prime, 0.0024434491214607973, rel_tol=1e-12)
+    assert math.isclose(report.delta, DELTA_7E6_1E8, rel_tol=1e-12)
+    assert math.isclose(report.delta_prime, DPRIME_7E6, rel_tol=1e-12)
     assert math.isclose(report.epsilon_pa, EPSILON_PA_1E36, rel_tol=1e-12)
     assert math.isclose(report.epsilon_fail, EPSILON_FAIL_1E36, rel_tol=1e-12)
 
@@ -240,6 +241,12 @@ def test_bb84_finite_domain():
         bb84_finite(0.1, 100, 10, 1.5)
     with pytest.raises(ValueError):
         bb84_finite(-0.1, 100, 10, 1e-9)
+
+
+@pytest.mark.parametrize("qx", [-0.1, 1.1, math.nan])
+def test_bb84_asymptotic_domain(qx):
+    with pytest.raises(ValueError, match="observed phase rate"):
+        bb84_asymptotic(qx)
 
 
 def test_bb84_asymptotic_threshold_frozen():

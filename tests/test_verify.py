@@ -3,7 +3,9 @@
 import itertools
 
 import numpy as np
+import pytest
 
+from chainrate import verify
 from chainrate.bell import BellDiagonal, fold_convolve
 from chainrate.noise import depolarizing_dist
 from chainrate.verify import (
@@ -67,6 +69,17 @@ def test_run_all_decomposes_nothing_above_16x16(monkeypatch):
     results = run_all(0)
     assert len(results) == 17 and all(r.ok for r in results)
     assert dims and max(dims) <= 16
+
+
+def test_run_all_rejects_an_unknown_fault_before_any_check(monkeypatch):
+    ran = []
+    for name in dir(verify):
+        if name.startswith("check_"):
+            monkeypatch.setattr(verify, name, lambda *args, _name=name, **kwargs: ran.append(_name))
+    with pytest.raises(ValueError, match="unknown fault 'bogus'"):
+        run_all(0, inject_fault="bogus")
+    assert ran == []
+    assert len(run_all(0)) == len(ran) == 17
 
 
 def test_random_dist_is_normalized():
