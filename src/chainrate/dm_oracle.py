@@ -7,8 +7,9 @@ as a distribution over the four maximally entangled states. It exists to
 certify the fast distribution-level algebra, so it shares no code path with it.
 Pairs that no station has joined share no operation, so a chain's state is
 always a product of two-qubit segment states; a station joins the two segments
-that meet at it, so no state exceeds 16x16 and every state kept is 4x4 and
-validated by its spectrum. The public operations take states of 1..8 qubits.
+that meet at it through one 16x16 product and handles its four 4x4 branches as
+one stack, each still validated by its spectrum. The public operations take
+states of 1..8 qubits.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ MAX_LINKS = 64
 
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-#: The correction of each announced symbol: X**bt, then Z**ph.
-_CORRECTIONS = tuple(np.linalg.matrix_power(_Z, s & 1) @ np.linalg.matrix_power(_X, s >> 1) for s in range(4))
+#: The correction of each announced symbol, stacked along axis 0: X**bt, then Z**ph.
+_CORRECTIONS = np.array([np.linalg.matrix_power(_Z, s & 1) @ np.linalg.matrix_power(_X, s >> 1) for s in range(4)])
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
@@ -50,15 +51,18 @@ def bell_state_vector(symbol: int) -> np.ndarray:
 
 #: The four basis states as 2x2 amplitude arrays, indexed by symbol.
 _BELL_BASIS = np.array([bell_state_vector(s).reshape(2, 2) for s in range(4)])
+#: The unitary V whose column s is the basis state labelled s.
+_V = _BELL_BASIS.reshape(4, 4).T
+
+
+def _diagonal_states(probs: np.ndarray) -> np.ndarray:
+    """V diag(p) V^H for each row p of ``probs``, stacked along axis 0."""
+    return np.einsum("is,ks,js->kij", _V, np.asarray(probs, dtype=float), _V.conj())
 
 
 def bell_diagonal_dm(dist: BellDiagonal) -> np.ndarray:
     """Two-qubit density matrix diagonal in the entangled basis with weights ``dist``."""
-    rho = np.zeros((4, 4), dtype=complex)
-    for symbol in range(4):
-        vec = bell_state_vector(symbol)
-        rho += dist.probs[symbol] * np.outer(vec, vec.conj())
-    return rho
+    return _diagonal_states([dist.probs])[0]
 
 
 def validate_density_matrix(rho: np.ndarray) -> int:
@@ -74,17 +78,23 @@ def validate_density_matrix(rho: np.ndarray) -> int:
     n_qubits = dim.bit_length() - 1
     if dim != 2**n_qubits or not (1 <= n_qubits <= 8):
         raise ValueError(f"dimension {dim} is not 2**k for k in 1..8")
-    if not np.isfinite(rho).all():
-        raise ValueError("matrix has non-finite entries")
-    if np.abs(rho - rho.conj().T).max() > DM_TOL:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    trace = complex(rho.trace())
-    if abs(trace - 1.0) > DM_TOL:
-        raise ValueError(f"trace must be 1 within tolerance, got {trace}")
-    eigenvalues = np.linalg.eigvalsh(rho)
-    if float(eigenvalues.min()) < -DM_TOL:
-        raise ValueError(f"matrix has negative eigenvalue {eigenvalues.min()}")
+    _validate_stack(rho[None])
     return n_qubits
+
+
+def _validate_stack(states: np.ndarray) -> None:
+    """Each check of validate_density_matrix at once over a stack; the message names the first failing member."""
+    if not np.isfinite(states).all():
+        raise ValueError("matrix has non-finite entries")
+    if np.abs(states - states.conj().swapaxes(-1, -2)).max() > DM_TOL:
+        raise ValueError("matrix is not Hermitian within tolerance")
+    traces = states.trace(axis1=-2, axis2=-1)
+    off_trace = np.abs(traces - 1.0) > DM_TOL
+    if off_trace.any():
+        raise ValueError(f"trace must be 1 within tolerance, got {complex(traces[off_trace][0])}")
+    lowest = np.linalg.eigvalsh(states).min(axis=-1)
+    if lowest.min() < -DM_TOL:
+        raise ValueError(f"matrix has negative eigenvalue {lowest[lowest < -DM_TOL][0]}")
 
 
 class SwapOutcome(NamedTuple):
@@ -99,10 +109,6 @@ class SwapOutcome(NamedTuple):
     probability: float
     post_state: np.ndarray
     degenerate: bool = False
-
-
-def _as_tensor(rho: np.ndarray, n_qubits: int) -> np.ndarray:
-    return np.asarray(rho, dtype=complex).reshape((2,) * (2 * n_qubits))
 
 
 def _project_pair(tensor: np.ndarray, n_qubits: int, pair: tuple[int, int]) -> np.ndarray:
@@ -120,30 +126,30 @@ def bell_swap(rho: np.ndarray, pair: tuple[int, int]) -> tuple[SwapOutcome, ...]
     Returns all four branches. Probabilities sum to 1; each post state is the
     normalized reduced state on the remaining qubits.
     """
-    return _swap_branches(rho, validate_density_matrix(rho), pair)
+    weights, posts = _swap_branches(rho, validate_density_matrix(rho), pair)
+    return tuple(SwapOutcome(s, float(weights[s]), posts[s], degenerate=bool(weights[s] == 0.0)) for s in range(4))
 
 
-def _swap_branches(rho: np.ndarray, n_qubits: int, pair: tuple[int, int]) -> tuple[SwapOutcome, ...]:
+def _swap_branches(rho: np.ndarray, n_qubits: int, pair: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Born weights and normalized post states of the four outcomes, stacked along axis 0;
+    a degenerate branch (weight below 1e-15) gets weight 0.0 and a maximally mixed placeholder."""
     i, j = pair
     if not (0 <= i < n_qubits and 0 <= j < n_qubits) or i == j:
         raise ValueError(f"invalid qubit pair {pair} for {n_qubits} qubits")
     if n_qubits < 3:
         raise ValueError("pair measurement needs at least one unmeasured qubit")
-    tensor = _as_tensor(rho, n_qubits)
+    tensor = np.asarray(rho, dtype=complex).reshape((2,) * (2 * n_qubits))
     remaining_dim = 2 ** (n_qubits - 2)
-    outcomes = []
     projected = _project_pair(tensor, n_qubits, pair).reshape(4, remaining_dim, remaining_dim)
-    for symbol, reduced in enumerate(projected):
-        probability = float(np.trace(reduced).real)
-        if probability < 1e-15:
-            placeholder = np.eye(remaining_dim, dtype=complex) / remaining_dim
-            outcomes.append(SwapOutcome(symbol, 0.0, placeholder, degenerate=True))
-        else:
-            outcomes.append(SwapOutcome(symbol, probability, reduced / probability))
-    total = sum(o.probability for o in outcomes)
+    weights = projected.trace(axis1=1, axis2=2).real
+    degenerate = weights < 1e-15
+    weights[degenerate] = 0.0
+    posts = projected / np.where(degenerate, 1.0, weights)[:, None, None]
+    posts[degenerate] = np.eye(remaining_dim) / remaining_dim
+    total = float(weights.sum())
     if abs(total - 1.0) > DM_TOL:
         raise ValueError(f"branch probabilities sum to {total}, expected 1")
-    return tuple(outcomes)
+    return weights, posts
 
 
 def pauli_correct(rho: np.ndarray, outcome: int, target: int) -> np.ndarray:
@@ -152,23 +158,18 @@ def pauli_correct(rho: np.ndarray, outcome: int, target: int) -> np.ndarray:
     Defined so that a state labelled s ^ outcome is mapped back to the state
     labelled s when the correction acts on either qubit of the pair.
     """
-    return _pauli_correct(rho, validate_density_matrix(rho), outcome, target)
+    return _pauli_correct(np.asarray(rho)[None], validate_density_matrix(rho), _CORRECTIONS[[outcome]], target)[0]
 
 
-def _pauli_correct(rho: np.ndarray, n_qubits: int, outcome: int, target: int) -> np.ndarray:
+def _pauli_correct(states: np.ndarray, n_qubits: int, gates: np.ndarray, target: int) -> np.ndarray:
+    """Conjugate each state of the stack ``states`` by the matching gate of ``gates`` on qubit ``target``."""
     if not (0 <= target < n_qubits):
         raise ValueError(f"target qubit {target} out of range for {n_qubits} qubits")
-    gate = _CORRECTIONS[outcome]
-    tensor = _as_tensor(rho, n_qubits)
+    tensor = np.asarray(states, dtype=complex).reshape((len(gates),) + (2,) * (2 * n_qubits))
     letters = _LETTERS[: 2 * n_qubits]
-    ket, bra = "Y", "Z"
-    out_letters = list(letters)
-    out_letters[target] = ket
-    out_letters[n_qubits + target] = bra
-    spec = f"{ket}{letters[target]},{letters},{bra}{letters[n_qubits + target]}->{''.join(out_letters)}"
-    corrected = np.einsum(spec, gate, tensor, gate.conj())
-    dim = 2**n_qubits
-    return corrected.reshape(dim, dim)
+    ket, bra = letters[target], letters[n_qubits + target]
+    spec = f"XY{ket},X{letters},XZ{bra}->X{letters.replace(ket, 'Y').replace(bra, 'Z')}"
+    return np.einsum(spec, gates, tensor, gates.conj()).reshape(np.shape(states))
 
 
 def dm_to_bell_diagonal(rho: np.ndarray) -> BellDiagonal:
@@ -179,20 +180,24 @@ def dm_to_bell_diagonal(rho: np.ndarray) -> BellDiagonal:
     """
     if validate_density_matrix(rho) != 2:
         raise ValueError("expected a two-qubit state")
-    vecs = [bell_state_vector(s) for s in range(4)]
-    weights = []
-    for a in range(4):
-        for b in range(4):
-            coeff = complex(vecs[a].conj() @ np.asarray(rho, dtype=complex) @ vecs[b])
-            if a == b:
-                weights.append(coeff.real)
-            elif abs(coeff) > DM_TOL:
-                raise ValueError(f"state is not diagonal in the entangled basis: cross term {abs(coeff)}")
-    clipped = [max(0.0, w) for w in weights]
+    coeffs = _V.conj().T @ np.asarray(rho, dtype=complex) @ _V
+    cross = np.abs(coeffs[~np.eye(4, dtype=bool)])
+    if (cross > DM_TOL).any():
+        raise ValueError(f"state is not diagonal in the entangled basis: cross term {cross[cross > DM_TOL][0]}")
+    clipped = [max(0.0, float(w)) for w in coeffs.diagonal().real]
     total = sum(clipped)
     if abs(total - 1.0) > DM_TOL:
         raise ValueError(f"diagonal weights sum to {total}, expected 1")
     return BellDiagonal(tuple(w / total for w in clipped))
+
+
+def _join(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Measure qubits 1 and 2 of left x right, correct the new left end (qubit 0) and Born-average."""
+    weights, posts = _swap_branches(np.kron(left, right), 4, (1, 2))
+    _validate_stack(posts)
+    joined = (weights[:, None, None] * _pauli_correct(posts, 2, _CORRECTIONS, 0)).sum(axis=0)
+    validate_density_matrix(joined)
+    return joined
 
 
 def simulate_chain_exact(
@@ -208,9 +213,9 @@ def simulate_chain_exact(
     station schedule (default: left to right). Pairs that no station has joined
     share no operation, so the chain's state is always a product of two-qubit
     segment states, and station r only acts on the segment ending at r and the one
-    starting at r: it measures qubits 1 and 2 of their 16x16 product. Each link
-    state, each 4x4 branch and each Born average is validated by its spectrum.
-    ``MAX_LINKS`` only bounds the running time.
+    starting at r: it measures qubits 1 and 2 of their 16x16 product and handles
+    the four branches as one stack, each validated by its spectrum, as are the link
+    states and each Born average. ``MAX_LINKS`` only bounds the running time.
     """
     n_links = len(links)
     if not (1 <= n_links <= MAX_LINKS):
@@ -220,19 +225,13 @@ def simulate_chain_exact(
         if sorted(order) != stations:
             raise ValueError(f"order must permute stations {stations}, got {list(order)}")
         stations = list(order)
-    segments = [bell_diagonal_dm(d) for d in links]
-    for segment in segments:
-        validate_density_matrix(segment)
+    link_states = _diagonal_states([d.probs for d in links])
+    _validate_stack(link_states)
+    segments = list(link_states)
     # Segment k runs from node ends[k - 1] (node 0 for k = 0) to node ends[k].
     ends = list(range(1, n_links + 1))
     for station in stations:
         k = ends.index(station)
-        joined = np.zeros((4, 4), dtype=complex)
-        for branch in _swap_branches(np.kron(segments[k], segments[k + 1]), 4, (1, 2)):
-            validate_density_matrix(branch.post_state)
-            # After the pair is removed, the joined segment's left end is qubit 0.
-            joined += branch.probability * _pauli_correct(branch.post_state, 2, branch.outcome, 0)
-        validate_density_matrix(joined)
-        segments[k : k + 2] = [joined]
+        segments[k : k + 2] = [_join(segments[k], segments[k + 1])]
         del ends[k]
     return dm_to_bell_diagonal(segments[0])

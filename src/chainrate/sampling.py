@@ -19,7 +19,8 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from typing import Any, Iterable, NamedTuple, Sequence
+from collections.abc import Iterable
+from typing import Any, NamedTuple, Sequence
 
 # Guard for exhaustive subset enumeration.
 MAX_EXHAUSTIVE_SUBSETS = 5_000_000

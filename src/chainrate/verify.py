@@ -221,12 +221,21 @@ def check_chain_noise_closed_form() -> CheckResult:
     return CheckResult("chain_noise_closed_form", ok, f"max deviation {worst:.3e}")
 
 
+def _honest_links(spec: ChainSpec) -> tuple[BellDiagonal, ...]:
+    """The honest-left links followed by the honest-right links."""
+    return spec.links[: spec.honest_left] + spec.links[len(spec.links) - spec.honest_right:]
+
+
 def check_noise_parameter_routes(seed: int) -> CheckResult:
     """The honest-zone double sum equals the two-marginal parity formula, and
-    enumeration over honest links confirms both on small chains."""
+    enumeration over honest links confirms both on small chains. On the preset
+    and the first 10 seeded chains with an honest link, the density-matrix oracle
+    swaps the honest-left links followed by the honest-right links: the end-to-end
+    phase is the XOR of the two segments' phases, so its phase error equals p*."""
     chains = 100
     rng = np.random.default_rng(seed)
     worst = 0.0
+    zones = [(_honest_links(_PRESET), noise.noise_parameter(_PRESET))]
     for _ in range(chains):
         repeaters = int(rng.integers(1, 7))
         links = tuple(random_dist(rng) for _ in range(repeaters + 1))
@@ -239,9 +248,17 @@ def check_noise_parameter_routes(seed: int) -> CheckResult:
         p_r = bell.phase_error_prob(right)
         parity = p_l * (1.0 - p_r) + p_r * (1.0 - p_l)
         worst = max(worst, abs(double_sum - parity))
-        honest_links = links[:honest_left] + links[len(links) - honest_right:]
+        honest_links = _honest_links(spec)
         worst = max(worst, abs(double_sum - enumerate_phase_parity(honest_links)))
-    return CheckResult("noise_parameter_routes", worst <= 1e-12, f"{chains} chains, max deviation {worst:.3e}")
+        if honest_links and len(zones) <= 10:
+            zones.append((honest_links, double_sum))
+    worst_oracle = max(abs(bell.phase_error_prob(dm_oracle.simulate_chain_exact(z)) - p) for z, p in zones)
+    return CheckResult(
+        "noise_parameter_routes",
+        worst <= 1e-12 and worst_oracle <= 1e-12,
+        f"{chains} chains, max deviation {worst:.3e}; "
+        f"oracle on {len(zones)} honest zones, max deviation {worst_oracle:.3e}",
+    )
 
 
 def check_sampling_roundtrip() -> CheckResult:

@@ -173,6 +173,63 @@ def test_dm_decomposition_rejects_larger_systems():
         dm_to_bell_diagonal(rho)
 
 
+def _random_mixed_state(rng):
+    gram = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho = gram @ gram.conj().T
+    return rho / np.trace(rho).real
+
+
+def _join_pairs():
+    rng = np.random.default_rng(4139)
+    zero = np.zeros((4, 4), dtype=complex)
+    zero[0, 0] = 1.0
+    point = bell_diagonal_dm(BellDiagonal.point())
+    pairs = [(bell_diagonal_dm(random_dist(rng)), bell_diagonal_dm(random_dist(rng))) for _ in range(5)]
+    pairs += [(point, bell_diagonal_dm(random_dist(rng))), (bell_diagonal_dm(random_dist(rng)), point), (point, point)]
+    pairs += [(_random_mixed_state(rng), _random_mixed_state(rng)) for _ in range(3)]
+    pairs.append((zero, zero))
+    return pairs
+
+
+@pytest.mark.parametrize("left, right", _join_pairs())
+def test_station_join_matches_the_per_branch_public_path(left, right):
+    """The stacked join equals bell_swap, then pauli_correct on each branch, then
+    the Born-weighted sum. Bell-diagonal factors leave the middle pair maximally
+    mixed (four branches of 1/4, point() factors too); |00><00| x |00><00| has two
+    degenerate branches."""
+    branches = bell_swap(np.kron(left, right), (1, 2))
+    reference = sum(br.probability * pauli_correct(br.post_state, br.outcome, 0) for br in branches)
+    assert np.max(np.abs(dm_oracle._join(left, right) - reference)) <= 1e-12
+
+
+def _bad_4x4(reason):
+    if reason == "non-Hermitian":
+        rho = bell_diagonal_dm(UNIFORM)
+        rho[0, 1] += 0.01j
+    elif reason == "trace":
+        rho = np.eye(4, dtype=complex) / 2.0
+    elif reason == "negative eigenvalue":
+        rho = np.diag([-0.1, 1.1 / 3, 1.1 / 3, 1.1 / 3]).astype(complex)
+    else:
+        rho = np.eye(4, dtype=complex) / 4.0
+        rho[2, 2] = np.nan
+    return rho
+
+
+@pytest.mark.parametrize("position", [0, 1, 3])
+@pytest.mark.parametrize("reason", ["non-Hermitian", "trace", "negative eigenvalue", "NaN"])
+def test_stack_validator_names_the_one_bad_member(reason, position):
+    rng = np.random.default_rng(4140)
+    bad = _bad_4x4(reason)
+    stack = np.array([bell_diagonal_dm(random_dist(rng)) for _ in range(4)])
+    stack[position] = bad
+    with pytest.raises(ValueError) as alone:
+        validate_density_matrix(bad)
+    with pytest.raises(ValueError) as stacked:
+        dm_oracle._validate_stack(stack)
+    assert str(stacked.value) == str(alone.value)
+
+
 def _full_kron_reference(links, order):
     """The whole chain as one state, swapped with the public operations: the
     correction goes on the chain's leftmost qubit, and no product is assumed."""
@@ -229,7 +286,8 @@ def test_chain_simulation_matches_every_rated_chain(config):
 
 def test_chain_simulation_decomposes_no_product_state(monkeypatch):
     """Each station joins two 4x4 segment states through one 16x16 product, so
-    in any station order only 4x4 states reach eigvalsh and no product is larger."""
+    in any station order only stacks of 4x4 states reach eigvalsh and no product
+    is larger."""
     rng = np.random.default_rng(4136)
     links = [random_dist(rng) for _ in range(6)]
     eig_dims, kron_dims = [], []
@@ -251,7 +309,7 @@ def test_chain_simulation_decomposes_no_product_state(monkeypatch):
     for order in orders:
         exact = simulate_chain_exact(links, order=order)
         assert max(abs(a - b) for a, b in zip(exact.probs, fast.probs)) < 1e-10
-    assert eig_dims and set(eig_dims) == {(4, 4)}
+    assert eig_dims and {dims[-2:] for dims in eig_dims} == {(4, 4)}
     assert kron_dims and set(kron_dims) == {(16, 16)}
     assert len(kron_dims) == 5 * len(orders)
 
