@@ -8,14 +8,14 @@ certify the fast distribution-level algebra, so it shares no code path with it.
 Pairs that no station has joined share no operation, so a chain's state is
 always a product of two-qubit segment states; a station joins the two segments
 that meet at it through one 16x16 product and handles its four 4x4 branches as
-one stack, each still validated by its spectrum. The public operations take
-states of 1..8 qubits.
+one stack. States have 1..8 qubits: ``validate_density_matrix`` and
+``pauli_correct`` take stacks, ``bell_swap`` and ``dm_to_bell_diagonal`` one state.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -68,22 +68,18 @@ def bell_diagonal_dm(dist: BellDiagonal) -> np.ndarray:
 def validate_density_matrix(rho: np.ndarray) -> int:
     """Check Hermiticity, unit trace, and positivity within DM_TOL; return the qubit count.
 
-    Raises ValueError when any check fails or the dimension is not a power of
-    two between 2 and 2**8.
+    ``rho`` is one square matrix or a stack ``(..., d, d)`` of them, and a
+    message names the first failing member. Raises ValueError when any check
+    fails or the dimension is not a power of two between 2 and 2**8.
     """
     rho = np.asarray(rho)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {rho.shape}")
-    dim = rho.shape[0]
+    dim = rho.shape[-1]
     n_qubits = dim.bit_length() - 1
     if dim != 2**n_qubits or not (1 <= n_qubits <= 8):
         raise ValueError(f"dimension {dim} is not 2**k for k in 1..8")
-    _validate_stack(rho[None])
-    return n_qubits
-
-
-def _validate_stack(states: np.ndarray) -> None:
-    """Each check of validate_density_matrix at once over a stack; the message names the first failing member."""
+    states = rho.reshape(-1, dim, dim)
     if not np.isfinite(states).all():
         raise ValueError("matrix has non-finite entries")
     if np.abs(states - states.conj().swapaxes(-1, -2)).max() > DM_TOL:
@@ -95,52 +91,36 @@ def _validate_stack(states: np.ndarray) -> None:
     lowest = np.linalg.eigvalsh(states).min(axis=-1)
     if lowest.min() < -DM_TOL:
         raise ValueError(f"matrix has negative eigenvalue {lowest[lowest < -DM_TOL][0]}")
+    return n_qubits
 
 
-class SwapOutcome(NamedTuple):
-    """One measurement branch of a station's pair measurement.
+def bell_swap(rho: np.ndarray, pair: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Measure qubit pair ``pair`` of the one state ``rho`` in the entangled basis.
 
-    ``post_state`` lives on the remaining qubits, in their original order.
-    ``degenerate`` marks branches of probability ~0, whose post state is set
-    to the maximally mixed one purely as a placeholder.
+    Returns the Born weights and the normalized post states on the remaining
+    qubits, in their original order, stacked by outcome along axis 0; the
+    weights sum to 1. A branch of weight 0.0 is degenerate: its post state is
+    the maximally mixed one, purely as a placeholder.
     """
-
-    outcome: int
-    probability: float
-    post_state: np.ndarray
-    degenerate: bool = False
-
-
-def _project_pair(tensor: np.ndarray, n_qubits: int, pair: tuple[int, int]) -> np.ndarray:
-    """<v_s| rho |v_s> on qubit pair ``pair`` for each basis state s, stacked along axis 0."""
-    i, j = pair
-    letters = _LETTERS[: 2 * n_qubits]
-    kept = "".join(l for k, l in enumerate(letters) if k not in (i, j, n_qubits + i, n_qubits + j))
-    spec = f"{letters},z{letters[i]}{letters[j]},z{letters[n_qubits + i]}{letters[n_qubits + j]}->z{kept}"
-    return np.einsum(spec, tensor, _BELL_BASIS.conj(), _BELL_BASIS)
-
-
-def bell_swap(rho: np.ndarray, pair: tuple[int, int]) -> tuple[SwapOutcome, ...]:
-    """Measure qubit pair ``pair`` in the entangled basis.
-
-    Returns all four branches. Probabilities sum to 1; each post state is the
-    normalized reduced state on the remaining qubits.
-    """
-    weights, posts = _swap_branches(rho, validate_density_matrix(rho), pair)
-    return tuple(SwapOutcome(s, float(weights[s]), posts[s], degenerate=bool(weights[s] == 0.0)) for s in range(4))
+    if np.ndim(rho) != 2:
+        raise ValueError(f"expected one state, got shape {np.shape(rho)}")
+    return _swap_branches(rho, validate_density_matrix(rho), pair)
 
 
 def _swap_branches(rho: np.ndarray, n_qubits: int, pair: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Born weights and normalized post states of the four outcomes, stacked along axis 0;
-    a degenerate branch (weight below 1e-15) gets weight 0.0 and a maximally mixed placeholder."""
+    """bell_swap on a state already validated; a branch of weight below 1e-15 is degenerate."""
     i, j = pair
     if not (0 <= i < n_qubits and 0 <= j < n_qubits) or i == j:
         raise ValueError(f"invalid qubit pair {pair} for {n_qubits} qubits")
     if n_qubits < 3:
         raise ValueError("pair measurement needs at least one unmeasured qubit")
     tensor = np.asarray(rho, dtype=complex).reshape((2,) * (2 * n_qubits))
+    # <v_s| rho |v_s> on the pair for each basis state s, stacked along axis 0.
+    letters = _LETTERS[: 2 * n_qubits]
+    kept = "".join(l for k, l in enumerate(letters) if k not in (i, j, n_qubits + i, n_qubits + j))
+    spec = f"{letters},z{letters[i]}{letters[j]},z{letters[n_qubits + i]}{letters[n_qubits + j]}->z{kept}"
     remaining_dim = 2 ** (n_qubits - 2)
-    projected = _project_pair(tensor, n_qubits, pair).reshape(4, remaining_dim, remaining_dim)
+    projected = np.einsum(spec, tensor, _BELL_BASIS.conj(), _BELL_BASIS).reshape(4, remaining_dim, remaining_dim)
     weights = projected.trace(axis1=1, axis2=2).real
     degenerate = weights < 1e-15
     weights[degenerate] = 0.0
@@ -152,34 +132,32 @@ def _swap_branches(rho: np.ndarray, n_qubits: int, pair: tuple[int, int]) -> tup
     return weights, posts
 
 
-def pauli_correct(rho: np.ndarray, outcome: int, target: int) -> np.ndarray:
-    """Apply the conditional correction X**bt then Z**ph of symbol ``outcome`` to qubit ``target``.
+def pauli_correct(states: np.ndarray, outcomes: Sequence[int], target: int) -> np.ndarray:
+    """Apply the conditional correction X**bt then Z**ph of symbol ``outcomes[k]`` to qubit ``target`` of ``states[k]``.
 
-    Defined so that a state labelled s ^ outcome is mapped back to the state
-    labelled s when the correction acts on either qubit of the pair.
+    ``states`` is a stack ``(k, d, d)``, validated here. Defined so that a state
+    labelled s ^ outcome is mapped back to the state labelled s when the
+    correction acts on either qubit of the pair.
     """
-    return _pauli_correct(np.asarray(rho)[None], validate_density_matrix(rho), _CORRECTIONS[[outcome]], target)[0]
-
-
-def _pauli_correct(states: np.ndarray, n_qubits: int, gates: np.ndarray, target: int) -> np.ndarray:
-    """Conjugate each state of the stack ``states`` by the matching gate of ``gates`` on qubit ``target``."""
+    n_qubits = validate_density_matrix(states)
     if not (0 <= target < n_qubits):
         raise ValueError(f"target qubit {target} out of range for {n_qubits} qubits")
-    tensor = np.asarray(states, dtype=complex).reshape((len(gates),) + (2,) * (2 * n_qubits))
+    gates = _CORRECTIONS[np.asarray(outcomes)]
+    tensor = np.asarray(states, dtype=complex).reshape(np.shape(states)[:-2] + (2,) * (2 * n_qubits))
     letters = _LETTERS[: 2 * n_qubits]
     ket, bra = letters[target], letters[n_qubits + target]
-    spec = f"XY{ket},X{letters},XZ{bra}->X{letters.replace(ket, 'Y').replace(bra, 'Z')}"
+    spec = f"...Y{ket},...{letters},...Z{bra}->...{letters.replace(ket, 'Y').replace(bra, 'Z')}"
     return np.einsum(spec, gates, tensor, gates.conj()).reshape(np.shape(states))
 
 
 def dm_to_bell_diagonal(rho: np.ndarray) -> BellDiagonal:
-    """Decompose a two-qubit state in the entangled basis.
+    """Decompose the one two-qubit state ``rho`` in the entangled basis.
 
     Raises ValueError when any cross term exceeds DM_TOL in magnitude, i.e.
     when the state is not diagonal in that basis.
     """
-    if validate_density_matrix(rho) != 2:
-        raise ValueError("expected a two-qubit state")
+    if np.ndim(rho) != 2 or validate_density_matrix(rho) != 2:
+        raise ValueError(f"expected one two-qubit state, got shape {np.shape(rho)}")
     coeffs = _V.conj().T @ np.asarray(rho, dtype=complex) @ _V
     cross = np.abs(coeffs[~np.eye(4, dtype=bool)])
     if (cross > DM_TOL).any():
@@ -193,11 +171,9 @@ def dm_to_bell_diagonal(rho: np.ndarray) -> BellDiagonal:
 
 def _join(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Measure qubits 1 and 2 of left x right, correct the new left end (qubit 0) and Born-average."""
+    validate_density_matrix(np.array([left, right]))
     weights, posts = _swap_branches(np.kron(left, right), 4, (1, 2))
-    _validate_stack(posts)
-    joined = (weights[:, None, None] * _pauli_correct(posts, 2, _CORRECTIONS, 0)).sum(axis=0)
-    validate_density_matrix(joined)
-    return joined
+    return (weights[:, None, None] * pauli_correct(posts, range(4), 0)).sum(axis=0)
 
 
 def simulate_chain_exact(
@@ -214,8 +190,9 @@ def simulate_chain_exact(
     share no operation, so the chain's state is always a product of two-qubit
     segment states, and station r only acts on the segment ending at r and the one
     starting at r: it measures qubits 1 and 2 of their 16x16 product and handles
-    the four branches as one stack, each validated by its spectrum, as are the link
-    states and each Born average. ``MAX_LINKS`` only bounds the running time.
+    the four branches as one stack. Each state is validated once, where it is used:
+    the two segments as the join's input, the four post states by the correction,
+    and the final segment by the readout. ``MAX_LINKS`` only bounds the running time.
     """
     n_links = len(links)
     if not (1 <= n_links <= MAX_LINKS):
@@ -225,9 +202,7 @@ def simulate_chain_exact(
         if sorted(order) != stations:
             raise ValueError(f"order must permute stations {stations}, got {list(order)}")
         stations = list(order)
-    link_states = _diagonal_states([d.probs for d in links])
-    _validate_stack(link_states)
-    segments = list(link_states)
+    segments = list(_diagonal_states([d.probs for d in links]))
     # Segment k runs from node ends[k - 1] (node 0 for k = 0) to node ends[k].
     ends = list(range(1, n_links + 1))
     for station in stations:

@@ -113,10 +113,11 @@ def check_swap_identity() -> CheckResult:
             vec_a = dm_oracle.bell_state_vector(a)
             vec_b = dm_oracle.bell_state_vector(b)
             rho = np.kron(np.outer(vec_a, vec_a.conj()), np.outer(vec_b, vec_b.conj()))
-            for branch in dm_oracle.bell_swap(rho, (1, 2)):
-                worst_prob = max(worst_prob, abs(branch.probability - 0.25))
-                target = dm_oracle.bell_state_vector(a ^ b ^ branch.outcome)
-                fidelity = float((target.conj() @ branch.post_state @ target).real)
+            weights, posts = dm_oracle.bell_swap(rho, (1, 2))
+            worst_prob = max(worst_prob, float(np.abs(weights - 0.25).max()))
+            for x in range(4):
+                target = dm_oracle.bell_state_vector(a ^ b ^ x)
+                fidelity = float((target.conj() @ posts[x] @ target).real)
                 worst_fidelity = min(worst_fidelity, fidelity)
     ok = worst_prob <= 1e-10 and worst_fidelity >= 1.0 - 1e-10
     return CheckResult(
@@ -128,16 +129,13 @@ def check_swap_identity() -> CheckResult:
 
 def check_pauli_correction() -> CheckResult:
     """The announced-outcome correction restores the label on either qubit."""
-    worst = 0.0
-    for s in range(4):
-        for x in range(4):
-            shifted = dm_oracle.bell_state_vector(s ^ x)
-            rho = np.outer(shifted, shifted.conj())
-            target_vec = dm_oracle.bell_state_vector(s)
-            target = np.outer(target_vec, target_vec.conj())
-            for qubit in (0, 1):
-                corrected = dm_oracle.pauli_correct(rho, x, qubit)
-                worst = max(worst, float(np.max(np.abs(corrected - target))))
+    labels = [(s, x) for s in range(4) for x in range(4)]
+    shifted = np.array([dm_oracle.bell_state_vector(s ^ x) for s, x in labels])
+    targets = np.array([dm_oracle.bell_state_vector(s) for s, _ in labels])
+    states = np.einsum("ki,kj->kij", shifted, shifted.conj())
+    expected = np.einsum("ki,kj->kij", targets, targets.conj())
+    outcomes = [x for _, x in labels]
+    worst = max(float(np.abs(dm_oracle.pauli_correct(states, outcomes, q) - expected).max()) for q in (0, 1))
     return CheckResult("pauli_correction", worst <= 1e-12, f"max deviation {worst:.3e}")
 
 

@@ -1,6 +1,7 @@
 """Density-matrix reference path: states, swaps, corrections, chain simulation."""
 
 import itertools
+import math
 from functools import reduce
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from chainrate.config import default_chain_config, load_chain_config
 from chainrate.dm_oracle import (
     MAX_LINKS,
     bell_diagonal_dm,
+    bell_state_vector,
     bell_swap,
     dm_to_bell_diagonal,
     pauli_correct,
@@ -94,7 +96,7 @@ def _nan_4q():
 )
 @pytest.mark.parametrize(
     "operation",
-    [lambda rho: bell_swap(rho, (1, 2)), lambda rho: pauli_correct(rho, 0b11, 0)],
+    [lambda rho: bell_swap(rho, (1, 2)), lambda rho: pauli_correct(rho[None], [0b11], 0)],
     ids=["bell_swap", "pauli_correct"],
 )
 def test_public_operations_reject_invalid_states(make_state, reason, operation):
@@ -121,11 +123,12 @@ def test_swap_branch_probabilities_follow_the_convolution():
     for _ in range(5):
         p, q = random_dist(rng), random_dist(rng)
         folded = convolve(p, q)
-        for br in bell_swap(np.kron(bell_diagonal_dm(p), bell_diagonal_dm(q)), (1, 2)):
-            assert abs(br.probability - 0.25) < 1e-12
-            post = dm_to_bell_diagonal(br.post_state)
+        weights, posts = bell_swap(np.kron(bell_diagonal_dm(p), bell_diagonal_dm(q)), (1, 2))
+        assert np.max(np.abs(weights - 0.25)) < 1e-12
+        for x in range(4):
+            post = dm_to_bell_diagonal(posts[x])
             for s in range(4):
-                assert abs(post.probs[s] - folded.probs[s ^ br.outcome]) < 1e-12
+                assert abs(post.probs[s] - folded.probs[s ^ x]) < 1e-12
 
 
 def test_swap_flags_zero_probability_branches_as_degenerate():
@@ -133,22 +136,54 @@ def test_swap_flags_zero_probability_branches_as_degenerate():
     equal-bit states, nothing on the unequal-bit ones."""
     zero = np.zeros((4, 4), dtype=complex)
     zero[0, 0] = 1.0
-    branches = bell_swap(np.kron(zero, zero), (1, 2))
-    assert [br.outcome for br in branches] == [0, 1, 2, 3]
-    assert [br.degenerate for br in branches] == [False, False, True, True]
-    for br in branches[:2]:
-        assert abs(br.probability - 0.5) < 1e-12
-        assert np.allclose(br.post_state, zero, atol=1e-12)
-    for br in branches[2:]:
-        assert br.probability == 0.0
-        assert validate_density_matrix(br.post_state) == 2
-        assert np.array_equal(br.post_state, np.eye(4) / 4.0)
+    weights, posts = bell_swap(np.kron(zero, zero), (1, 2))
+    assert weights.shape == (4,) and posts.shape == (4, 4, 4)
+    assert (weights == 0.0).tolist() == [False, False, True, True]
+    assert np.allclose(weights[:2], 0.5, atol=1e-12)
+    assert np.allclose(posts[:2], zero, atol=1e-12)
+    assert validate_density_matrix(posts[2:]) == 2
+    assert np.array_equal(posts[2:], np.array([np.eye(4) / 4.0] * 2))
+
+
+def _near_bell_state():
+    """Bell weights (1 + 3.6e-10, -0.9e-10, -0.9e-10, -0.9e-10): within DM_TOL of a
+    state, so validate_density_matrix accepts it, but its clipped weights sum past 1."""
+    vecs = [bell_state_vector(s) for s in range(4)]
+    return sum(w * np.outer(v, v.conj()) for w, v in zip([1 + 3.6e-10, -0.9e-10, -0.9e-10, -0.9e-10], vecs))
+
+
+def test_dm_decomposition_rejects_weights_that_do_not_sum_to_one():
+    rho = _near_bell_state()
+    assert validate_density_matrix(rho) == 2
+    with pytest.raises(ValueError, match="diagonal weights sum to"):
+        dm_to_bell_diagonal(rho)
+
+
+def test_swap_rejects_branch_probabilities_that_do_not_sum_to_one():
+    zero = np.diag([1.0, 0.0]).astype(complex)
+    rho = np.kron(zero, _near_bell_state())
+    assert validate_density_matrix(rho) == 3
+    with pytest.raises(ValueError, match="branch probabilities sum to"):
+        bell_swap(rho, (1, 2))
+
+
+@pytest.mark.parametrize(
+    "operation",
+    [lambda stack: bell_swap(stack, (1, 2)), dm_to_bell_diagonal],
+    ids=["bell_swap", "dm_to_bell_diagonal"],
+)
+@pytest.mark.parametrize("n_qubits", [2, 3])
+def test_single_state_operations_reject_a_stack(operation, n_qubits):
+    stack = np.array([np.eye(2**n_qubits, dtype=complex) / 2**n_qubits] * 4)
+    with pytest.raises(ValueError, match="^expected one .*state, got shape") as raised:
+        operation(stack)
+    assert "\n" not in str(raised.value)
 
 
 def test_pauli_correction_target_range():
     rho = bell_diagonal_dm(UNIFORM)
     with pytest.raises(ValueError):
-        pauli_correct(rho, 0b10, 2)
+        pauli_correct(rho[None], [0b10], 2)
 
 
 def test_dm_decomposition_roundtrip():
@@ -193,12 +228,12 @@ def _join_pairs():
 
 @pytest.mark.parametrize("left, right", _join_pairs())
 def test_station_join_matches_the_per_branch_public_path(left, right):
-    """The stacked join equals bell_swap, then pauli_correct on each branch, then
-    the Born-weighted sum. Bell-diagonal factors leave the middle pair maximally
+    """The stacked join equals bell_swap, then pauli_correct on each branch alone,
+    then the Born-weighted sum. Bell-diagonal factors leave the middle pair maximally
     mixed (four branches of 1/4, point() factors too); |00><00| x |00><00| has two
     degenerate branches."""
-    branches = bell_swap(np.kron(left, right), (1, 2))
-    reference = sum(br.probability * pauli_correct(br.post_state, br.outcome, 0) for br in branches)
+    weights, posts = bell_swap(np.kron(left, right), (1, 2))
+    reference = sum(weights[x] * pauli_correct(posts[x][None], [x], 0)[0] for x in range(4))
     assert np.max(np.abs(dm_oracle._join(left, right) - reference)) <= 1e-12
 
 
@@ -226,7 +261,7 @@ def test_stack_validator_names_the_one_bad_member(reason, position):
     with pytest.raises(ValueError) as alone:
         validate_density_matrix(bad)
     with pytest.raises(ValueError) as stacked:
-        dm_oracle._validate_stack(stack)
+        validate_density_matrix(stack)
     assert str(stacked.value) == str(alone.value)
 
 
@@ -237,7 +272,8 @@ def _full_kron_reference(links, order):
     labels = list(range(2 * len(links)))
     for station in order:
         i, j = labels.index(2 * station - 1), labels.index(2 * station)
-        rho = sum(br.probability * pauli_correct(br.post_state, br.outcome, 0) for br in bell_swap(rho, (i, j)))
+        weights, posts = bell_swap(rho, (i, j))
+        rho = np.einsum("x,xij->ij", weights, pauli_correct(posts, range(4), 0))
         del labels[j], labels[i]
     return rho
 
@@ -287,7 +323,9 @@ def test_chain_simulation_matches_every_rated_chain(config):
 def test_chain_simulation_decomposes_no_product_state(monkeypatch):
     """Each station joins two 4x4 segment states through one 16x16 product, so
     in any station order only stacks of 4x4 states reach eigvalsh and no product
-    is larger."""
+    is larger. Each state is validated once: each of the five joins checks its
+    two inputs and four post states, and the readout the final segment, so
+    6L - 5 = 31 matrices reach eigvalsh per order."""
     rng = np.random.default_rng(4136)
     links = [random_dist(rng) for _ in range(6)]
     eig_dims, kron_dims = [], []
@@ -307,8 +345,10 @@ def test_chain_simulation_decomposes_no_product_state(monkeypatch):
     fast = fold_convolve(links)
     orders = [(1, 2, 3, 4, 5), (5, 4, 3, 2, 1), (3, 1, 5, 2, 4), (2, 4, 1, 5, 3)]
     for order in orders:
+        eig_dims.clear()
         exact = simulate_chain_exact(links, order=order)
         assert max(abs(a - b) for a, b in zip(exact.probs, fast.probs)) < 1e-10
+        assert sum(math.prod(dims[:-2]) for dims in eig_dims) == 6 * len(links) - 5
     assert eig_dims and {dims[-2:] for dims in eig_dims} == {(4, 4)}
     assert kron_dims and set(kron_dims) == {(16, 16)}
     assert len(kron_dims) == 5 * len(orders)
