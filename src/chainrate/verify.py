@@ -161,8 +161,7 @@ def check_oracle_equivalence(
         for _ in range(random_chains):
             chains.append([pool[i] for i in rng.integers(0, len(pool), size=length)])
     worst = 0.0
-    for links in chains:
-        exact = dm_oracle.simulate_chain_exact(links)
+    for links, exact in zip(chains, dm_oracle.simulate_chain_exact(chains)):
         folded = reduce(fn, links, BellDiagonal.point())
         deviation = max(abs(p - q) for p, q in zip(exact.probs, folded.probs))
         worst = max(worst, deviation)
@@ -182,10 +181,10 @@ def check_swap_order(seed: int) -> CheckResult:
         [depolarizing_dist(0.01), BellDiagonal.point(), depolarizing_dist(0.3)] * 2,
     ]
     chains += [[random_dist(rng) for _ in range(6)] for _ in range(4)]
+    orders = [range(1, 6)] * len(chains) + [rng.permutation(range(1, 6)).tolist() for _ in chains]
+    exact = dm_oracle.simulate_chain_exact(chains * 2, orders)
     worst = 0.0
-    for links in chains:
-        left_first = dm_oracle.simulate_chain_exact(links)
-        shuffled = dm_oracle.simulate_chain_exact(links, order=rng.permutation(range(1, len(links))).tolist())
+    for left_first, shuffled in zip(exact[: len(chains)], exact[len(chains):]):
         worst = max(worst, max(abs(p - q) for p, q in zip(left_first.probs, shuffled.probs)))
     return CheckResult("swap_order", worst <= 1e-10, f"max deviation {worst:.3e}")
 
@@ -197,7 +196,7 @@ def check_depolarizing_decomposition() -> CheckResult:
     worst = 0.0
     for q in (0.0, 0.01, 0.05, 0.3, 0.5, 1.0):
         mixed = (1.0 - q) * rho_perfect + (q / 4.0) * np.eye(4, dtype=complex)
-        decomposed = dm_oracle.dm_to_bell_diagonal(mixed)
+        decomposed = dm_oracle.dm_to_bell_diagonal(mixed[None])[0]
         expected = depolarizing_dist(q)
         worst = max(worst, max(abs(p - e) for p, e in zip(decomposed.probs, expected.probs)))
     return CheckResult("depolarizing_decomposition", worst <= 1e-12, f"max deviation {worst:.3e}")
@@ -250,7 +249,8 @@ def check_noise_parameter_routes(seed: int) -> CheckResult:
         worst = max(worst, abs(double_sum - enumerate_phase_parity(honest_links)))
         if honest_links and len(zones) <= 10:
             zones.append((honest_links, double_sum))
-    worst_oracle = max(abs(bell.phase_error_prob(dm_oracle.simulate_chain_exact(z)) - p) for z, p in zones)
+    exact = dm_oracle.simulate_chain_exact([z for z, _ in zones])
+    worst_oracle = max(abs(bell.phase_error_prob(e) - p) for e, (_, p) in zip(exact, zones))
     return CheckResult(
         "noise_parameter_routes",
         worst <= 1e-12 and worst_oracle <= 1e-12,

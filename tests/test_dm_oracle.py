@@ -125,8 +125,7 @@ def test_swap_branch_probabilities_follow_the_convolution():
         folded = convolve(p, q)
         weights, posts = bell_swap(np.kron(bell_diagonal_dm(p), bell_diagonal_dm(q)), (1, 2))
         assert np.max(np.abs(weights - 0.25)) < 1e-12
-        for x in range(4):
-            post = dm_to_bell_diagonal(posts[x])
+        for x, post in enumerate(dm_to_bell_diagonal(posts)):
             for s in range(4):
                 assert abs(post.probs[s] - folded.probs[s ^ x]) < 1e-12
 
@@ -156,7 +155,7 @@ def test_dm_decomposition_rejects_weights_that_do_not_sum_to_one():
     rho = _near_bell_state()
     assert validate_density_matrix(rho) == 2
     with pytest.raises(ValueError, match="diagonal weights sum to"):
-        dm_to_bell_diagonal(rho)
+        dm_to_bell_diagonal(rho[None])
 
 
 def test_swap_rejects_branch_probabilities_that_do_not_sum_to_one():
@@ -167,16 +166,21 @@ def test_swap_rejects_branch_probabilities_that_do_not_sum_to_one():
         bell_swap(rho, (1, 2))
 
 
-@pytest.mark.parametrize(
-    "operation",
-    [lambda stack: bell_swap(stack, (1, 2)), dm_to_bell_diagonal],
-    ids=["bell_swap", "dm_to_bell_diagonal"],
-)
+@pytest.mark.parametrize("operation", [lambda stack: bell_swap(stack, (1, 2))], ids=["bell_swap"])
 @pytest.mark.parametrize("n_qubits", [2, 3])
 def test_single_state_operations_reject_a_stack(operation, n_qubits):
     stack = np.array([np.eye(2**n_qubits, dtype=complex) / 2**n_qubits] * 4)
     with pytest.raises(ValueError, match="^expected one .*state, got shape") as raised:
         operation(stack)
+    assert "\n" not in str(raised.value)
+
+
+@pytest.mark.parametrize("n_qubits", [2, 3])
+def test_dm_decomposition_takes_only_a_stack_of_two_qubit_states(n_qubits):
+    """A single two-qubit matrix is refused, and so is a stack of larger states."""
+    rho = np.eye(2**n_qubits, dtype=complex) / 2**n_qubits
+    with pytest.raises(ValueError, match="^expected a stack of two-qubit states, got shape") as raised:
+        dm_to_bell_diagonal(rho if n_qubits == 2 else np.array([rho] * 4))
     assert "\n" not in str(raised.value)
 
 
@@ -186,11 +190,20 @@ def test_pauli_correction_target_range():
         pauli_correct(rho[None], [0b10], 2)
 
 
+@pytest.mark.parametrize("outcomes", [[-1], [4], [0, 1]], ids=["negative", "too-large", "too-many"])
+def test_pauli_correction_checks_its_outcomes(outcomes):
+    """A symbol outside 0..3 or an outcome count other than the stack's is refused
+    in one line, not applied as another symbol or left to numpy's indexing."""
+    rho = bell_diagonal_dm(UNIFORM)
+    with pytest.raises(ValueError) as raised:
+        pauli_correct(rho[None], outcomes, 0)
+    assert str(raised.value) == f"expected one symbol in 0..3 per state, got {outcomes} for shape (1, 4, 4)"
+
+
 def test_dm_decomposition_roundtrip():
     rng = np.random.default_rng(4132)
-    for _ in range(10):
-        dist = random_dist(rng)
-        back = dm_to_bell_diagonal(bell_diagonal_dm(dist))
+    dists = [random_dist(rng) for _ in range(10)]
+    for dist, back in zip(dists, dm_to_bell_diagonal(np.array([bell_diagonal_dm(d) for d in dists]))):
         assert np.allclose(back.probs, dist.probs, atol=1e-12)
 
 
@@ -199,13 +212,13 @@ def test_dm_decomposition_rejects_cross_terms():
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = 1.0
     with pytest.raises(ValueError):
-        dm_to_bell_diagonal(rho)
+        dm_to_bell_diagonal(rho[None])
 
 
 def test_dm_decomposition_rejects_larger_systems():
     rho = np.kron(bell_diagonal_dm(UNIFORM), bell_diagonal_dm(UNIFORM))
     with pytest.raises(ValueError):
-        dm_to_bell_diagonal(rho)
+        dm_to_bell_diagonal(rho[None])
 
 
 def _random_mixed_state(rng):
@@ -234,7 +247,7 @@ def test_station_join_matches_the_per_branch_public_path(left, right):
     degenerate branches."""
     weights, posts = bell_swap(np.kron(left, right), (1, 2))
     reference = sum(weights[x] * pauli_correct(posts[x][None], [x], 0)[0] for x in range(4))
-    assert np.max(np.abs(dm_oracle._join(left, right) - reference)) <= 1e-12
+    assert np.max(np.abs(dm_oracle._join(left[None], right[None])[0] - reference)) <= 1e-12
 
 
 def _bad_4x4(reason):
@@ -291,7 +304,7 @@ def _every_order(n_links, seed):
 def test_segment_joins_match_the_full_kron_reference(links, order):
     """The segment-product premise: joining two-qubit segments gives the same
     final state, entry for entry, as swapping the full Kronecker product."""
-    segment = bell_diagonal_dm(simulate_chain_exact(links, order))
+    segment = bell_diagonal_dm(simulate_chain_exact([links], [order])[0])
     assert np.max(np.abs(_full_kron_reference(links, order) - segment)) < 1e-12
 
 
@@ -300,7 +313,7 @@ def test_segment_joins_match_the_full_kron_reference(links, order):
 def test_chain_simulation_matches_convolution(n_links):
     rng = np.random.default_rng([413, n_links])
     links = [random_dist(rng) for _ in range(n_links)]
-    exact = simulate_chain_exact(links)
+    exact = simulate_chain_exact([links])[0]
     fast = fold_convolve(links)
     assert max(abs(a - b) for a, b in zip(exact.probs, fast.probs)) < 1e-10
 
@@ -315,56 +328,73 @@ def test_chain_simulation_matches_convolution(n_links):
     ids=["preset", "noisy_chain", "three_repeaters"],
 )
 def test_chain_simulation_matches_every_rated_chain(config):
-    exact = simulate_chain_exact(config.spec.links)
+    exact = simulate_chain_exact([config.spec.links])[0]
     fast = noise.end_to_end_dist(config.spec)
     assert max(abs(a - b) for a, b in zip(exact.probs, fast.probs)) < 1e-10
 
 
 def test_chain_simulation_decomposes_no_product_state(monkeypatch):
     """Each station joins two 4x4 segment states through one 16x16 product, so
-    in any station order only stacks of 4x4 states reach eigvalsh and no product
-    is larger. Each state is validated once: each of the five joins checks its
-    two inputs and four post states, and the readout the final segment, so
+    in any station order only stacks of 16x16 products reach the branch
+    measurement, only stacks of 4x4 states reach eigvalsh, and no product is
+    larger. Each state is validated once: each of the five joins checks its two
+    inputs and four post states, and the readout the final segment, so
     6L - 5 = 31 matrices reach eigvalsh per order."""
     rng = np.random.default_rng(4136)
     links = [random_dist(rng) for _ in range(6)]
-    eig_dims, kron_dims = [], []
-    eigvalsh, kron = np.linalg.eigvalsh, np.kron
+    eig_dims, swap_dims = [], []
+    eigvalsh, swap_branches = np.linalg.eigvalsh, dm_oracle._swap_branches
 
     def recording_eigvalsh(matrix, *args, **kwargs):
         eig_dims.append(np.shape(matrix))
         return eigvalsh(matrix, *args, **kwargs)
 
-    def recording_kron(a, b):
-        product = kron(a, b)
-        kron_dims.append(product.shape)
-        return product
+    def recording_swap_branches(states, *args):
+        swap_dims.append(np.shape(states))
+        return swap_branches(states, *args)
 
     monkeypatch.setattr(dm_oracle.np.linalg, "eigvalsh", recording_eigvalsh)
-    monkeypatch.setattr(dm_oracle.np, "kron", recording_kron)
+    monkeypatch.setattr(dm_oracle, "_swap_branches", recording_swap_branches)
     fast = fold_convolve(links)
     orders = [(1, 2, 3, 4, 5), (5, 4, 3, 2, 1), (3, 1, 5, 2, 4), (2, 4, 1, 5, 3)]
     for order in orders:
         eig_dims.clear()
-        exact = simulate_chain_exact(links, order=order)
+        exact = simulate_chain_exact([links], [order])[0]
         assert max(abs(a - b) for a, b in zip(exact.probs, fast.probs)) < 1e-10
         assert sum(math.prod(dims[:-2]) for dims in eig_dims) == 6 * len(links) - 5
     assert eig_dims and {dims[-2:] for dims in eig_dims} == {(4, 4)}
-    assert kron_dims and set(kron_dims) == {(16, 16)}
-    assert len(kron_dims) == 5 * len(orders)
+    assert swap_dims and {dims[-2:] for dims in swap_dims} == {(16, 16)}
+    assert sum(math.prod(dims[:-2]) for dims in swap_dims) == 5 * len(orders)
+
+
+def _mixed_stack():
+    """Three chains of each length 1..8, each with its own seeded station order."""
+    rng = np.random.default_rng(4142)
+    chains = [[random_dist(rng) for _ in range(n)] for n in range(1, 9) for _ in range(3)]
+    return chains, [rng.permutation(range(1, len(links))).tolist() for links in chains]
+
+
+def test_stacking_chains_changes_no_result():
+    """One call on a mixed stack equals each chain simulated alone, bit for bit,
+    and reversing the stack changes no member: no chain sees another's station."""
+    chains, orders = _mixed_stack()
+    stacked = simulate_chain_exact(chains, orders)
+    alone = [simulate_chain_exact([links], [order])[0] for links, order in zip(chains, orders)]
+    assert [d.probs for d in stacked] == [d.probs for d in alone]
+    reversed_stack = simulate_chain_exact(chains[::-1], orders[::-1])
+    assert [d.probs for d in reversed_stack[::-1]] == [d.probs for d in stacked]
 
 
 def test_chain_simulation_single_link_is_identity():
     d = BellDiagonal((0.9, 0.05, 0.03, 0.02))
-    out = simulate_chain_exact([d])
+    out = simulate_chain_exact([[d]])[0]
     assert np.allclose(out.probs, d.probs, atol=1e-12)
 
 
 def test_chain_simulation_station_order_is_irrelevant():
     rng = np.random.default_rng(4137)
     links = [random_dist(rng) for _ in range(3)]
-    forward = simulate_chain_exact(links, order=(1, 2))
-    backward = simulate_chain_exact(links, order=(2, 1))
+    forward, backward = simulate_chain_exact([links, links], [(1, 2), (2, 1)])
     assert np.allclose(forward.probs, backward.probs, atol=1e-10)
 
 
@@ -374,22 +404,28 @@ def test_chain_simulation_every_order_on_five_links_matches_convolution():
     fast = fold_convolve(links)
     orders = list(itertools.permutations(range(1, 5)))
     assert len(orders) == 24
-    for order in orders:
-        exact = simulate_chain_exact(links, order=order)
+    for exact in simulate_chain_exact([links] * len(orders), orders):
         assert max(abs(a - b) for a, b in zip(exact.probs, fast.probs)) < 1e-10
 
 
 def test_chain_simulation_rejects_bad_order():
     links = [UNIFORM] * 3
     with pytest.raises(ValueError):
-        simulate_chain_exact(links, order=(1,))
+        simulate_chain_exact([links], [(1,)])
     with pytest.raises(ValueError):
-        simulate_chain_exact(links, order=(1, 3))
+        simulate_chain_exact([links], [(1, 3)])
+    with pytest.raises(ValueError, match=r"^chain 1: order must permute stations \[1\], got \[2\]$"):
+        simulate_chain_exact([links, links[:2]], [(1, 2), (2,)])
+    with pytest.raises(ValueError, match="^expected one order per chain, got 1 for 2 chains$"):
+        simulate_chain_exact([links, links], [(1, 2)])
 
 
 def test_chain_simulation_link_count_limits():
     with pytest.raises(ValueError):
-        simulate_chain_exact([])
+        simulate_chain_exact([[]])
     too_many = [UNIFORM] * (MAX_LINKS + 1)
     with pytest.raises(ValueError):
-        simulate_chain_exact(too_many)
+        simulate_chain_exact([too_many])
+    with pytest.raises(ValueError, match=rf"^chain 2: link count must be in 1..{MAX_LINKS}, got {MAX_LINKS + 1}$"):
+        simulate_chain_exact([[UNIFORM], [UNIFORM] * 2, too_many])
+    assert simulate_chain_exact([]) == []

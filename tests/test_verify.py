@@ -62,7 +62,7 @@ def test_run_all_decomposes_nothing_above_16x16(monkeypatch):
     eigvalsh = np.linalg.eigvalsh
 
     def recording_eigvalsh(matrix, *args, **kwargs):
-        dims.append(np.shape(matrix)[0])
+        dims.append(np.shape(matrix)[-1])
         return eigvalsh(matrix, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
