@@ -70,7 +70,8 @@ def validate_density_matrix(rho: np.ndarray) -> int:
 
     ``rho`` is one square matrix or a stack ``(..., d, d)`` of them, and a
     message names the first failing member. Raises ValueError when any check
-    fails or the dimension is not a power of two between 2 and 2**8.
+    fails, the stack is empty or the dimension is not a power of two between
+    2 and 2**8.
     """
     rho = np.asarray(rho)
     if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
@@ -80,6 +81,8 @@ def validate_density_matrix(rho: np.ndarray) -> int:
     if dim != 2**n_qubits or not (1 <= n_qubits <= 8):
         raise ValueError(f"dimension {dim} is not 2**k for k in 1..8")
     states = rho.reshape(-1, dim, dim)
+    if not len(states):
+        raise ValueError(f"expected at least one matrix, got shape {rho.shape}")
     if not np.isfinite(states).all():
         raise ValueError("matrix has non-finite entries")
     if np.abs(states - states.conj().swapaxes(-1, -2)).max() > DM_TOL:

@@ -3,7 +3,7 @@
 Each test prints a single pass/fail line (visible with ``pytest -s`` or
 ``-rA``; the ``-v`` test names carry the same verdict) and then asserts.
 Reference numbers were computed once with 50-digit arithmetic and are frozen
-here; tolerances are stated next to each check.
+in ``tests/frozen.py``; tolerances are stated next to each check.
 """
 
 import csv
@@ -16,12 +16,9 @@ import numpy as np
 from chainrate.cli import main
 from chainrate.keyrate import RateParams
 from chainrate.montecarlo import sample_rounds, simulate_e91
-from chainrate.noise import ChainSpec, noise_parameter, observed_qx, uniform_chain
+from chainrate.noise import ChainSpec, noise_parameter, observed_qx
 from chainrate.sampling import empirical_failure_bits, epsilon_ledger, exhaustive_failure, sampling_failure_bound
 from chainrate.verify import (
-    BB84_ASYMPTOTIC_THRESHOLD,
-    EPSILON_FAIL_1E36,
-    EPSILON_PA_1E36,
     check_baseline_identity,
     check_chain_noise_closed_form,
     check_noise_parameter_routes,
@@ -30,11 +27,7 @@ from chainrate.verify import (
     check_swap_identity,
     random_dist,
 )
-
-# Frozen reference (50-digit arithmetic, tools/references.py).
-QX_PRESET = 0.0835139975355
-
-PRESET = uniform_chain(5, 0.03, 2, 2)
+from frozen import BB84_ASYMPTOTIC_THRESHOLD, EPSILON_FAIL_1E36, EPSILON_PA_1E36, PRESET, QX_PRESET
 
 
 def _line(number: int, ok: bool, label: str) -> None:

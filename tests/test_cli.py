@@ -12,9 +12,7 @@ from chainrate import cli, montecarlo, verify
 from chainrate.cli import build_parser, main
 from chainrate.keyrate import RateParams, finite_rate
 from chainrate.noise import noise_parameter, observed_qx, uniform_chain
-from chainrate.sampling import deviation_for_failure, hoeffding_deviation
-from chainrate.verify import EPSILON_FAIL_1E36, EPSILON_PA_1E36
-from test_sampling import SMOOTHING_1E36
+from frozen import DELTA_7E5_1E7, DPRIME_7E5, EPSILON_FAIL_1E36, EPSILON_PA_1E36, PRESET, SMOOTHING_1E36
 
 
 def run(capsys, *argv):
@@ -68,9 +66,8 @@ def test_rate_finite_round_sweep(capsys):
     ]
     assert [r[0] for r in rows] == ["100000", "1000000", "10000000"]
     # The default preset is the 3% chain; verify one cell end to end.
-    chain = uniform_chain(5, 0.03, 2, 2)
-    params = RateParams(n=10**7, m=700_000, epsilon=1e-36, p_star=noise_parameter(chain))
-    expected = finite_rate(observed_qx(chain), params).rate
+    params = RateParams(n=10**7, m=700_000, epsilon=1e-36, p_star=noise_parameter(PRESET))
+    expected = finite_rate(observed_qx(PRESET), params).rate
     assert math.isclose(float(rows[2][5]), expected, rel_tol=1e-10)
     for row in rows:
         for raw, clamped in zip(row[1::2], row[2::2]):
@@ -108,8 +105,8 @@ def test_bounds_report(capsys):
     assert payload["n"] == 10**7
     assert payload["m"] == 700_000
     assert payload["epsilon"] == 1e-36
-    assert math.isclose(payload["delta"], deviation_for_failure(1e-36, 700_000, 10**7), rel_tol=1e-12)
-    assert math.isclose(payload["delta_prime"], hoeffding_deviation(1e-36, 700_000), rel_tol=1e-12)
+    assert math.isclose(payload["delta"], DELTA_7E5_1E7, rel_tol=1e-12)
+    assert math.isclose(payload["delta_prime"], DPRIME_7E5, rel_tol=1e-12)
     assert math.isclose(payload["failure_bound_at_delta"], 1e-72, rel_tol=1e-9)
     assert math.isclose(payload["epsilon_pa"], EPSILON_PA_1E36, rel_tol=1e-12)
     assert math.isclose(payload["epsilon_fail"], EPSILON_FAIL_1E36, rel_tol=1e-12)

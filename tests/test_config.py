@@ -11,7 +11,7 @@ from chainrate.config import (
     load_chain_config,
     parse_chain_config,
 )
-from chainrate.noise import depolarizing_dist
+from chainrate.noise import depolarizing_dist, uniform_chain
 
 
 def valid_payload(**overrides):
@@ -27,9 +27,7 @@ def valid_payload(**overrides):
 
 def test_default_config():
     config = default_chain_config()
-    assert config.spec.repeaters == 5
-    assert (config.spec.honest_left, config.spec.honest_right) == (2, 2)
-    assert config.spec.links == (depolarizing_dist(0.03),) * 6
+    assert config.spec == uniform_chain(5, 0.03, 2, 2)
     assert config.p_star_override is None
 
 

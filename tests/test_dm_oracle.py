@@ -74,6 +74,16 @@ def test_validate_rejects_an_all_nan_matrix():
         validate_density_matrix(np.full((4, 4), np.nan))
 
 
+@pytest.mark.parametrize(
+    "operation",
+    [validate_density_matrix, dm_to_bell_diagonal, lambda states: pauli_correct(states, [], 0)],
+    ids=["validate_density_matrix", "dm_to_bell_diagonal", "pauli_correct"],
+)
+def test_operations_reject_an_empty_stack(operation):
+    with pytest.raises(ValueError, match=r"expected at least one matrix, got shape \(0, 4, 4\)"):
+        operation(np.zeros((0, 4, 4)))
+
+
 def _non_hermitian_4q():
     rho = np.kron(bell_diagonal_dm(UNIFORM), bell_diagonal_dm(UNIFORM))
     rho[0, 5] += 0.01j

@@ -11,7 +11,6 @@ golden file, so the README cannot drift from what the program prints.
 """
 
 import contextlib
-import importlib.util
 import io
 import re
 import shlex
@@ -19,14 +18,11 @@ from pathlib import Path
 
 import pytest
 
+import golden
+
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 README = (ROOT / "README.md").read_text(encoding="utf-8")
-
-_TOOL = ROOT / "tools" / "golden.py"
-_spec = importlib.util.spec_from_file_location("golden", _TOOL)
-golden = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(golden)
 
 CASES = golden.read_manifest()
 

@@ -20,22 +20,26 @@ from chainrate.keyrate import (
     finite_rate,
     noise_tolerance,
 )
-from chainrate.noise import noise_parameter, observed_qx, uniform_chain
+from chainrate.noise import noise_parameter, observed_qx
 from chainrate.sampling import MAX_ROUNDS
-from chainrate.verify import BB84_ASYMPTOTIC_THRESHOLD, EPSILON_FAIL_1E36, EPSILON_PA_1E36
-from test_sampling import DELTA_7E6_1E8, DPRIME_7E6
+from frozen import (
+    ASYM_NAMED,
+    ASYM_PRESET,
+    BB84_ASYMPTOTIC_THRESHOLD,
+    BB84F_1E8,
+    CORRECTED_NAMED,
+    DELTA_7E6_1E8,
+    DPRIME_7E6,
+    EPSILON_FAIL_1E36,
+    EPSILON_PA_1E36,
+    H_011,
+    P_STAR_1_1,
+    P_STAR_PRESET,
+    PRESET,
+    RATE_1E8,
+    RATE_1E8_STRICT,
+)
 
-# Reference values computed with 50-digit arithmetic; tools/references.py
-# regenerates each one.
-H_011 = 0.499915958164528
-CORRECTED_NAMED = 0.02954930532023043
-ASYM_NAMED = 0.39344569140754502
-ASYM_PRESET = 0.39342837627405659
-RATE_1E8 = 0.23572388310027629
-RATE_1E8_STRICT = 0.1995135468784338
-BB84F_1E8 = 0.056959817377984221
-
-PRESET = uniform_chain(5, 0.03, 2, 2)
 QX = observed_qx(PRESET)
 P_STAR = noise_parameter(PRESET)
 
@@ -271,5 +275,5 @@ def test_noise_tolerance_grows_with_honest_credit():
     def rate_at(p_star):
         return noise_tolerance(lambda q: asymptotic_rate(q, p_star))
 
-    t0, t2, t4 = rate_at(0.0), rate_at(0.02955), rate_at(0.057353595)
+    t0, t2, t4 = rate_at(0.0), rate_at(P_STAR_1_1), rate_at(P_STAR_PRESET)
     assert t0 < t2 < t4

@@ -26,8 +26,8 @@ from chainrate.sampling import (
     exhaustive_failure,
     hoeffding_deviation,
 )
+from frozen import PRESET
 
-PRESET = uniform_chain(5, 0.03, 2, 2)
 # qx ~0.44 and p* ~0.38: at epsilon 0.9 both bounds are violated in
 # ~6% (subset) and ~19% (mean) of trials, so a wrong count law shows.
 NOISY = uniform_chain(5, 0.3, 2, 2)

@@ -24,6 +24,7 @@ from chainrate.noise import (
     uniform_chain,
 )
 from chainrate.verify import enumerate_phase_parity, random_dist
+from frozen import P_STAR_1_1, P_STAR_PRESET, PRESET
 
 
 def sparse_chain(seed, max_repeaters=8):
@@ -50,12 +51,11 @@ def random_chain(rng, max_repeaters=6):
 
 
 def test_chain_spec_replace_goes_through_the_constructor():
-    spec = uniform_chain(5, 0.03, 2, 2)
     with pytest.raises(ValueError, match="honest counts 4\\+2 exceed 5 stations"):
-        spec._replace(honest_left=4)
+        PRESET._replace(honest_left=4)
     with pytest.raises(ValueError, match="expected 6 links, got 5"):
-        ChainSpec._make((5, 2, 2, spec.links[:5]))
-    assert spec._replace(honest_left=3) == uniform_chain(5, 0.03, 3, 2)
+        ChainSpec._make((5, 2, 2, PRESET.links[:5]))
+    assert PRESET._replace(honest_left=3) == uniform_chain(5, 0.03, 3, 2)
 
 
 def test_depolarizing_dist_layout():
@@ -228,19 +228,18 @@ def test_noise_parameter_split_invariance():
 
 
 def test_preset_noise_parameter_values():
-    assert abs(noise_parameter(uniform_chain(5, 0.03, 2, 2)) - 0.057353595) < 1e-12
-    assert abs(noise_parameter(uniform_chain(5, 0.03, 1, 1)) - 0.02955) < 1e-12
+    assert abs(noise_parameter(PRESET) - P_STAR_PRESET) < 1e-12
+    assert abs(noise_parameter(uniform_chain(5, 0.03, 1, 1)) - P_STAR_1_1) < 1e-12
 
 
 def test_noise_report_is_consistent():
-    spec = uniform_chain(5, 0.03, 2, 2)
-    report = noise_report(spec)
-    assert report.observed_qx == observed_qx(spec)
-    assert report.observed_qz == bit_error_prob(end_to_end_dist(spec))
-    assert report.p_star == noise_parameter(spec)
+    report = noise_report(PRESET)
+    assert report.observed_qx == observed_qx(PRESET)
+    assert report.observed_qz == bit_error_prob(end_to_end_dist(PRESET))
+    assert report.p_star == noise_parameter(PRESET)
     pl, pr = report.p_left, report.p_right
     assert abs(report.p_star - (pl * (1 - pr) + pr * (1 - pl))) < 1e-15
-    assert report.end_to_end == end_to_end_dist(spec)
+    assert report.end_to_end == end_to_end_dist(PRESET)
 
 
 @pytest.mark.parametrize("q", [0.0, 0.01, 0.2, 0.6])

@@ -24,14 +24,15 @@ from chainrate.sampling import (
     sampling_failure_bound,
     subset_deviates,
 )
-from chainrate.verify import EPSILON_FAIL_1E36, EPSILON_PA_1E36
-
-# Reference values computed once with 50-digit arithmetic (tools/references.py).
-DELTA_7E5_1E7 = 0.015421659498065237
-DELTA_7E6_1E8 = 0.0048767564924374642
-DPRIME_7E5 = 0.0077268645705535322
-DPRIME_7E6 = 0.0024434491214607973
-SMOOTHING_1E36 = 2.5198420997897463e-12
+from frozen import (
+    DELTA_7E5_1E7,
+    DELTA_7E6_1E8,
+    DPRIME_7E5,
+    DPRIME_7E6,
+    EPSILON_FAIL_1E36,
+    EPSILON_PA_1E36,
+    SMOOTHING_1E36,
+)
 
 
 def test_params_validation():

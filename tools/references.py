@@ -1,22 +1,21 @@
 """Regenerate the frozen reference constants with 50-digit arithmetic.
 
 The package and its tests compare computed values against constants that
-were worked out once at high precision and checked in as floats. This
-script recomputes each one from its closed form with mpmath at 50 digits,
-reads the checked-in float from the file that holds it, and reports the
-distance in units in the last place (ulp). Run from anywhere:
+were worked out once at high precision and checked in as floats, all of them
+importable from ``tests/frozen.py``. This script recomputes each one from its
+closed form with mpmath at 50 digits, reads the frozen float by importing
+that module, and reports the distance in units in the last place (ulp). Run
+from anywhere:
 
     python tools/references.py
 
-It prints one line per constant and exits 1 if any checked-in float is
-more than 1 ulp from the nearest float of the regenerated value. mpmath is
-not a dependency of the package; ``tests/test_references.py`` skips
-without it.
+It prints one line per constant and exits 1 if any frozen float is more
+than 1 ulp from the nearest float of the regenerated value. mpmath is not a
+dependency of the package; ``tests/test_references.py`` skips without it.
 """
 
 from __future__ import annotations
 
-import ast
 import math
 import sys
 from pathlib import Path
@@ -27,28 +26,11 @@ from mpmath import mp, mpf
 ROOT = Path(__file__).resolve().parent.parent
 DIGITS = 50
 
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+import frozen  # noqa: E402  (the checkout's references and package, not an installed one)
+
 #: Security parameter of the frozen working-point references.
 EPSILON = mpf("1e-36")
-
-#: Where each constant is checked in, relative to the repository root.
-LOCATIONS = {
-    "BB84_ASYMPTOTIC_THRESHOLD": "src/chainrate/verify.py",
-    "EPSILON_PA_1E36": "src/chainrate/verify.py",
-    "EPSILON_FAIL_1E36": "src/chainrate/verify.py",
-    "SMOOTHING_1E36": "tests/test_sampling.py",
-    "DELTA_7E5_1E7": "tests/test_sampling.py",
-    "DELTA_7E6_1E8": "tests/test_sampling.py",
-    "DPRIME_7E5": "tests/test_sampling.py",
-    "DPRIME_7E6": "tests/test_sampling.py",
-    "H_011": "tests/test_keyrate.py",
-    "QX_PRESET": "tests/test_acceptance.py",
-    "CORRECTED_NAMED": "tests/test_keyrate.py",
-    "ASYM_NAMED": "tests/test_keyrate.py",
-    "ASYM_PRESET": "tests/test_keyrate.py",
-    "RATE_1E8": "tests/test_keyrate.py",
-    "RATE_1E8_STRICT": "tests/test_keyrate.py",
-    "BB84F_1E8": "tests/test_keyrate.py",
-}
 
 #: ``keyrate.BASELINE_EC_FACTOR``, the rates' error-correction inefficiency, as
 #: a decimal string: an mpf made at import would hold only the nearest float.
@@ -95,12 +77,13 @@ def _bb84_finite(qx: mpf, n: int, m: int) -> mpf:
 
 
 def regenerate() -> dict[str, mpf]:
-    """Every constant in LOCATIONS, recomputed at DIGITS significant digits."""
+    """Every frozen constant, recomputed at DIGITS significant digits."""
     with mp.workdps(DIGITS):
         cube_root = mpmath.cbrt(2 * EPSILON)
         # The preset: six depolarizing links at q = 0.03, so the phase error
         # is (1 - 0.97**6) / 2; two honest stations at each end, so each end
-        # zone spans two links and p* = (1 - 0.97**4) / 2.
+        # zone spans two links and p* = (1 - 0.97**4) / 2; one honest station
+        # at each end gives p* = (1 - 0.97**2) / 2.
         qx_preset = (1 - mpf("0.97") ** 6) / 2
         p_star_preset = (1 - mpf("0.97") ** 4) / 2
         qx_named, p_star_named = mpf("0.08351"), mpf("0.05735")
@@ -117,6 +100,8 @@ def regenerate() -> dict[str, mpf]:
             "DPRIME_7E6": _iid_deviation(7_000_000),
             "H_011": _entropy(mpf("0.11")),
             "QX_PRESET": qx_preset,
+            "P_STAR_PRESET": p_star_preset,
+            "P_STAR_1_1": (1 - mpf("0.97") ** 2) / 2,
             "CORRECTED_NAMED": _corrected(qx_named, p_star_named),
             "ASYM_NAMED": _asymptotic(qx_named, p_star_named),
             "ASYM_PRESET": _asymptotic(qx_preset, p_star_preset),
@@ -124,17 +109,6 @@ def regenerate() -> dict[str, mpf]:
             "RATE_1E8_STRICT": _finite(qx_preset, p_star_preset, 10**8, 7_000_000, strict_leak=True),
             "BB84F_1E8": _bb84_finite(qx_preset, 10**8, 7_000_000),
         }
-
-
-def checked_in(name: str) -> float:
-    """The float literal assigned to ``name`` at the top level of its file."""
-    tree = ast.parse((ROOT / LOCATIONS[name]).read_text())
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(target, ast.Name) and target.id == name for target in node.targets
-        ):
-            return float(ast.literal_eval(node.value))
-    raise LookupError(f"{name} is not assigned in {LOCATIONS[name]}")
 
 
 def ulps_apart(value: float, reference: float) -> float:
@@ -146,12 +120,9 @@ def main() -> int:
     stale = 0
     for name, value in regenerate().items():
         regenerated = float(value)
-        distance = ulps_apart(checked_in(name), regenerated)
+        distance = ulps_apart(getattr(frozen, name), regenerated)
         stale += distance > 1
-        print(
-            f"{name} = {regenerated!r}  # {mpmath.nstr(value, DIGITS)}; "
-            f"checked in {LOCATIONS[name]}: {distance:g} ulp"
-        )
+        print(f"{name} = {regenerated!r}  # {mpmath.nstr(value, DIGITS)}; frozen value {distance:g} ulp away")
     return 1 if stale else 0
 
 
