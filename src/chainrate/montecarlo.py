@@ -17,9 +17,8 @@ distribution and costs O(1) per run or trial instead of O(rounds).
 
 ``simulate_e91`` and ``verify_concentration`` draw their binomial variates
 in pure Python from a ``random.Random``, so their streams are the same on
-every supported Python and neither loads numpy. Only ``sample_rounds``, the
-literal per-link round sampler that certifies the count path, imports numpy,
-in its body.
+every supported Python. ``sample_rounds`` is the literal per-link round
+sampler that certifies the count path.
 """
 
 from __future__ import annotations
@@ -27,15 +26,12 @@ from __future__ import annotations
 import functools
 import math
 import random
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .bell import bit_error_prob, phase_error_prob
 from .keyrate import RateParams, RateReport, finite_rate
 from .noise import ChainSpec, end_to_end_dist, observed_qx
 from .sampling import deviation_for_failure, frequency_limit, hoeffding_deviation, require_admissible, subset_deviates
-
-if TYPE_CHECKING:
-    import numpy as np
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -190,7 +186,7 @@ class MCReport(NamedTuple):
     rate_from_observation: RateReport
 
 
-def sample_rounds(spec: ChainSpec, rounds: int, rng: np.random.Generator) -> np.ndarray:
+def sample_rounds(spec: ChainSpec, rounds: int, rng: "np.random.Generator") -> "np.ndarray":
     """Draw ``rounds`` end-to-end symbol indices: one draw per link, XOR-folded."""
     import numpy as np
     if rounds < 1:
@@ -280,7 +276,7 @@ def verify_concentration(spec: ChainSpec, params: RateParams, trials: int, seed:
     weights are independent Binomial(m, qx) and Binomial(n - m, qx), and at
     rate p* Binomial(ones, p*) of the revealed ones and Binomial(m - ones, p*)
     of the revealed zeros flip. (For a fixed word the subset law is
-    ``sampling.empirical_failure_bits``.)
+    ``literal.empirical_failure_bits``.)
 
     The subset check compares revealed and hidden weights against the
     subset-sampling tolerance; the mean check compares the flipped revealed

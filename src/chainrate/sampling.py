@@ -1,4 +1,4 @@
-"""Finite-sample estimation bounds and their empirical validation.
+"""Finite-sample estimation bounds.
 
 The protocol reveals a uniformly random size-``m`` subset of an ``n``-symbol
 word and must bound how far the hidden part's relative weight can sit from the
@@ -6,24 +6,14 @@ revealed part's (``subset_deviates`` is the one definition of a deviation beyond
 the tolerance). ``sampling_failure_bound`` is the analytic tail bound for that
 estimate; ``deviation_for_failure`` inverts it so a target failure
 probability picks the deviation tolerance. ``hoeffding_deviation`` is the
-standard i.i.d. mean bound used for the honest-noise contribution. The
-estimators below exist to check the analytic bounds against seeded sampling
-(``empirical_failure_bits``) and exhaustive enumeration
-(``exhaustive_failure(word, m, deltas)``, one exact fraction per tolerance
-from a ones-in-sample histogram that pairs the subsets of the word's two
-halves).
+standard i.i.d. mean bound used for the honest-noise contribution.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections import Counter
-from collections.abc import Iterable
-from typing import Any, NamedTuple, Sequence
+from typing import Any, NamedTuple
 
-# Guard for exhaustive subset enumeration.
-MAX_EXHAUSTIVE_SUBSETS = 5_000_000
 #: Most seeded trials one scan may draw; it bounds a pure-Python scan's time.
 MAX_TRIALS = 10**5
 #: Most rounds a protocol run may have: the top of the analytic sweeps. Far
@@ -80,7 +70,7 @@ def subset_deviates(ones: Any, rest_ones: Any, m: int, n: int, delta: float) -> 
     """Whether a revealed sample of ``m`` holding ``ones`` ones deviates from the hidden ``n - m`` holding ``rest_ones``.
 
     The event is |ones/m - rest_ones/(n - m)| > delta, strictly: a deviation exactly equal to ``delta`` is not
-    counted. Only ``/``, ``-``, ``abs`` and ``>`` appear, so it also works elementwise on numpy arrays.
+    counted. Only ``/``, ``-``, ``abs`` and ``>`` appear, so it also works elementwise on arrays.
     """
     return abs(ones / m - rest_ones / (n - m)) > delta
 
@@ -128,75 +118,3 @@ def epsilon_ledger(epsilon: float) -> EpsilonLedger:
     if ledger.epsilon_pa >= 1.0 or ledger.epsilon_fail >= 1.0 or ledger.smoothing >= 1.0:
         raise ValueError(f"epsilon {epsilon!r} gives vacuous derived failure terms")
     return ledger
-
-
-def _as_bits(word: Iterable[int]) -> list[int]:
-    bits = list(word)
-    if not bits or any(isinstance(bit, Iterable) for bit in bits):
-        raise ValueError("expected a nonempty one-dimensional bit sequence")
-    if any(bit not in (0, 1) for bit in bits):
-        raise ValueError("bits must be 0 or 1")
-    return [int(bit) for bit in bits]
-
-
-def empirical_failure_bits(
-    bits: Sequence[int],
-    m: int,
-    delta: float,
-    trials: int,
-    seed: int,
-) -> float:
-    """Monte Carlo frequency of |w(sample) - w(rest)| > delta over uniform subsets.
-
-    Operates on a fixed binary word of weight K. The test depends on a subset
-    only through how many ones it holds, which is Hypergeometric(K, n - K, m)
-    for a uniform size-``m`` subset drawn without replacement, so all trials
-    are one hypergeometric draw from a generator seeded with ``seed``;
-    results are reproducible.
-    """
-    import numpy as np
-    bits = _as_bits(bits)
-    n = len(bits)
-    require_admissible(m=m, n=n, trials=trials)
-    _require_deviation(delta)
-    total_ones = sum(bits)
-    ones_in_sample = np.random.default_rng(seed).hypergeometric(total_ones, n - total_ones, m, size=trials)
-    return int(np.count_nonzero(subset_deviates(ones_in_sample, total_ones - ones_in_sample, m, n, delta))) / trials
-
-
-def exhaustive_failure(word: Sequence[int], m: int, deltas: Sequence[float]) -> tuple[float, ...]:
-    """Exact failure probability for each tolerance in ``deltas``, by enumerating every size-``m`` subset.
-
-    A size-``m`` subset is exactly one pair of a ``j``-subset of the left
-    ``n // 2`` positions and an ``(m - j)``-subset of the rest, and holds the
-    sum of their ones. So each half's subsets are enumerated once, position by
-    position, and the histogram of ones per sample adds up the pairs' counts.
-    No binomial coefficient enters and positions are never grouped by bit
-    value, so the histogram stays an independent check of the hypergeometric
-    count C(K, k) * C(n - K, m - k). Every tolerance's failures are then
-    counted off it. Only feasible for tiny words; refuses more than
-    MAX_EXHAUSTIVE_SUBSETS subsets.
-    """
-    bits = _as_bits(word)
-    n = len(bits)
-    require_admissible(m=m, n=n)
-    for delta in deltas:
-        _require_deviation(delta)
-    n_subsets = math.comb(n, m)
-    if n_subsets > MAX_EXHAUSTIVE_SUBSETS:
-        raise ValueError(f"{n_subsets} subsets exceed the enumeration guard")
-    total_ones = sum(bits)
-    left, right = bits[: n // 2], bits[n // 2:]
-    histogram: Counter[int] = Counter()
-    for j in range(max(0, m - len(right)), min(m, len(left)) + 1):
-        right_counts = Counter(map(sum, itertools.combinations(right, m - j)))
-        for a, left_subsets in Counter(map(sum, itertools.combinations(left, j))).items():
-            for b, right_subsets in right_counts.items():
-                histogram[a + b] += left_subsets * right_subsets
-    fractions = []
-    for delta in deltas:
-        failures = sum(
-            subsets for ones, subsets in histogram.items() if subset_deviates(ones, total_ones - ones, m, n, delta)
-        )
-        fractions.append(failures / n_subsets)
-    return tuple(fractions)

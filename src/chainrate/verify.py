@@ -1,11 +1,11 @@
 """Self-verification suite: independent oracles checked against the fast paths.
 
-Each check pits a deliberately literal computation (exhaustive enumeration,
-explicit density matrices, direct simulation) against the production formulas
-and returns a named pass/fail result. The CLI's ``verify`` subcommand runs the
-whole list at its ``--seed``; the acceptance tests call individual checks
-with their own seeds, and only criterion 01 also passes a size
-(``random_chains``).
+Each check pits a literal computation from :mod:`chainrate.dm_oracle` or
+:mod:`chainrate.literal` (explicit density matrices, exhaustive enumeration,
+direct sampling) against the fast paths and returns a named pass/fail result.
+The CLI's ``verify`` subcommand runs the whole list at its ``--seed``; the
+acceptance tests call individual checks with their own seeds, and only
+criterion 01 also passes a size (``random_chains``).
 
 ``run_all`` accepts ``inject_fault='convolve'`` as a negative control: it
 swaps a corrupted convolution into the oracle-equivalence check, which must
@@ -17,11 +17,11 @@ from __future__ import annotations
 import math
 import random
 from functools import reduce
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import bell, dm_oracle, keyrate, montecarlo, noise, sampling
+from . import bell, dm_oracle, keyrate, literal, montecarlo, noise, sampling
 from .bell import BellDiagonal
 from .config import default_chain_config
 from .noise import ChainSpec, depolarizing_dist
@@ -44,43 +44,6 @@ class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str
-
-
-def enumerate_phase_parity(dists: Sequence[BellDiagonal]) -> float:
-    """Probability of odd total phase over independent per-link symbols.
-
-    Exhaustive sum over all 4**L symbol tuples; shares nothing with the
-    convolution code path. The weights and phase parities of the first L - 1
-    links' tuples are built as prefix products in lexicographic order; each
-    prefix then takes the last link's four symbols in turn. So every weight is
-    the same left-to-right product of its L probabilities, no list holds more
-    than 4**(L-1) entries, and the odd tuples are added one by one in
-    lexicographic order (never with ``sum``, whose compensated summation from
-    Python 3.12 on would change the bits).
-    """
-    if not dists:
-        return 0.0
-    weights, odd = [1.0], [0]
-    for dist in dists[:-1]:
-        weights = [w * p for w in weights for p in dist.probs]
-        odd = [parity ^ bit for parity in odd for bit in (0, 1, 0, 1)]
-    p0, p1, p2, p3 = dists[-1].probs
-    total = 0.0
-    for weight, parity in zip(weights, odd):
-        if parity:
-            total += weight * p0
-            total += weight * p2
-        else:
-            total += weight * p1
-            total += weight * p3
-    return total
-
-
-def random_dist(rng: np.random.Generator) -> BellDiagonal:
-    """A random distribution over the four symbols (flat Dirichlet)."""
-    raw = rng.dirichlet((1.0, 1.0, 1.0, 1.0))
-    total = float(raw.sum())
-    return BellDiagonal(tuple(float(v) / total for v in raw))
 
 
 def _named_pool() -> list[BellDiagonal]:
@@ -153,7 +116,7 @@ def check_oracle_equivalence(
     fn = convolve_fn if convolve_fn is not None else bell.convolve
     rng = np.random.default_rng(seed)
     named = _named_pool()
-    pool = named + [random_dist(rng) for _ in range(10)]
+    pool = named + literal.random_dists(rng, 10)
     chains: list[list[BellDiagonal]] = [[d] for d in pool]
     chains += [[a, b] for a in named for b in named]
     chains.append(list(_PRESET.links))
@@ -180,7 +143,7 @@ def check_swap_order(seed: int) -> CheckResult:
         [depolarizing_dist(0.05)] * 6,
         [depolarizing_dist(0.01), BellDiagonal.point(), depolarizing_dist(0.3)] * 2,
     ]
-    chains += [[random_dist(rng) for _ in range(6)] for _ in range(4)]
+    chains += [literal.random_dists(rng, 6) for _ in range(4)]
     orders = [range(1, 6)] * len(chains) + [rng.permutation(range(1, 6)).tolist() for _ in chains]
     exact = dm_oracle.simulate_chain_exact(chains * 2, orders)
     worst = 0.0
@@ -210,7 +173,7 @@ def check_chain_noise_closed_form() -> CheckResult:
     for q in (0.0, 0.01, 0.03, 0.1, 0.5, 1.0):
         links = [depolarizing_dist(q)] * 6
         closed = (1.0 - (1.0 - q) ** 6) / 2.0
-        enumerated = enumerate_phase_parity(links)
+        enumerated = literal.enumerate_phase_parity(links)
         folded = bell.phase_error_prob(bell.fold_convolve(links))
         worst = max(worst, abs(enumerated - closed), abs(folded - closed))
         worst_pair = max(worst_pair, abs(enumerated - folded))
@@ -235,7 +198,7 @@ def check_noise_parameter_routes(seed: int) -> CheckResult:
     zones = [(_honest_links(_PRESET), noise.noise_parameter(_PRESET))]
     for _ in range(chains):
         repeaters = int(rng.integers(1, 7))
-        links = tuple(random_dist(rng) for _ in range(repeaters + 1))
+        links = tuple(literal.random_dists(rng, repeaters + 1))
         honest_left = int(rng.integers(0, repeaters + 1))
         honest_right = int(rng.integers(0, repeaters - honest_left + 1))
         spec = ChainSpec(repeaters, honest_left, honest_right, links)
@@ -246,7 +209,7 @@ def check_noise_parameter_routes(seed: int) -> CheckResult:
         parity = p_l * (1.0 - p_r) + p_r * (1.0 - p_l)
         worst = max(worst, abs(double_sum - parity))
         honest_links = _honest_links(spec)
-        worst = max(worst, abs(double_sum - enumerate_phase_parity(honest_links)))
+        worst = max(worst, abs(double_sum - literal.enumerate_phase_parity(honest_links)))
         if honest_links and len(zones) <= 10:
             zones.append((honest_links, double_sum))
     exact = dm_oracle.simulate_chain_exact([z for z, _ in zones])
@@ -287,7 +250,7 @@ def check_sampling_exhaustive(seed: int) -> CheckResult:
     ok = True
     deltas = (0.15, 0.3, 0.45)
     for label, bits in words.items():
-        for delta, exact in zip(deltas, sampling.exhaustive_failure(bits, 10, deltas)):
+        for delta, exact in zip(deltas, literal.exhaustive_failure(bits, 10, deltas)):
             bound = sampling.sampling_failure_bound(delta, 10, 20)
             ok = ok and exact <= bound
             details.append(f"{label} d={delta}: {exact:.5f} <= {bound:.5f}")
@@ -305,7 +268,7 @@ def check_sampling_empirical(seed: int) -> CheckResult:
     details = []
     ok = True
     for label, bits in words.items():
-        freq = sampling.empirical_failure_bits(bits, m, delta, trials, seed)
+        freq = literal.empirical_failure_bits(bits, m, delta, trials, seed)
         limit = sampling.frequency_limit(sampling.sampling_failure_bound(delta, m, n), trials)
         ok = ok and freq <= limit
         details.append(f"{label}: {freq:.3e} <= {limit:.3e}")

@@ -17,7 +17,8 @@ from chainrate.cli import main
 from chainrate.keyrate import RateParams
 from chainrate.montecarlo import sample_rounds, simulate_e91
 from chainrate.noise import ChainSpec, noise_parameter, observed_qx
-from chainrate.sampling import empirical_failure_bits, epsilon_ledger, exhaustive_failure, sampling_failure_bound
+from chainrate.literal import empirical_failure_bits, exhaustive_failure, random_dists
+from chainrate.sampling import epsilon_ledger, sampling_failure_bound
 from chainrate.verify import (
     check_baseline_identity,
     check_chain_noise_closed_form,
@@ -25,7 +26,6 @@ from chainrate.verify import (
     check_oracle_equivalence,
     check_sampling_roundtrip,
     check_swap_identity,
-    random_dist,
 )
 from frozen import BB84_ASYMPTOTIC_THRESHOLD, EPSILON_FAIL_1E36, EPSILON_PA_1E36, PRESET, QX_PRESET
 
@@ -77,7 +77,7 @@ def test_criterion_04_noise_parameter_equivalence():
     result = check_noise_parameter_routes(seed=42)
     rng = np.random.default_rng(42)
     zero_exact = all(
-        noise_parameter(ChainSpec(r, 0, 0, tuple(random_dist(rng) for _ in range(r + 1)))) == 0.0
+        noise_parameter(ChainSpec(r, 0, 0, tuple(random_dists(rng, r + 1)))) == 0.0
         for r in (1, 3, 6)
     )
     _line(

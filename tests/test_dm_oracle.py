@@ -21,7 +21,7 @@ from chainrate.dm_oracle import (
     simulate_chain_exact,
     validate_density_matrix,
 )
-from chainrate.verify import random_dist
+from chainrate.literal import random_dists
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 UNIFORM = BellDiagonal((0.25, 0.25, 0.25, 0.25))
@@ -131,7 +131,7 @@ def test_swap_branch_probabilities_follow_the_convolution():
     outer pair labelled s with probability convolve(p, q)(s + x)."""
     rng = np.random.default_rng(4131)
     for _ in range(5):
-        p, q = random_dist(rng), random_dist(rng)
+        p, q = random_dists(rng, 2)
         folded = convolve(p, q)
         weights, posts = bell_swap(np.kron(bell_diagonal_dm(p), bell_diagonal_dm(q)), (1, 2))
         assert np.max(np.abs(weights - 0.25)) < 1e-12
@@ -212,7 +212,7 @@ def test_pauli_correction_checks_its_outcomes(outcomes):
 
 def test_dm_decomposition_roundtrip():
     rng = np.random.default_rng(4132)
-    dists = [random_dist(rng) for _ in range(10)]
+    dists = random_dists(rng, 10)
     for dist, back in zip(dists, dm_to_bell_diagonal(np.array([bell_diagonal_dm(d) for d in dists]))):
         assert np.allclose(back.probs, dist.probs, atol=1e-12)
 
@@ -242,8 +242,9 @@ def _join_pairs():
     zero = np.zeros((4, 4), dtype=complex)
     zero[0, 0] = 1.0
     point = bell_diagonal_dm(BellDiagonal.point())
-    pairs = [(bell_diagonal_dm(random_dist(rng)), bell_diagonal_dm(random_dist(rng))) for _ in range(5)]
-    pairs += [(point, bell_diagonal_dm(random_dist(rng))), (bell_diagonal_dm(random_dist(rng)), point), (point, point)]
+    diagonal = [bell_diagonal_dm(d) for d in random_dists(rng, 12)]
+    pairs = list(zip(diagonal[0:10:2], diagonal[1:10:2]))
+    pairs += [(point, diagonal[10]), (diagonal[11], point), (point, point)]
     pairs += [(_random_mixed_state(rng), _random_mixed_state(rng)) for _ in range(3)]
     pairs.append((zero, zero))
     return pairs
@@ -279,7 +280,7 @@ def _bad_4x4(reason):
 def test_stack_validator_names_the_one_bad_member(reason, position):
     rng = np.random.default_rng(4140)
     bad = _bad_4x4(reason)
-    stack = np.array([bell_diagonal_dm(random_dist(rng)) for _ in range(4)])
+    stack = np.array([bell_diagonal_dm(d) for d in random_dists(rng, 4)])
     stack[position] = bad
     with pytest.raises(ValueError) as alone:
         validate_density_matrix(bad)
@@ -303,7 +304,7 @@ def _full_kron_reference(links, order):
 
 def _every_order(n_links, seed):
     rng = np.random.default_rng(seed)
-    links = [random_dist(rng) for _ in range(n_links)]
+    links = random_dists(rng, n_links)
     return [pytest.param(links, order, id=f"{n_links}links-{order}") for order in itertools.permutations(range(1, n_links))]
 
 
@@ -322,7 +323,7 @@ def test_segment_joins_match_the_full_kron_reference(links, order):
 @pytest.mark.parametrize("n_links", [1, 2, 3, 4, MAX_LINKS])
 def test_chain_simulation_matches_convolution(n_links):
     rng = np.random.default_rng([413, n_links])
-    links = [random_dist(rng) for _ in range(n_links)]
+    links = random_dists(rng, n_links)
     exact = simulate_chain_exact([links])[0]
     fast = fold_convolve(links)
     assert max(abs(a - b) for a, b in zip(exact.probs, fast.probs)) < 1e-10
@@ -351,7 +352,7 @@ def test_chain_simulation_decomposes_no_product_state(monkeypatch):
     inputs and four post states, and the readout the final segment, so
     6L - 5 = 31 matrices reach eigvalsh per order."""
     rng = np.random.default_rng(4136)
-    links = [random_dist(rng) for _ in range(6)]
+    links = random_dists(rng, 6)
     eig_dims, swap_dims = [], []
     eigvalsh, swap_branches = np.linalg.eigvalsh, dm_oracle._swap_branches
 
@@ -380,7 +381,7 @@ def test_chain_simulation_decomposes_no_product_state(monkeypatch):
 def _mixed_stack():
     """Three chains of each length 1..8, each with its own seeded station order."""
     rng = np.random.default_rng(4142)
-    chains = [[random_dist(rng) for _ in range(n)] for n in range(1, 9) for _ in range(3)]
+    chains = [random_dists(rng, n) for n in range(1, 9) for _ in range(3)]
     return chains, [rng.permutation(range(1, len(links))).tolist() for links in chains]
 
 
@@ -403,14 +404,14 @@ def test_chain_simulation_single_link_is_identity():
 
 def test_chain_simulation_station_order_is_irrelevant():
     rng = np.random.default_rng(4137)
-    links = [random_dist(rng) for _ in range(3)]
+    links = random_dists(rng, 3)
     forward, backward = simulate_chain_exact([links, links], [(1, 2), (2, 1)])
     assert np.allclose(forward.probs, backward.probs, atol=1e-10)
 
 
 def test_chain_simulation_every_order_on_five_links_matches_convolution():
     rng = np.random.default_rng(4138)
-    links = [random_dist(rng) for _ in range(5)]
+    links = random_dists(rng, 5)
     fast = fold_convolve(links)
     orders = list(itertools.permutations(range(1, 5)))
     assert len(orders) == 24

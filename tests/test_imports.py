@@ -53,7 +53,7 @@ MC_VERIFY = ["mc-verify", "--rounds", "2000", "--trials", "200"]
 EXHAUSTIVE_WITHOUT_NUMPY = """
 import sys
 sys.modules["numpy"] = None
-from chainrate.sampling import exhaustive_failure
+from chainrate.literal import exhaustive_failure
 print(exhaustive_failure([1, 1, 0, 0, 1, 0, 0, 0], 4, (0.2, 0.6)))
 """
 

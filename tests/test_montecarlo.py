@@ -18,12 +18,11 @@ from chainrate.montecarlo import (
 )
 from chainrate.bell import BellDiagonal
 from chainrate.keyrate import RateParams
+from chainrate.literal import empirical_failure_bits, exhaustive_failure
 from chainrate.noise import ChainSpec, end_to_end_dist, noise_parameter, noise_report, observed_qx, uniform_chain
 from chainrate.sampling import (
     MAX_TRIALS,
     deviation_for_failure,
-    empirical_failure_bits,
-    exhaustive_failure,
     hoeffding_deviation,
 )
 from frozen import PRESET

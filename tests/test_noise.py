@@ -23,7 +23,7 @@ from chainrate.noise import (
     strength_for_observed_qx,
     uniform_chain,
 )
-from chainrate.verify import enumerate_phase_parity, random_dist
+from chainrate.literal import enumerate_phase_parity, random_dists
 from frozen import P_STAR_1_1, P_STAR_PRESET, PRESET
 
 
@@ -44,7 +44,7 @@ SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
 def random_chain(rng, max_repeaters=6):
     repeaters = int(rng.integers(1, max_repeaters + 1))
-    links = tuple(random_dist(rng) for _ in range(repeaters + 1))
+    links = tuple(random_dists(rng, repeaters + 1))
     left = int(rng.integers(0, repeaters + 1))
     right = int(rng.integers(0, repeaters - left + 1))
     return ChainSpec(repeaters, left, right, links)

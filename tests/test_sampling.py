@@ -10,15 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainrate.literal import empirical_failure_bits, exhaustive_failure
 from chainrate.sampling import (
     MAX_TRIALS,
     MAX_ROUNDS,
     MIN_EPSILON,
     EpsilonLedger,
     deviation_for_failure,
-    empirical_failure_bits,
     epsilon_ledger,
-    exhaustive_failure,
     hoeffding_deviation,
     require_admissible,
     sampling_failure_bound,

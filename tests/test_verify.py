@@ -7,6 +7,7 @@ import pytest
 
 from chainrate import verify
 from chainrate.bell import BellDiagonal, fold_convolve
+from chainrate.literal import enumerate_phase_parity, random_dists
 from chainrate.noise import depolarizing_dist
 from chainrate.verify import (
     _corrupted_convolve,
@@ -18,8 +19,6 @@ from chainrate.verify import (
     check_pauli_correction,
     check_states_orthonormal,
     check_swap_identity,
-    enumerate_phase_parity,
-    random_dist,
     run_all,
 )
 
@@ -53,7 +52,7 @@ def test_enumeration_is_float_identical_to_the_nested_loop():
     rng = np.random.default_rng(29)
     for n_links in range(8):
         for _ in range(3):
-            dists = [random_dist(rng) for _ in range(n_links)]
+            dists = random_dists(rng, n_links)
             assert enumerate_phase_parity(dists) == _nested_loop_phase_parity(dists)
 
 
@@ -83,11 +82,17 @@ def test_run_all_rejects_an_unknown_fault_before_any_check(monkeypatch):
 
 
 def test_random_dist_is_normalized():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        d = random_dist(rng)
+    for d in random_dists(np.random.default_rng(3), 20):
         assert abs(sum(d.probs) - 1.0) < 1e-12
         assert min(d.probs) >= 0.0
+
+
+def test_random_dists_draw_equals_single_draws():
+    # verify's seeded output depends on this: a chain drawn at once equals its links drawn in turn.
+    for seed, k in itertools.product(range(10), (1, 2, 3, 5, 7, 10)):
+        at_once, in_turn = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert random_dists(at_once, k) == [d for _ in range(k) for d in random_dists(in_turn, 1)]
+        assert at_once.bit_generator.state == in_turn.bit_generator.state
 
 
 def test_individual_fast_checks():

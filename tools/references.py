@@ -10,7 +10,8 @@ from anywhere:
     python tools/references.py
 
 It prints one line per constant and exits 1 if any frozen float is more
-than 1 ulp from the nearest float of the regenerated value. mpmath is not a
+than 1 ulp from the nearest float of the regenerated value, or lacks a
+formula, or a formula lacks its float (one line for each such name). mpmath is not a
 dependency of the package; ``tests/test_references.py`` skips without it.
 """
 
@@ -116,9 +117,24 @@ def ulps_apart(value: float, reference: float) -> float:
     return abs(value - reference) / math.ulp(reference)
 
 
+def frozen_floats() -> set[str]:
+    """Names of the public floats in ``tests/frozen.py``: each needs one formula in ``regenerate``."""
+    return {name for name, value in vars(frozen).items() if not name.startswith("_") and isinstance(value, float)}
+
+
 def main() -> int:
+    references = regenerate()
+    floats = frozen_floats()
     stale = 0
-    for name, value in regenerate().items():
+    for name in sorted(floats - set(references)):
+        stale += 1
+        print(f"{name}: frozen float without a formula")
+    for name in sorted(set(references) - floats):
+        stale += 1
+        print(f"{name}: formula without a frozen float")
+    for name, value in references.items():
+        if name not in floats:
+            continue
         regenerated = float(value)
         distance = ulps_apart(getattr(frozen, name), regenerated)
         stale += distance > 1
