@@ -29,6 +29,7 @@ ordered by the sweep column, numbers at 12 significant digits; reports are
 JSON. Exit codes: 0 success, 1 validation error, 2 verification failure. All
 randomness flows from ``--seed``.
 """
+# ``_rated_chain`` implements the list above (a comment, as the docstring is also ``chainrate -h``).
 
 from __future__ import annotations
 
@@ -41,17 +42,9 @@ import sys
 from collections import Counter
 from typing import Any, Sequence
 
-from .bell import BellDiagonal
 from .config import ChainConfig, ConfigError, default_chain_config, load_chain_config
 from .keyrate import BASELINE_EC_FACTOR, RateParams, asymptotic_rate, bb84_asymptotic, bb84_finite, finite_rate, noise_tolerance
-from .noise import (
-    balanced_honest_chain,
-    noise_parameter,  # noqa: F401  (unused here; bench/tests/test_bench_spans.py traces this binding)
-    observed_qx,
-    resolve_p_star,
-    strength_for_observed_qx,
-    uniform_chain,
-)
+from .noise import ChainSpec, noise_parameter, observed_qx, strength_for_observed_qx, uniform_chain
 from .sampling import MAX_ROUNDS, deviation_for_failure, epsilon_ledger, hoeffding_deviation, sampling_failure_bound
 
 DEFAULT_EPSILON = 1e-36
@@ -173,14 +166,23 @@ def _resolve_honest(
     return counts
 
 
-def _p_stars(links: Sequence[BellDiagonal], honest: Sequence[int], override: float | None) -> list[float]:
-    """Honest-zone parameter per count in ``honest``, each split evenly over ``links``."""
-    return [resolve_p_star(balanced_honest_chain(links, count), override) for count in honest]
+def _rated_chain(args: argparse.Namespace, config: ChainConfig, honest: Sequence[int] | None, value: float | None) -> tuple[ChainSpec, list[float]]:
+    """The chain a command rates at sweep value ``value``, and the p* it credits to each count in ``honest``.
 
-
-def _qx_links(repeaters: int, qx: float) -> tuple[BellDiagonal, ...]:
-    """Identical links of the configured size whose end-to-end phase noise is ``qx``."""
-    return uniform_chain(repeaters, strength_for_observed_qx(qx, repeaters + 1), 0, 0).links
+    The one place that decides which links, which honest split and which p* each command
+    uses, as the module docstring lists them. ``value`` is the swept q or qx, None for the
+    N sweep; ``honest`` is None for the configured split of ``simulate`` and ``mc-verify``.
+    """
+    spec, override = config.spec, config.p_star_override
+    repeaters = spec.repeaters
+    if args.command == "noise":
+        spec, override = uniform_chain(repeaters, value, 0, 0), None
+    elif args.command == "rate-asymptotic" or (args.command == "rate-finite" and args.sweep == "qx"):
+        spec = uniform_chain(repeaters, strength_for_observed_qx(value, repeaters + 1), 0, 0)
+    elif args.command == "rate-finite" and args.q is not None:
+        spec = uniform_chain(repeaters, args.q, 0, 0)
+    splits = [spec] if honest is None else [ChainSpec(repeaters, (count + 1) // 2, count // 2, spec.links) for count in honest]
+    return spec, [noise_parameter(split) if override is None else override for split in splits]
 
 
 def _grid(lo: float, hi: float, steps: int) -> list[float]:
@@ -191,14 +193,13 @@ def _grid(lo: float, hi: float, steps: int) -> list[float]:
 
 
 def cmd_noise(args: argparse.Namespace) -> int:
-    repeaters = _load_config(args).spec.repeaters
-    honest = _resolve_honest(args.honest, repeaters, (1, 2, 3, 4))
+    config = _load_config(args)
+    honest = _resolve_honest(args.honest, config.spec.repeaters, (1, 2, 3, 4))
     header = ["q", "qx_total"] + [f"p_star_h{count}" for count in honest]
     rows = []
     for q in _grid(args.q_min, args.q_max, args.steps):
-        chain = uniform_chain(repeaters, q, 0, 0)
-        # The noise table shows the computed p*, not the configured override.
-        rows.append([q, observed_qx(chain)] + _p_stars(chain.links, honest, None))
+        chain, p_stars = _rated_chain(args, config, honest, q)
+        rows.append([q, observed_qx(chain)] + p_stars)
     _emit_csv(header, rows, args.out)
     return 0
 
@@ -251,19 +252,16 @@ def cmd_rate_finite(args: argparse.Namespace) -> int:
     if args.q is not None and (args.config is not None or args.sweep == "qx"):
         raise ConfigError("--q sets the preset's links for --sweep N; it cannot be combined with --config or --sweep qx")
     config = _load_config(args)
-    repeaters = config.spec.repeaters
-    honest = _resolve_honest(args.honest, repeaters, (0, 2, 4))
+    honest = _resolve_honest(args.honest, config.spec.repeaters, (0, 2, 4))
     rows: list[list[Any]] = []
     if args.sweep == "N":
-        spec = config.spec if args.q is None else uniform_chain(repeaters, args.q, 0, 0)
+        spec, p_stars = _rated_chain(args, config, honest, None)
         qx = observed_qx(spec)
-        p_stars = _p_stars(spec.links, honest, config.p_star_override)
         for rounds in _round_grid(args.n_min, args.n_max, args.per_decade):
             rows.append(_finite_row(args, rounds, qx, rounds, p_stars))
     else:
         for qx in _grid(args.qx_min, args.qx_max, args.steps):
-            p_stars = _p_stars(_qx_links(repeaters, qx), honest, config.p_star_override)
-            rows.append(_finite_row(args, qx, qx, args.rounds, p_stars))
+            rows.append(_finite_row(args, qx, qx, args.rounds, _rated_chain(args, config, honest, qx)[1]))
     header = [args.sweep]
     for count in honest:
         header += [f"rate_h{count}", f"rate_h{count}_clamped"]
@@ -273,11 +271,10 @@ def cmd_rate_finite(args: argparse.Namespace) -> int:
 
 def cmd_rate_asymptotic(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    repeaters = config.spec.repeaters
-    honest = _resolve_honest(args.honest, repeaters, (0, 2, 4))
+    honest = _resolve_honest(args.honest, config.spec.repeaters, (0, 2, 4))
 
     def rates_at(qx: float, counts: Sequence[int]) -> list[float]:
-        return [asymptotic_rate(qx, p) for p in _p_stars(_qx_links(repeaters, qx), counts, config.p_star_override)]
+        return [asymptotic_rate(qx, p) for p in _rated_chain(args, config, counts, qx)[1]]
 
     header = ["qx"] + [f"rate_h{count}" for count in honest] + ["rate_bb84a"]
     rows: list[list[Any]] = [
@@ -314,17 +311,15 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 # Only verify loads numpy; simulate and mc-verify sample in pure Python.
 def cmd_simulate(args: argparse.Namespace) -> int:
     from .montecarlo import simulate_e91
-    config = _load_config(args)
-    params = _rate_params(args, args.rounds, resolve_p_star(config.spec, config.p_star_override))
-    _emit_json(simulate_e91(config.spec, params, args.seed), args.out)
+    spec, (p_star,) = _rated_chain(args, _load_config(args), None, None)
+    _emit_json(simulate_e91(spec, _rate_params(args, args.rounds, p_star), args.seed), args.out)
     return 0
 
 
 def cmd_mc_verify(args: argparse.Namespace) -> int:
     from .montecarlo import verify_concentration
-    config = _load_config(args)
-    params = _rate_params(args, args.rounds, resolve_p_star(config.spec, config.p_star_override))
-    summary = verify_concentration(config.spec, params, args.trials, args.seed)
+    spec, (p_star,) = _rated_chain(args, _load_config(args), None, None)
+    summary = verify_concentration(spec, _rate_params(args, args.rounds, p_star), args.trials, args.seed)
     _emit_json(summary, args.out)
     return 0 if summary.ok else 2
 

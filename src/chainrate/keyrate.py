@@ -188,19 +188,27 @@ def noise_tolerance(rate_fn) -> float:
 
     ``rate_fn`` maps a phase-noise level to a rate and must cross zero at most
     once on [0, 1/2). Returns 0 when the rate is never positive and 1/2 (as a
-    sentinel) when it never crosses below zero on the interval.
+    sentinel) when it never crosses below zero on the interval. A NaN rate
+    raises ``ValueError``, since the bisection cannot tell its sign.
     """
+
+    def positive(qx: float) -> bool:
+        rate = rate_fn(qx)
+        if math.isnan(rate):
+            raise ValueError(f"rate is not a number at phase noise {qx!r}")
+        return rate > 0.0
+
     lo, hi, tol = 0.0, 0.5, 1e-6
-    if rate_fn(lo) <= 0.0:
+    if not positive(lo):
         return lo
     # Probe just inside the right end; the interval is half-open.
     right = hi - tol * 1e-3
-    if rate_fn(right) > 0.0:
+    if positive(right):
         return hi
     a, b = lo, right
     while b - a > tol:
         mid = 0.5 * (a + b)
-        if rate_fn(mid) > 0.0:
+        if positive(mid):
             a = mid
         else:
             b = mid

@@ -12,7 +12,7 @@ both segments because their noise is attributed to the adversary.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .bell import BellDiagonal, bit_error_prob, fold_convolve, phase_error_prob
 
@@ -60,17 +60,6 @@ def uniform_chain(repeaters: int, q: float, honest_left: int, honest_right: int)
     return ChainSpec(repeaters, honest_left, honest_right, (depolarizing_dist(q),) * (repeaters + 1))
 
 
-def balanced_honest_chain(links: Sequence[BellDiagonal], honest_total: int) -> ChainSpec:
-    """Chain over ``links`` with ``honest_total`` honest stations split evenly.
-
-    The left end gets the extra station when the count is odd. For identical
-    links the honest-zone parameter depends only on the total count, so there
-    the split is a presentation choice.
-    """
-    left = (honest_total + 1) // 2
-    return ChainSpec(len(links) - 1, left, honest_total - left, tuple(links))
-
-
 def end_to_end_dist(spec: ChainSpec) -> BellDiagonal:
     """Symbol distribution between the two ends after all stations swap honestly."""
     return fold_convolve(spec.links)
@@ -102,11 +91,6 @@ def noise_parameter(spec: ChainSpec) -> float:
     left, right = honest_marginals(spec)
     (l0, l1, l2, l3), (r0, r1, r2, r3) = left.probs, right.probs
     return 0.0 + l0 * r1 + l0 * r3 + l1 * r0 + l1 * r2 + l2 * r1 + l2 * r3 + l3 * r0 + l3 * r2
-
-
-def resolve_p_star(spec: ChainSpec, override: float | None) -> float:
-    """The honest-zone parameter a rate is credited with: ``override`` when set, else computed."""
-    return noise_parameter(spec) if override is None else override
 
 
 class NoiseReport(NamedTuple):

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, CSV and JSON shapes, determinism."""
 
+import ast
 import csv
 import io
 import json
@@ -342,11 +343,23 @@ def test_non_finite_json_is_a_one_line_error(capsys, monkeypatch):
 @pytest.mark.parametrize("sweep", ["N", "qx"])
 def test_each_row_validates_its_p_star(capsys, monkeypatch, sweep):
     # Every row's RateParams goes through its constructor, so an out-of-range p* never reaches a rate.
-    monkeypatch.setattr(cli, "_p_stars", lambda links, honest, override: [0.5])
+    monkeypatch.setattr(cli, "noise_parameter", lambda spec: 0.5)
     monkeypatch.setattr(cli, "finite_rate", lambda qx, params: pytest.fail(f"finite_rate got {params}"))
     rc, out, err = run(capsys, "rate-finite", "--sweep", sweep, "--steps", "3", "--n-min", "1e5", "--n-max", "1e6")
     assert rc == 1 and out == ""
     assert err == "chainrate: error: honest-zone parameter must be in [0, 0.5), got 0.5\n"
+
+
+def test_one_function_chooses_the_rated_chain():
+    # Links, honest split and p* override are decided in _rated_chain; every other part of cli only calls it.
+    deciding = {"uniform_chain", "strength_for_observed_qx", "noise_parameter", "ChainSpec", "p_star_override"}
+    users = {}
+    for node in ast.parse(Path(cli.__file__).read_text(encoding="utf-8")).body:
+        used = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+        used |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+        if used & deciding:
+            users[getattr(node, "name", f"line {node.lineno}")] = used & deciding
+    assert users == {"_rated_chain": deciding}
 
 
 @pytest.mark.parametrize("n_max,shown", [("1e300", "1e+300"), ("1000000000001", "1000000000001")])

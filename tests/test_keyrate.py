@@ -270,6 +270,20 @@ def test_noise_tolerance_linear_crossing():
     assert abs(noise_tolerance(lambda q: 0.2 - q) - 0.2) < 1e-6
 
 
+@pytest.mark.parametrize(
+    "rate_fn",
+    [
+        lambda q: math.nan,  # at the left end
+        lambda q: 0.2 - q if q < 0.2 else math.nan,  # at the right end
+        lambda q: math.nan if 0.24 < q < 0.26 else 0.3 - q,  # at the first midpoint only
+    ],
+)
+def test_noise_tolerance_refuses_a_nan_rate(rate_fn):
+    # A NaN is neither positive nor not, so bisection would return a threshold the rate never crossed.
+    with pytest.raises(ValueError, match="^rate is not a number at phase noise"):
+        noise_tolerance(rate_fn)
+
+
 def test_noise_tolerance_grows_with_honest_credit():
     # More honest stations tolerate more end-to-end noise.
     def rate_at(p_star):

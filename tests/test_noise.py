@@ -13,7 +13,6 @@ from chainrate import bell
 from chainrate.bell import BellDiagonal, bit_error_prob, fold_convolve, phase_error_prob
 from chainrate.noise import (
     ChainSpec,
-    balanced_honest_chain,
     depolarizing_dist,
     end_to_end_dist,
     honest_marginals,
@@ -93,14 +92,6 @@ def test_chain_spec_validation():
         spec.links = links3[:1]
     with pytest.raises(AttributeError):
         spec.repeaters = 3
-
-
-def test_balanced_chain_puts_extra_station_on_the_left():
-    links = uniform_chain(5, 0.03, 0, 0).links
-    spec = balanced_honest_chain(links, 3)
-    assert (spec.repeaters, spec.honest_left, spec.honest_right, spec.links) == (5, 2, 1, links)
-    even = balanced_honest_chain(links, 4)
-    assert (even.honest_left, even.honest_right) == (2, 2)
 
 
 @pytest.mark.parametrize("q", [0.0, 0.01, 0.03, 0.1, 0.5])
@@ -211,7 +202,7 @@ def test_noise_parameter_equals_marginal_combination(seed):
 def test_noise_parameter_identical_links_closed_form(total):
     # Depends only on the number of honest links when links are identical.
     q = 0.03
-    spec = balanced_honest_chain(uniform_chain(5, q, 0, 0).links, total)
+    spec = uniform_chain(5, q, (total + 1) // 2, total // 2)
     closed = (1.0 - (1.0 - q) ** total) / 2.0
     assert abs(noise_parameter(spec) - closed) < 1e-12
 
