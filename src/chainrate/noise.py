@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import NamedTuple
 
-from .bell import BellDiagonal, bit_error_prob, fold_convolve, phase_error_prob
+from .bell import BellDiagonal, fold_convolve, phase_error_prob
 
 
 def depolarizing_dist(q: float) -> BellDiagonal:
@@ -94,27 +94,14 @@ def noise_parameter(spec: ChainSpec) -> float:
 
 
 class NoiseReport(NamedTuple):
-    """End-to-end noise figures of a chain plus its honest-zone parameter."""
+    """Observed phase noise between the ends of a chain plus its honest-zone parameter."""
 
-    end_to_end: BellDiagonal
     observed_qx: float
-    observed_qz: float
     p_star: float
-    p_left: float
-    p_right: float
 
 
 def noise_report(spec: ChainSpec) -> NoiseReport:
-    dist = end_to_end_dist(spec)
-    left, right = honest_marginals(spec)
-    return NoiseReport(
-        end_to_end=dist,
-        observed_qx=phase_error_prob(dist),
-        observed_qz=bit_error_prob(dist),
-        p_star=noise_parameter(spec),
-        p_left=phase_error_prob(left),
-        p_right=phase_error_prob(right),
-    )
+    return NoiseReport(observed_qx(spec), noise_parameter(spec))
 
 
 def strength_for_observed_qx(qx: float, n_links: int) -> float:

@@ -95,7 +95,6 @@ def hoeffding_deviation(epsilon: float, m: int) -> float:
 class EpsilonLedger(NamedTuple):
     """Security-parameter bookkeeping derived from the single user-facing epsilon."""
 
-    epsilon: float
     epsilon_pa: float
     epsilon_fail: float
     smoothing: float
@@ -110,7 +109,6 @@ def epsilon_ledger(epsilon: float) -> EpsilonLedger:
     require_admissible(epsilon=epsilon)
     cube_root = (2.0 * epsilon) ** (1.0 / 3.0)
     ledger = EpsilonLedger(
-        epsilon=epsilon,
         epsilon_pa=17.0 * epsilon + 4.0 * cube_root,
         epsilon_fail=2.0 * cube_root,
         smoothing=8.0 * epsilon + 2.0 * cube_root,

@@ -170,6 +170,7 @@ def test_hoeffding_validation():
 def test_epsilon_ledger_frozen_values():
     ledger = epsilon_ledger(1e-36)
     assert isinstance(ledger, EpsilonLedger)
+    assert ledger._fields == ("epsilon_pa", "epsilon_fail", "smoothing")
     assert math.isclose(ledger.epsilon_pa, EPSILON_PA_1E36, rel_tol=1e-12)
     assert math.isclose(ledger.epsilon_fail, EPSILON_FAIL_1E36, rel_tol=1e-12)
     assert math.isclose(ledger.smoothing, SMOOTHING_1E36, rel_tol=1e-12)
