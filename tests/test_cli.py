@@ -175,6 +175,15 @@ def test_simulate_at_a_trillion_rounds(capsys):
     assert abs(payload["qx_hat"] - qx) <= 6 * math.sqrt(qx * (1 - qx) / m)
 
 
+@pytest.mark.parametrize("rounds", ["inf", "1e400", "nan"])
+def test_non_finite_round_count_is_a_one_line_error(capsys, rounds):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["simulate", "--rounds", rounds])
+    assert exit_info.value.code == 1
+    err = capsys.readouterr().err
+    assert "--rounds" in err and len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("argv,lo,hi", [
     (["--n-max", "99999999999"], 10**5, 99_999_999_999),
     (["--n-min", "10", "--per-decade", "66"], 10, 10**12),
@@ -213,6 +222,16 @@ def test_verify_fault_injection_is_caught(capsys):
     failed = [line for line in out.splitlines() if line.startswith("FAIL ")]
     assert len(failed) == 1 and failed[0].startswith("FAIL oracle_equivalence:")
     assert out.endswith("16/17 checks passed\n")
+
+
+@pytest.mark.parametrize("command", ["simulate", "mc-verify", "verify"])
+def test_negative_seed_names_the_flag(capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--seed", "-1"])
+    assert exit_info.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"chainrate {command}: error: argument --seed: expected a non-negative integer, got '-1'\n"
 
 
 def test_out_writes_file_instead_of_stdout(capsys, tmp_path):
@@ -288,6 +307,22 @@ def test_each_subcommand_accepts_only_the_flags_it_reads():
     for command, parser in subparsers.items():
         flags = {flag for action in parser._actions for flag in action.option_strings if flag != "--help"}
         assert flags - {"-h"} == FLAGS[command], command
+
+
+@pytest.mark.parametrize("argv", [
+    ["rate-asymptotic", "--epsilon", "1e-3"],
+    ["verify", "--config", "chain.json"],
+    ["noise", "--seed", "1"],
+    ["bounds", "--config", "chain.json"],
+    ["mc-verify", "--ec-factor", "1.1"],
+    ["rate-finite", "--seed", "1"],
+])
+def test_unread_flags_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
 
 
 def test_q_sets_the_round_sweep_links(capsys):
