@@ -28,23 +28,32 @@ class BellDiagonal(namedtuple("BellDiagonal", "probs")):
             probs = tuple(float(p) for p in probs)
         if len(probs) != 4:
             raise ValueError(f"expected 4 probabilities, got {len(probs)}")
-        for p in probs:
-            if not (p >= 0.0):  # also rejects NaN
-                raise ValueError(f"probabilities must be >= 0, got {p!r}")
-        total = sum(probs)
-        if abs(total - 1.0) > NORMALIZATION_TOL:
-            raise ValueError(f"probabilities must sum to 1 within {NORMALIZATION_TOL}, got {total!r}")
-        return super().__new__(cls, probs)
+        return _checked(cls, probs)
 
     @classmethod
     def _make(cls, iterable) -> "BellDiagonal":
         """Build through the constructor, so ``_replace`` checks its fields too."""
         return cls(*iterable)
 
-    @classmethod
-    def point(cls) -> "BellDiagonal":
-        """Deterministic distribution on symbol 0, the convolution identity."""
-        return cls((1.0, 0.0, 0.0, 0.0))
+    @staticmethod
+    def point() -> "BellDiagonal":
+        """Deterministic distribution on symbol 0, the convolution identity (one shared record)."""
+        return _POINT
+
+
+def _checked(cls: type, probs: tuple) -> BellDiagonal:
+    """Check a 4-tuple as a distribution and wrap it without re-entering the constructor."""
+    p0, p1, p2, p3 = probs
+    if not (p0 >= 0.0 and p1 >= 0.0 and p2 >= 0.0 and p3 >= 0.0):  # also rejects NaN
+        bad = next(p for p in probs if not (p >= 0.0))
+        raise ValueError(f"probabilities must be >= 0, got {bad!r}")
+    total = sum(probs)
+    if abs(total - 1.0) > NORMALIZATION_TOL:
+        raise ValueError(f"probabilities must sum to 1 within {NORMALIZATION_TOL}, got {total!r}")
+    return tuple.__new__(cls, (probs,))
+
+
+_POINT = BellDiagonal((1.0, 0.0, 0.0, 0.0))
 
 
 def convolve(p: BellDiagonal, q: BellDiagonal) -> BellDiagonal:
@@ -56,7 +65,7 @@ def convolve(p: BellDiagonal, q: BellDiagonal) -> BellDiagonal:
     the float operations of ``acc += p(a) * q(s ^ a)``, so bit-identical to that loop.
     """
     (p0, p1, p2, p3), (q0, q1, q2, q3) = p.probs, q.probs
-    return BellDiagonal((
+    return _checked(BellDiagonal, (
         0.0 + p0 * q0 + p1 * q1 + p2 * q2 + p3 * q3,
         0.0 + p0 * q1 + p1 * q0 + p2 * q3 + p3 * q2,
         0.0 + p0 * q2 + p1 * q3 + p2 * q0 + p3 * q1,

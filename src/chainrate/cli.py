@@ -24,10 +24,11 @@ it, the preset: 5 stations, identical 3% depolarizing links, 2+2 honest):
   except the ``noise`` table, which shows the computed one.
 
 ``bounds`` and ``verify`` read no configuration. Each subcommand accepts only
-the flags it reads (``chainrate CMD -h``). Tables are CSV with a header row,
-ordered by the sweep column, numbers at 12 significant digits; reports are
-JSON. Exit codes: 0 success, 1 validation error, 2 verification failure. All
-randomness flows from ``--seed``.
+the flags listed for it (``chainrate CMD -h``); ``rate-finite`` accepts the
+flags of both sweeps and reads only the chosen sweep's. Tables are CSV with a
+header row, ordered by the sweep column, numbers at 12 significant digits;
+reports are JSON. Exit codes: 0 success, 1 validation error, 2 verification
+failure. All randomness flows from ``--seed``.
 """
 # ``_rated_chain`` implements the list above (a comment, as the docstring is also ``chainrate -h``).
 

@@ -95,7 +95,7 @@ class RateParams(namedtuple("RateParams", "n m epsilon p_star ec_factor strict_l
             raise ValueError(f"honest-zone parameter must be in [0, 0.5), got {p_star!r}")
         if not (0.0 < ec_factor < math.inf):
             raise ValueError(f"error-correction factor must be positive and finite, got {ec_factor!r}")
-        return super().__new__(cls, n, m, epsilon, p_star, ec_factor, strict_leak)
+        return tuple.__new__(cls, (n, m, epsilon, p_star, ec_factor, strict_leak))
 
     @classmethod
     def _make(cls, iterable) -> "RateParams":

@@ -47,7 +47,7 @@ class ChainSpec(namedtuple("ChainSpec", "repeaters honest_left honest_right link
         for link in links:
             if not isinstance(link, BellDiagonal):
                 raise TypeError(f"links must be BellDiagonal, got {type(link).__name__}")
-        return super().__new__(cls, repeaters, honest_left, honest_right, links)
+        return tuple.__new__(cls, (repeaters, honest_left, honest_right, links))
 
     @classmethod
     def _make(cls, iterable) -> "ChainSpec":

@@ -2,12 +2,13 @@
 
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chainrate.bell import BellDiagonal, bit_error_prob, convolve, fold_convolve, phase_error_prob
+from chainrate.bell import NORMALIZATION_TOL, BellDiagonal, bit_error_prob, convolve, fold_convolve, phase_error_prob
 
 UNIFORM = BellDiagonal((0.25, 0.25, 0.25, 0.25))
 
@@ -21,20 +22,66 @@ def dist_strategy():
     ).map(lambda raw: BellDiagonal(tuple(v / sum(raw) for v in raw)))
 
 
+def _loop_check(probs):
+    """The constructor's checks written as a per-entry loop: the stored tuple, or the error message."""
+    if not isinstance(probs, tuple):
+        probs = tuple(float(p) for p in probs)
+    if len(probs) != 4:
+        return f"expected 4 probabilities, got {len(probs)}"
+    for p in probs:
+        if not (p >= 0.0):
+            return f"probabilities must be >= 0, got {p!r}"
+    total = sum(probs)
+    if abs(total - 1.0) > NORMALIZATION_TOL:
+        return f"probabilities must sum to 1 within {NORMALIZATION_TOL}, got {total!r}"
+    return probs
+
+
+_NAN, _INF = float("nan"), float("inf")
+_ABOVE, _BELOW = 1.0 + NORMALIZATION_TOL, 1.0 - NORMALIZATION_TOL
+
+
 @pytest.mark.parametrize(
     "probs",
     [
         (0.5, 0.5, 0.0),  # wrong arity
         (0.5, 0.5, 0.5, 0.5),  # sum 2
         (-0.1, 0.4, 0.4, 0.3),  # negative
-        (float("nan"), 0.4, 0.3, 0.3),
+        (_NAN, 0.4, 0.3, 0.3),
+        # A negative, NaN or infinite entry in each position; the first offending entry is named.
+        (0.4, -0.1, 0.4, 0.3),
+        (0.4, 0.4, -0.1, 0.3),
+        (0.4, 0.4, 0.3, -0.1),
+        (0.4, -0.1, -0.2, 0.9),
+        (0.4, 0.3, _NAN, 0.3),
+        (0.4, 0.3, 0.3, _NAN),
+        (_INF, 0.0, 0.0, 0.0),
+        (0.0, 0.0, 0.0, -_INF),
+        (0.5, _INF, -_INF, 0.5),
+        (-0.0, 1.0, 0.0, 0.0),  # negative zero is >= 0
+        (-0.0, -0.0, -0.0, 1.0),
+        (),
+        (1.0,),
+        (0.5, 0.5, 0.0, 0.0, 0.0),
+        # Sums one ulp either side of each edge of the tolerance.
+        (math.nextafter(_ABOVE, 2.0), 0.0, 0.0, 0.0),
+        (_ABOVE, 0.0, 0.0, 0.0),
+        (math.nextafter(_ABOVE, 0.0), 0.0, 0.0, 0.0),
+        (math.nextafter(_BELOW, 2.0), 0.0, 0.0, 0.0),
+        (_BELOW, 0.0, 0.0, 0.0),
+        (math.nextafter(_BELOW, 0.0), 0.0, 0.0, 0.0),
+        (1, 0, 0, 0),  # ints stay ints in a tuple and become floats from a list
     ],
 )
 def test_distribution_validation(probs):
-    with pytest.raises(ValueError):
-        BellDiagonal(probs)
-    with pytest.raises(ValueError):
-        BellDiagonal(list(probs))
+    # A tuple and a list of the same entries must be accepted or refused exactly as the loop did.
+    for given_probs in (probs, list(probs)):
+        want = _loop_check(given_probs)
+        if isinstance(want, str):
+            with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+                BellDiagonal(given_probs)
+        else:
+            assert repr(BellDiagonal(given_probs).probs) == repr(want)  # repr tells -0.0 and ints apart
 
 
 def test_make_and_replace_go_through_the_constructor():
@@ -57,6 +104,7 @@ def test_distribution_stores_a_tuple_and_is_frozen():
 
 def test_point_and_uniform():
     point = BellDiagonal.point()
+    assert point is BellDiagonal.point()
     assert point.probs == (1.0, 0.0, 0.0, 0.0)
     assert all(UNIFORM.probs[s] == 0.25 for s in range(4))
 
@@ -135,7 +183,14 @@ def test_convolve_is_bit_identical_to_the_attribute_loop():
 
 
 def test_fold_convolve_empty_is_identity():
-    assert fold_convolve([]) == BellDiagonal.point()
+    assert fold_convolve([]) is BellDiagonal.point()
+
+
+def test_convolve_keeps_the_sum_check():
+    # Each input is within the tolerance; their convolution sums to 1.0000000000018 and is refused.
+    a = BellDiagonal((0.5 + 0.9e-12, 0.5, 0.0, 0.0))
+    with pytest.raises(ValueError, match=r"^probabilities must sum to 1 within 1e-12, got 1\.0000000000018$"):
+        convolve(a, a)
 
 
 def test_fold_convolve_single():

@@ -182,6 +182,19 @@ def test_multinomial_cells_stay_valid_when_a_share_rounds_above_one():
             assert all(c >= 0 for c in counts) and sum(counts) == n
 
 
+@pytest.mark.parametrize("probs", [
+    (0.5, 0.7, -0.2, 0.0),  # sums to 1 with a negative weight
+    (0.5, float("nan"), 0.5, 0.0),
+    (0.5, 0.5, 0.0, 1e-11),
+    (0.5, 0.5 - 1e-11, 0.0, 0.0),
+    (0.5, float("inf"), 0.0, 0.0),
+    (),
+])
+def test_multinomial_refuses_weights_that_are_not_a_distribution(probs):
+    with pytest.raises(ValueError, match=r"^multinomial weights must be >= 0 and sum to 1 within 1e-12, got \("):
+        multinomial(100, probs, random.Random(0))
+
+
 def test_binomial_log_pmf_matches_math_comb_at_small_n():
     for n in (1, 2, 7, 40, 120):
         for p in (0.01, 0.25, 0.5, 0.9):
