@@ -18,22 +18,23 @@ from typing import Iterable
 NORMALIZATION_TOL = 1e-12
 
 
+def _make_checked(cls, iterable):
+    """Build through the constructor, so ``_replace`` checks its fields too."""
+    return cls(*iterable)
+
+
 class BellDiagonal(namedtuple("BellDiagonal", "probs")):
     """Probability distribution over the four symbols: ``probs[s]`` is the weight of symbol ``s``."""
 
     __slots__ = ()
 
-    def __new__(cls, probs: tuple[float, float, float, float]) -> "BellDiagonal":
-        if not isinstance(probs, tuple):
-            probs = tuple(float(p) for p in probs)
+    def __new__(cls, probs: Iterable[float]) -> "BellDiagonal":
+        probs = tuple(map(float, probs))
         if len(probs) != 4:
             raise ValueError(f"expected 4 probabilities, got {len(probs)}")
         return _checked(cls, probs)
 
-    @classmethod
-    def _make(cls, iterable) -> "BellDiagonal":
-        """Build through the constructor, so ``_replace`` checks its fields too."""
-        return cls(*iterable)
+    _make = classmethod(_make_checked)
 
     @staticmethod
     def point() -> "BellDiagonal":

@@ -35,8 +35,6 @@ failure. All randomness flows from ``--seed``.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
@@ -82,12 +80,8 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _emit_csv(header: Sequence[str], rows: Sequence[Sequence[Any]], out: str | None) -> None:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(cell) for cell in row])
-    _emit(buffer.getvalue(), out)
+    # No cell needs quoting: each is a number, a fixed column name or ``threshold``.
+    _emit("".join(",".join(map(_fmt, row)) + "\n" for row in [header, *rows]), out)
 
 
 def _as_dict(record: Any) -> Any:

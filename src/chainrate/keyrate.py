@@ -15,6 +15,7 @@ import math
 from collections import namedtuple
 from typing import NamedTuple
 
+from .bell import _make_checked
 from .sampling import deviation_for_failure, epsilon_ledger, hoeffding_deviation, require_admissible
 
 ARG_CLAMPED_LOW = "arg_clamped_low"
@@ -59,7 +60,7 @@ def corrected_phase(
         raise ValueError(f"observed phase rate must be in [0, 1], got {qx!r}")
     if not (0.0 <= p_star < 0.5):
         raise ValueError(f"honest-zone parameter must be in [0, 0.5), got {p_star!r}")
-    if delta < 0.0 or delta_prime < 0.0:
+    if not (delta >= 0.0 and delta_prime >= 0.0):
         raise ValueError("deviation terms must be >= 0")
     raw = (qx - p_star + delta_prime) / (1.0 - 2.0 * p_star) + delta
     if raw < 0.0:
@@ -97,10 +98,7 @@ class RateParams(namedtuple("RateParams", "n m epsilon p_star ec_factor strict_l
             raise ValueError(f"error-correction factor must be positive and finite, got {ec_factor!r}")
         return tuple.__new__(cls, (n, m, epsilon, p_star, ec_factor, strict_leak))
 
-    @classmethod
-    def _make(cls, iterable) -> "RateParams":
-        """Build through the constructor, so ``_replace`` checks its fields too."""
-        return cls(*iterable)
+    _make = classmethod(_make_checked)
 
 
 class RateReport(NamedTuple):

@@ -28,7 +28,7 @@ import math
 import random
 from typing import NamedTuple, Sequence
 
-from .bell import NORMALIZATION_TOL, bit_error_prob, phase_error_prob
+from .bell import BellDiagonal, bit_error_prob, phase_error_prob
 from .keyrate import RateParams, RateReport, finite_rate
 from .noise import ChainSpec, end_to_end_dist, observed_qx
 from .sampling import deviation_for_failure, frequency_limit, hoeffding_deviation, require_admissible, subset_deviates
@@ -157,11 +157,10 @@ def multinomial(n: int, probs: Sequence[float], rng: random.Random) -> tuple[int
     Cell i takes Binomial(left, probs[i] / mass) of the ``left`` trials not yet
     placed, with ``mass`` the probability not yet assigned and the ratio
     clamped to [0, 1]; the last cell takes the remainder. So the cells are
-    >= 0 and sum to ``n`` however the ratios round. The weights must be >= 0 and
-    sum to 1 within ``NORMALIZATION_TOL``, as a ``BellDiagonal``'s do.
+    >= 0 and sum to ``n`` however the ratios round. The weights must pass
+    ``BellDiagonal``'s rule: four cells, each >= 0, summing to 1.
     """
-    if not (all(prob >= 0.0 for prob in probs) and abs(sum(probs) - 1.0) <= NORMALIZATION_TOL):
-        raise ValueError(f"multinomial weights must be >= 0 and sum to 1 within {NORMALIZATION_TOL}, got {tuple(probs)!r}")
+    probs = BellDiagonal(probs).probs
     counts = []
     left, mass = n, 1.0
     for prob in probs[:-1]:

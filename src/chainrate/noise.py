@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import NamedTuple
 
-from .bell import BellDiagonal, fold_convolve, phase_error_prob
+from .bell import BellDiagonal, _make_checked, fold_convolve, phase_error_prob
 
 
 def depolarizing_dist(q: float) -> BellDiagonal:
@@ -40,8 +40,7 @@ class ChainSpec(namedtuple("ChainSpec", "repeaters honest_left honest_right link
             raise ValueError("honest station counts must be >= 0")
         if honest_left + honest_right > repeaters:
             raise ValueError(f"honest counts {honest_left}+{honest_right} exceed {repeaters} stations")
-        if not isinstance(links, tuple):
-            links = tuple(links)
+        links = tuple(links)
         if len(links) != repeaters + 1:
             raise ValueError(f"expected {repeaters + 1} links, got {len(links)}")
         for link in links:
@@ -49,10 +48,7 @@ class ChainSpec(namedtuple("ChainSpec", "repeaters honest_left honest_right link
                 raise TypeError(f"links must be BellDiagonal, got {type(link).__name__}")
         return tuple.__new__(cls, (repeaters, honest_left, honest_right, links))
 
-    @classmethod
-    def _make(cls, iterable) -> "ChainSpec":
-        """Build through the constructor, so ``_replace`` checks its fields too."""
-        return cls(*iterable)
+    _make = classmethod(_make_checked)
 
 
 def uniform_chain(repeaters: int, q: float, honest_left: int, honest_right: int) -> ChainSpec:

@@ -63,7 +63,11 @@ def sampling_failure_bound(delta: float, m: int, n: int) -> float:
     """
     _require_deviation(delta)
     require_admissible(m=m, n=n)
-    return min(1.0, 2.0 * math.exp(-(delta**2) * m * n / (n + 2)))
+    try:
+        square = delta**2
+    except OverflowError:  # delta above ~1.3e154: the bound has long since vanished
+        return 0.0
+    return min(1.0, 2.0 * math.exp(-square * m * n / (n + 2)))
 
 
 def subset_deviates(ones: Any, rest_ones: Any, m: int, n: int, delta: float) -> Any:

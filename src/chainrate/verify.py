@@ -4,8 +4,8 @@ Each check pits a literal computation from :mod:`chainrate.dm_oracle` or
 :mod:`chainrate.literal` (explicit density matrices, exhaustive enumeration,
 direct sampling) against the fast paths and returns a named pass/fail result.
 The CLI's ``verify`` subcommand runs the whole list at its ``--seed``; the
-acceptance tests call individual checks with their own seeds, and only
-criterion 01 also passes a size (``random_chains``).
+acceptance tests call individual checks with their own seeds; no check takes
+a size.
 
 ``run_all`` accepts ``inject_fault='convolve'`` as a negative control: it
 swaps a corrupted convolution into the oracle-equivalence check, which must
@@ -105,13 +105,12 @@ def check_pauli_correction() -> CheckResult:
 def check_oracle_equivalence(
     seed: int,
     convolve_fn: Callable[[BellDiagonal, BellDiagonal], BellDiagonal] | None = None,
-    random_chains: int = 10,
 ) -> CheckResult:
     """Folded convolution equals the exact multi-qubit simulation, link for link.
 
     Covers every single link over the whole pool, every ordered pair of the
     named distributions, the preset chain, and seeded random 2-, 3-, 4- and
-    6-link chains.
+    6-link chains, 10 of each length.
     """
     fn = convolve_fn if convolve_fn is not None else bell.convolve
     rng = np.random.default_rng(seed)
@@ -121,7 +120,7 @@ def check_oracle_equivalence(
     chains += [[a, b] for a in named for b in named]
     chains.append(list(_PRESET.links))
     for length in (2, 3, 4, 6):
-        for _ in range(random_chains):
+        for _ in range(10):
             chains.append([pool[i] for i in rng.integers(0, len(pool), size=length)])
     worst = 0.0
     for links, exact in zip(chains, dm_oracle.simulate_chain_exact(chains)):

@@ -24,8 +24,7 @@ def dist_strategy():
 
 def _loop_check(probs):
     """The constructor's checks written as a per-entry loop: the stored tuple, or the error message."""
-    if not isinstance(probs, tuple):
-        probs = tuple(float(p) for p in probs)
+    probs = tuple(float(p) for p in probs)
     if len(probs) != 4:
         return f"expected 4 probabilities, got {len(probs)}"
     for p in probs:
@@ -70,18 +69,23 @@ _ABOVE, _BELOW = 1.0 + NORMALIZATION_TOL, 1.0 - NORMALIZATION_TOL
         (math.nextafter(_BELOW, 2.0), 0.0, 0.0, 0.0),
         (_BELOW, 0.0, 0.0, 0.0),
         (math.nextafter(_BELOW, 0.0), 0.0, 0.0, 0.0),
-        (1, 0, 0, 0),  # ints stay ints in a tuple and become floats from a list
+        (1, 0, 0, 0),  # ints become floats from any iterable
     ],
 )
 def test_distribution_validation(probs):
-    # A tuple and a list of the same entries must be accepted or refused exactly as the loop did.
-    for given_probs in (probs, list(probs)):
-        want = _loop_check(given_probs)
+    # A tuple, a list and a generator of the same entries must be accepted or refused exactly as the loop did.
+    want = _loop_check(probs)
+    for given_probs in (probs, list(probs), (p for p in probs)):
         if isinstance(want, str):
             with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
                 BellDiagonal(given_probs)
         else:
             assert repr(BellDiagonal(given_probs).probs) == repr(want)  # repr tells -0.0 and ints apart
+
+
+def test_int_entries_give_float_error_probabilities():
+    d = BellDiagonal((1, 0, 0, 0))
+    assert repr(phase_error_prob(d)) == "0.0" and repr(bit_error_prob(d)) == "0.0"
 
 
 def test_make_and_replace_go_through_the_constructor():

@@ -117,6 +117,9 @@ def test_corrected_phase_domain():
         corrected_phase(0.1, 0.1, -1e-9, 0.0)
     with pytest.raises(ValueError):
         corrected_phase(0.1, 0.1, 0.0, -1e-9)
+    for nan_deviations in ((math.nan, 0.0), (0.0, math.nan)):  # NaN is not >= 0
+        with pytest.raises(ValueError, match="^deviation terms must be >= 0$"):
+            corrected_phase(0.1, 0.0, *nan_deviations)
 
 
 def test_rate_params_validation():

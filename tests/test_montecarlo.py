@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -182,16 +183,20 @@ def test_multinomial_cells_stay_valid_when_a_share_rounds_above_one():
             assert all(c >= 0 for c in counts) and sum(counts) == n
 
 
-@pytest.mark.parametrize("probs", [
-    (0.5, 0.7, -0.2, 0.0),  # sums to 1 with a negative weight
-    (0.5, float("nan"), 0.5, 0.0),
-    (0.5, 0.5, 0.0, 1e-11),
-    (0.5, 0.5 - 1e-11, 0.0, 0.0),
-    (0.5, float("inf"), 0.0, 0.0),
-    (),
-])
-def test_multinomial_refuses_weights_that_are_not_a_distribution(probs):
-    with pytest.raises(ValueError, match=r"^multinomial weights must be >= 0 and sum to 1 within 1e-12, got \("):
+#: Weights that are not a distribution, each with the message BellDiagonal refuses it with.
+REFUSED_WEIGHTS = [
+    ((0.5, 0.7, -0.2, 0.0), "probabilities must be >= 0, got -0.2"),  # sums to 1 with a negative weight
+    ((0.5, float("nan"), 0.5, 0.0), "probabilities must be >= 0, got nan"),
+    ((0.5, 0.5, 0.0, 1e-11), "probabilities must sum to 1 within 1e-12, got 1.00000000001"),
+    ((0.5, 0.5 - 1e-11, 0.0, 0.0), "probabilities must sum to 1 within 1e-12, got 0.99999999999"),
+    ((0.5, float("inf"), 0.0, 0.0), "probabilities must sum to 1 within 1e-12, got inf"),
+    ((), "expected 4 probabilities, got 0"),
+]
+
+
+@pytest.mark.parametrize("probs,message", REFUSED_WEIGHTS, ids=[f"probs{i}" for i in range(len(REFUSED_WEIGHTS))])
+def test_multinomial_refuses_weights_that_are_not_a_distribution(probs, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         multinomial(100, probs, random.Random(0))
 
 

@@ -150,6 +150,12 @@ def test_bound_rejects_bad_delta(delta):
         sampling_failure_bound(delta, 10, 100)
 
 
+def test_bound_vanishes_where_delta_squared_overflows():
+    # 1e300**2 is past the largest float; the bound is 0.0 there, not an OverflowError.
+    assert sampling_failure_bound(1e300, 1, 2) == 0.0
+    assert sampling_failure_bound(1e154, 1, 2) == 0.0  # a finite square
+
+
 def test_bound_monotone_in_delta_and_m():
     assert sampling_failure_bound(0.3, 100, 1000) < sampling_failure_bound(0.2, 100, 1000)
     assert sampling_failure_bound(0.2, 400, 1000) < sampling_failure_bound(0.2, 100, 1000)

@@ -106,7 +106,7 @@ def test_individual_fast_checks():
 
 
 def test_oracle_equivalence_accepts_custom_fold():
-    corrupted = check_oracle_equivalence(seed=11, convolve_fn=_corrupted_convolve, random_chains=3)
+    corrupted = check_oracle_equivalence(seed=11, convolve_fn=_corrupted_convolve)
     assert not corrupted.ok
-    honest = check_oracle_equivalence(seed=11, random_chains=3)
+    honest = check_oracle_equivalence(seed=11)
     assert honest.ok
