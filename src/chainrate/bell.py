@@ -29,6 +29,8 @@ class BellDiagonal(namedtuple("BellDiagonal", "probs")):
     __slots__ = ()
 
     def __new__(cls, probs: Iterable[float]) -> "BellDiagonal":
+        if isinstance(probs, (str, bytes, bytearray)):  # text, read entry by entry, could pass as numbers
+            raise TypeError(f"probabilities must be numbers, not {type(probs).__name__}")
         probs = tuple(map(float, probs))
         if len(probs) != 4:
             raise ValueError(f"expected 4 probabilities, got {len(probs)}")

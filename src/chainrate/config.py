@@ -1,32 +1,30 @@
-"""JSON chain-configuration parsing.
+"""JSON chain configuration: the file's shapes and types are checked here, every range by the records.
 
-Schema (all keys at the top level, no extras):
+    {"repeaters": 5, "honest_left": 2, "honest_right": 2,
+     "links": [{"type": "depolarizing", "q": 0.03}, {"type": "explicit", "probs": [0.97, 0.01, 0.01, 0.01]},
+               ... exactly repeaters + 1 entries],
+     "p_star_override": 0.05}
 
-    {
-      "repeaters": 5,
-      "honest_left": 2,
-      "honest_right": 2,
-      "links": [ {"type": "depolarizing", "q": 0.03},
-                 {"type": "explicit", "probs": [0.97, 0.01, 0.01, 0.01]},
-                 ... exactly repeaters + 1 entries ... ],
-      "p_star_override": 0.05        // optional
-    }
-
-Explicit probabilities must be nonnegative and sum to 1 within 1e-9; they are
-renormalized exactly before use. Errors carry the offending key path.
+This module checks what JSON leaves open: object and list shapes, known keys
+and none missing (only ``p_star_override`` is optional), an integer for each
+count and a number for each probability (``true`` and ``false`` are neither),
+and an explicit link's ``probs`` summing to 1 within ``PROBS_SUM_TOL`` before
+exact renormalization. The records built from the values check every range:
+``ChainSpec`` the counts and the number of links, ``depolarizing_dist`` q,
+``BellDiagonal`` the probs, keyrate p*. An error is one line,
+``<file>.<key path>: <message>``, ending in the record's own message.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, NamedTuple
+from typing import Any, Callable, NamedTuple
 
 from .bell import BellDiagonal
+from .keyrate import _require_p_star
 from .noise import ChainSpec, depolarizing_dist
 
 PROBS_SUM_TOL = 1e-9
-
-_TOP_KEYS = {"repeaters", "honest_left", "honest_right", "links", "p_star_override"}
 
 
 class ConfigError(ValueError):
@@ -45,80 +43,69 @@ def default_chain_config() -> ChainConfig:
     return ChainConfig(ChainSpec(5, 2, 2, (depolarizing_dist(0.03),) * 6))
 
 
-def _require_int(value: Any, where: str, minimum: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where}: expected an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigError(f"{where}: must be >= {minimum}, got {value}")
-    return value
+def _require_keys(obj: Any, where: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> None:
+    """Check that ``obj`` is a JSON object holding every ``required`` key and no key beyond ``optional``."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: expected a JSON object, got {type(obj).__name__}")
+    extra = set(obj).difference(required, optional)
+    if extra:
+        raise ConfigError(f"{where}: unknown keys {sorted(extra)}")
+    for key in required:
+        if key not in obj:
+            raise ConfigError(f"{where}.{key}: missing")
 
 
-def _require_number(value: Any, where: str, lo: float, hi: float) -> float:
+def _require_number(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
-    # Compare before converting: float() overflows on a huge integer, and
-    # printing one can exceed the interpreter's digit limit, so give its size.
-    if not (lo <= value <= hi):
-        shown = value if isinstance(value, float) or abs(value) < 2**64 else f"an integer of {value.bit_length()} bits"
-        raise ConfigError(f"{where}: must be within [{lo}, {hi}], got {shown}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # printing the integer itself can exceed the interpreter's digit limit, so give its size
+        raise ConfigError(f"{where}: expected a number in the float range, got an integer of {value.bit_length()} bits") from None
+
+
+def _build(where: str, record: Callable[..., Any], *args: Any) -> Any:
+    """``record(*args)``, with the ValueError or TypeError of a rule it breaks reported at ``where``."""
+    try:
+        return record(*args)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _parse_link(entry: Any, where: str) -> BellDiagonal:
-    if not isinstance(entry, dict):
-        raise ConfigError(f"{where}: expected an object, got {entry!r}")
-    kind = entry.get("type")
+    _require_keys(entry, where, ("type",), ("q", "probs"))
+    kind = entry["type"]
     if kind == "depolarizing":
-        extra = set(entry) - {"type", "q"}
-        if extra:
-            raise ConfigError(f"{where}: unknown keys {sorted(extra)}")
-        if "q" not in entry:
-            raise ConfigError(f"{where}.q: missing")
-        return depolarizing_dist(_require_number(entry["q"], f"{where}.q", 0.0, 1.0))
+        _require_keys(entry, where, ("type", "q"))
+        return _build(f"{where}.q", depolarizing_dist, _require_number(entry["q"], f"{where}.q"))
     if kind == "explicit":
-        extra = set(entry) - {"type", "probs"}
-        if extra:
-            raise ConfigError(f"{where}: unknown keys {sorted(extra)}")
-        probs = entry.get("probs")
+        _require_keys(entry, where, ("type", "probs"))
+        probs = entry["probs"]
         if not isinstance(probs, list) or len(probs) != 4:
             raise ConfigError(f"{where}.probs: expected a list of 4 numbers, got {probs!r}")
-        values = [_require_number(p, f"{where}.probs[{i}]", 0.0, 1.0) for i, p in enumerate(probs)]
+        values = [_require_number(p, f"{where}.probs[{i}]") for i, p in enumerate(probs)]
         total = sum(values)
-        if abs(total - 1.0) > PROBS_SUM_TOL:
+        if not (abs(total - 1.0) <= PROBS_SUM_TOL):  # also refuses a NaN total
             raise ConfigError(f"{where}.probs: must sum to 1 within {PROBS_SUM_TOL}, got {total}")
-        return BellDiagonal(tuple(v / total for v in values))
+        return _build(f"{where}.probs", BellDiagonal, [v / total for v in values])
     raise ConfigError(f"{where}.type: expected 'depolarizing' or 'explicit', got {kind!r}")
 
 
 def parse_chain_config(data: Any, where: str = "config") -> ChainConfig:
-    """Validate a decoded JSON object; raises ConfigError with the key at fault."""
-    if not isinstance(data, dict):
-        raise ConfigError(f"{where}: expected a JSON object, got {type(data).__name__}")
-    extra = set(data) - _TOP_KEYS
-    if extra:
-        raise ConfigError(f"{where}: unknown keys {sorted(extra)}")
-    for key in ("repeaters", "honest_left", "honest_right", "links"):
-        if key not in data:
-            raise ConfigError(f"{where}.{key}: missing")
-    repeaters = _require_int(data["repeaters"], f"{where}.repeaters", 1)
-    honest_left = _require_int(data["honest_left"], f"{where}.honest_left", 0)
-    honest_right = _require_int(data["honest_right"], f"{where}.honest_right", 0)
-    if honest_left + honest_right > repeaters:
-        raise ConfigError(
-            f"{where}.honest_left/honest_right: {honest_left}+{honest_right} exceed {repeaters} stations"
-        )
-    links_raw = data["links"]
-    if not isinstance(links_raw, list):
-        raise ConfigError(f"{where}.links: expected a list, got {links_raw!r}")
-    if len(links_raw) != repeaters + 1:
-        raise ConfigError(f"{where}.links: expected {repeaters + 1} entries (repeaters + 1), got {len(links_raw)}")
-    links = tuple(_parse_link(entry, f"{where}.links[{i}]") for i, entry in enumerate(links_raw))
-    override = None
-    if "p_star_override" in data and data["p_star_override"] is not None:
-        override = _require_number(data["p_star_override"], f"{where}.p_star_override", 0.0, 0.5)
-        if override >= 0.5:
-            raise ConfigError(f"{where}.p_star_override: must be strictly below 0.5")
-    return ChainConfig(ChainSpec(repeaters, honest_left, honest_right, links), override)
+    """Build the records from a decoded JSON object; raises ConfigError naming the key at fault."""
+    _require_keys(data, where, ("repeaters", "honest_left", "honest_right", "links"), ("p_star_override",))
+    for key in ("repeaters", "honest_left", "honest_right"):
+        if type(data[key]) is not int:  # refuses bool too
+            raise ConfigError(f"{where}.{key}: expected an integer, got {data[key]!r}")
+    if not isinstance(data["links"], list):
+        raise ConfigError(f"{where}.links: expected a list, got {data['links']!r}")
+    links = [_parse_link(entry, f"{where}.links[{i}]") for i, entry in enumerate(data["links"])]
+    spec = _build(where, ChainSpec, data["repeaters"], data["honest_left"], data["honest_right"], links)
+    override = data.get("p_star_override")
+    if override is not None:
+        override = _require_number(override, f"{where}.p_star_override")
+        _build(f"{where}.p_star_override", _require_p_star, override)
+    return ChainConfig(spec, override)
 
 
 def load_chain_config(path: str) -> ChainConfig:

@@ -45,6 +45,16 @@ def capped_entropy(p: float) -> float:
     return 1.0 if 0.5 <= p <= 1.0 else binary_entropy(p)
 
 
+def _require_phase_rate(qx: float) -> None:
+    if not (0.0 <= qx <= 1.0):
+        raise ValueError(f"observed phase rate must be in [0, 1], got {qx!r}")
+
+
+def _require_p_star(p_star: float) -> None:
+    if not (0.0 <= p_star < 0.5):
+        raise ValueError(f"honest-zone parameter must be in [0, 0.5), got {p_star!r}")
+
+
 def corrected_phase(
     qx: float,
     p_star: float,
@@ -56,10 +66,8 @@ def corrected_phase(
     The raw value is clamped into [0, 1]; the returned flags name the side hit
     (empty, or one flag), so callers can tell a real rate from a saturated one.
     """
-    if not (0.0 <= qx <= 1.0):
-        raise ValueError(f"observed phase rate must be in [0, 1], got {qx!r}")
-    if not (0.0 <= p_star < 0.5):
-        raise ValueError(f"honest-zone parameter must be in [0, 0.5), got {p_star!r}")
+    _require_phase_rate(qx)
+    _require_p_star(p_star)
     if not (delta >= 0.0 and delta_prime >= 0.0):
         raise ValueError("deviation terms must be >= 0")
     raw = (qx - p_star + delta_prime) / (1.0 - 2.0 * p_star) + delta
@@ -92,8 +100,7 @@ class RateParams(namedtuple("RateParams", "n m epsilon p_star ec_factor strict_l
         strict_leak: bool = False,
     ) -> "RateParams":
         require_admissible(epsilon=epsilon, m=m, n=n)
-        if not (0.0 <= p_star < 0.5):
-            raise ValueError(f"honest-zone parameter must be in [0, 0.5), got {p_star!r}")
+        _require_p_star(p_star)
         if not (0.0 < ec_factor < math.inf):
             raise ValueError(f"error-correction factor must be positive and finite, got {ec_factor!r}")
         return tuple.__new__(cls, (n, m, epsilon, p_star, ec_factor, strict_leak))
@@ -161,8 +168,7 @@ def bb84_finite(qx: float, n: int, m: int, epsilon: float) -> float:
     nu is its sampling deviation; the error-correction term carries the fixed
     ``BASELINE_EC_FACTOR`` inefficiency inside the same capped entropy.
     """
-    if not (0.0 <= qx <= 1.0):
-        raise ValueError(f"observed phase rate must be in [0, 1], got {qx!r}")
+    _require_phase_rate(qx)
     require_admissible(epsilon=epsilon, m=m, n=n)
     kept = n - m
     nu = math.sqrt(n * (m + 1) * math.log(2.0 / epsilon) / (m * m * kept))
@@ -176,8 +182,7 @@ def bb84_asymptotic(qx: float) -> float:
     Written as two subtractions so that the zero-honest asymptotic chain rate,
     which subtracts the same two entropy values, is bitwise identical to it.
     """
-    if not (0.0 <= qx <= 1.0):
-        raise ValueError(f"observed phase rate must be in [0, 1], got {qx!r}")
+    _require_phase_rate(qx)
     return 1.0 - capped_entropy(qx) - capped_entropy(qx)
 
 

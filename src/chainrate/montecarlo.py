@@ -62,8 +62,8 @@ def _deviance(x: int, mean: float) -> float:
     return x * math.log(x / mean) + mean - x
 
 
-def binomial_log_pmf(n: int, p: float, k: int) -> float:
-    """log P(Binomial(n, p) = k) for 0 < p < 1 and 0 <= k <= n.
+def _binomial_log_pmf(n: int, p: float, k: int) -> float:
+    """log P(Binomial(n, p) = k) for 0 < p < 1 and 0 <= k <= n, unchecked: only BTRS's rejection loop calls it.
 
     Loader's saddle-point form (2000): Stirling remainders plus deviance
     terms, none of which is a difference of large numbers, so it keeps
@@ -128,7 +128,7 @@ def _btrs_setup(n: int, p: float) -> tuple[float, float, float, float, float]:
 @functools.lru_cache(maxsize=256)
 def _btrs_log_f_mode(n: int, p: float) -> float:
     """log f(mode) of Binomial(n, p), computed once per (n, p) and only when BTRS's squeeze rejects."""
-    return binomial_log_pmf(n, p, math.floor((n + 1) * p))
+    return _binomial_log_pmf(n, p, math.floor((n + 1) * p))
 
 
 def _binomial_btrs(n: int, p: float, rng: random.Random) -> int:
@@ -147,7 +147,7 @@ def _binomial_btrs(n: int, p: float, rng: random.Random) -> int:
         if us >= 0.07 and v <= v_r:
             return k
         v *= alpha / (a / (us * us) + b)
-        if math.log(v) <= binomial_log_pmf(n, p, k) - _btrs_log_f_mode(n, p):
+        if math.log(v) <= _binomial_log_pmf(n, p, k) - _btrs_log_f_mode(n, p):
             return k
 
 

@@ -27,17 +27,19 @@ def depolarizing_dist(q: float) -> BellDiagonal:
 class ChainSpec(namedtuple("ChainSpec", "repeaters honest_left honest_right links")):
     """A repeater chain with an honest prefix and suffix of stations.
 
-    ``links`` has one distribution per link, left to right, length
-    ``repeaters + 1``. ``honest_left + honest_right <= repeaters``.
+    The counts are ``int``, not ``bool``: ``repeaters >= 1``, ``0 <= honest_left, honest_right`` and
+    ``honest_left + honest_right <= repeaters``. ``links`` has one distribution per link, left to right, ``repeaters + 1`` of them.
     """
 
     __slots__ = ()
 
     def __new__(cls, repeaters: int, honest_left: int, honest_right: int, links: tuple[BellDiagonal, ...]) -> "ChainSpec":
+        if not (type(repeaters) is int and type(honest_left) is int and type(honest_right) is int):  # refuses bool too
+            raise TypeError(f"repeaters, honest_left and honest_right must be int, got {repeaters!r}, {honest_left!r}, {honest_right!r}")
         if repeaters < 1:
-            raise ValueError(f"need at least one station, got {repeaters}")
+            raise ValueError(f"repeaters must be >= 1, got {repeaters}")
         if honest_left < 0 or honest_right < 0:
-            raise ValueError("honest station counts must be >= 0")
+            raise ValueError(f"honest_left and honest_right must be >= 0, got {honest_left} and {honest_right}")
         if honest_left + honest_right > repeaters:
             raise ValueError(f"honest counts {honest_left}+{honest_right} exceed {repeaters} stations")
         links = tuple(links)

@@ -81,6 +81,9 @@ def subset_deviates(ones: Any, rest_ones: Any, m: int, n: int, delta: float) -> 
 
 def frequency_limit(bound: float, trials: int) -> float:
     """Highest failure frequency over ``trials`` seeded trials that honours ``bound``: bound plus three binomial sigmas."""
+    require_admissible(trials=trials)
+    if not (0.0 <= bound <= 1.0):
+        raise ValueError(f"failure bound must be in [0, 1], got {bound!r}")
     return bound + 3.0 * math.sqrt(bound * (1.0 - bound) / trials)
 
 

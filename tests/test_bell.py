@@ -83,6 +83,13 @@ def test_distribution_validation(probs):
             assert repr(BellDiagonal(given_probs).probs) == repr(want)  # repr tells -0.0 and ints apart
 
 
+@pytest.mark.parametrize("text", ["1000", b"1000", bytearray(b"\x01\x00\x00\x00")])
+def test_text_is_not_a_distribution(text):
+    # float() would read each character or byte as one entry and accept the point distribution.
+    with pytest.raises(TypeError, match="^probabilities must be numbers, not "):
+        BellDiagonal(text)
+
+
 def test_int_entries_give_float_error_probabilities():
     d = BellDiagonal((1, 0, 0, 0))
     assert repr(phase_error_prob(d)) == "0.0" and repr(bit_error_prob(d)) == "0.0"

@@ -10,8 +10,8 @@ import pytest
 from chainrate.montecarlo import (
     ConcentrationSummary,
     MCReport,
+    _binomial_log_pmf,
     binomial,
-    binomial_log_pmf,
     multinomial,
     sample_rounds,
     simulate_e91,
@@ -205,7 +205,7 @@ def test_binomial_log_pmf_matches_math_comb_at_small_n():
         for p in (0.01, 0.25, 0.5, 0.9):
             for k in range(n + 1):
                 exact = math.log(math.comb(n, k)) + k * math.log(p) + (n - k) * math.log1p(-p)
-                assert abs(binomial_log_pmf(n, p, k) - exact) <= 1e-11
+                assert abs(_binomial_log_pmf(n, p, k) - exact) <= 1e-11
 
 
 @pytest.mark.parametrize("p", [0.08, 0.5, 1e-5])
@@ -226,7 +226,7 @@ def test_btrs_density_ratio_is_exact_at_a_trillion_rounds(p):
         at_mode = exact(mode)
         for offset in (-6, -3, -1, 0, 1, 3, 6):
             for k in (mode + round(offset * sigma), mode + offset):
-                ratio = binomial_log_pmf(n, p, k) - binomial_log_pmf(n, p, mode)
+                ratio = _binomial_log_pmf(n, p, k) - _binomial_log_pmf(n, p, mode)
                 assert abs(ratio - float(exact(k) - at_mode)) <= 1e-9
 
 

@@ -74,11 +74,17 @@ def test_depolarizing_dist_domain(q):
         depolarizing_dist(q)
 
 
+@pytest.mark.parametrize("counts", [(2.0, 0, 0), (True, 0, 0), (2, False, 0), (2, 0, 1.0)])
+def test_chain_spec_counts_must_be_int(counts):
+    with pytest.raises(TypeError, match="^repeaters, honest_left and honest_right must be int, got "):
+        ChainSpec(*counts, (depolarizing_dist(0.1),) * 3)
+
+
 def test_chain_spec_validation():
     links3 = (depolarizing_dist(0.1),) * 3
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^repeaters must be >= 1, got 0$"):
         ChainSpec(0, 0, 0, (depolarizing_dist(0.1),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^honest_left and honest_right must be >= 0, got -1 and 0$"):
         ChainSpec(2, -1, 0, links3)
     with pytest.raises(ValueError):
         ChainSpec(2, 2, 1, links3)  # honest counts exceed stations

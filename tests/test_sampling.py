@@ -18,6 +18,7 @@ from chainrate.sampling import (
     EpsilonLedger,
     deviation_for_failure,
     epsilon_ledger,
+    frequency_limit,
     hoeffding_deviation,
     require_admissible,
     sampling_failure_bound,
@@ -171,6 +172,15 @@ def test_hoeffding_validation():
         hoeffding_deviation(1e-6, 0)
     with pytest.raises(ValueError):
         hoeffding_deviation(0.0, 10)
+
+
+def test_frequency_limit_validation():
+    assert frequency_limit(0.0, 1) == 0.0 and frequency_limit(1.0, MAX_TRIALS) == 1.0
+    with pytest.raises(ValueError, match=r"^trials must be in 1\.\.100000, got 0$"):
+        frequency_limit(0.1, 0)
+    for bound in (math.nan, -0.1, 1.5, math.inf):
+        with pytest.raises(ValueError, match=r"^failure bound must be in \[0, 1\], got "):
+            frequency_limit(bound, 10)
 
 
 def test_epsilon_ledger_frozen_values():
