@@ -41,7 +41,7 @@ import sys
 from collections import Counter
 from typing import Any, Sequence
 
-from .config import ChainConfig, ConfigError, default_chain_config, load_chain_config
+from .config import ChainConfig, default_chain_config, load_chain_config
 from .keyrate import BASELINE_EC_FACTOR, RateParams, asymptotic_rate, bb84_asymptotic, bb84_finite, finite_rate, noise_tolerance
 from .noise import ChainSpec, noise_parameter, observed_qx, strength_for_observed_qx, uniform_chain
 from .sampling import MAX_ROUNDS, deviation_for_failure, epsilon_ledger, hoeffding_deviation, sampling_failure_bound
@@ -76,7 +76,7 @@ def _emit(text: str, out: str | None) -> None:
             with open(out, "w", encoding="utf-8", newline="") as handle:
                 handle.write(text)
         except OSError as exc:
-            raise ConfigError(f"cannot write {out}: {exc.strerror or exc}") from exc
+            raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
 def _emit_csv(header: Sequence[str], rows: Sequence[Sequence[Any]], out: str | None) -> None:
@@ -143,21 +143,14 @@ def _sample_size(rounds: int, fraction: float) -> int:
     triple; as m >= 1, an out-of-range epsilon or round count is what they report.
     """
     if not (0.0 < fraction <= 0.5):
-        raise ConfigError(f"--m-fraction must be in (0, 0.5], got {fraction}")
+        raise ValueError(f"--m-fraction must be in (0, 0.5], got {fraction}")
     return max(1, min(round(fraction * rounds), rounds // 2))
 
 
-def _resolve_honest(
-    counts: tuple[int, ...] | None,
-    repeaters: int,
-    fallback: Sequence[int],
-) -> tuple[int, ...]:
-    """Explicit counts are validated; the default keeps only counts the chain has room for."""
+def _resolve_honest(counts: tuple[int, ...] | None, repeaters: int, fallback: Sequence[int]) -> tuple[int, ...]:
+    """Explicit counts as given, for ``ChainSpec`` to refuse one the chain has no room for; by default, the counts that fit."""
     if counts is None:
         return tuple(count for count in fallback if count <= repeaters)
-    for count in counts:
-        if count > repeaters:
-            raise ConfigError(f"honest count {count} exceeds {repeaters} stations")
     return counts
 
 
@@ -183,7 +176,7 @@ def _rated_chain(args: argparse.Namespace, config: ChainConfig, honest: Sequence
 def _grid(lo: float, hi: float, steps: int) -> list[float]:
     span = hi - lo
     if not (2 <= steps <= MAX_ROWS and math.isfinite(span) and span > 0):
-        raise ConfigError(f"need 2..{MAX_ROWS} steps and a finite span max - min > 0, got [{lo}, {hi}] x {steps}")
+        raise ValueError(f"need 2..{MAX_ROWS} steps and a finite span max - min > 0, got [{lo}, {hi}] x {steps}")
     return [lo + span * i / (steps - 1) for i in range(steps)]
 
 
@@ -201,16 +194,16 @@ def cmd_noise(args: argparse.Namespace) -> int:
 
 def _round_grid(n_min: int, n_max: int, per_decade: int) -> list[int]:
     if n_min < 10 or n_max <= n_min:
-        raise ConfigError(f"need 10 <= n-min < n-max, got {n_min}, {n_max}")
+        raise ValueError(f"need 10 <= n-min < n-max, got {n_min}, {n_max}")
     if n_max > MAX_ROUNDS:
         # 13 significant digits: a 13-digit count prints exactly, a larger one as 1e+300, not 301 digits.
-        raise ConfigError(f"--n-max must be at most {MAX_ROUNDS}, got {n_max:.13g}")
+        raise ValueError(f"--n-max must be at most {MAX_ROUNDS}, got {n_max:.13g}")
     if per_decade < 1:
-        raise ConfigError(f"--per-decade must be >= 1, got {per_decade}")
+        raise ValueError(f"--per-decade must be >= 1, got {per_decade}")
     exponent = math.log10(n_min)
     top = math.log10(n_max)
     if (top - exponent) * per_decade + 1 > MAX_ROWS:
-        raise ConfigError(f"--per-decade {per_decade} over [{n_min}, {n_max}] gives more than {MAX_ROWS} rows")
+        raise ValueError(f"--per-decade {per_decade} over [{n_min}, {n_max}] gives more than {MAX_ROWS} rows")
     values = []
     step = 1.0 / per_decade
     while exponent <= top + 1e-9:
@@ -245,7 +238,7 @@ def _finite_row(args: argparse.Namespace, key: Any, qx: float, rounds: int, p_st
 
 def cmd_rate_finite(args: argparse.Namespace) -> int:
     if args.q is not None and (args.config is not None or args.sweep == "qx"):
-        raise ConfigError("--q sets the preset's links for --sweep N; it cannot be combined with --config or --sweep qx")
+        raise ValueError("--q sets the preset's links for --sweep N; it cannot be combined with --config or --sweep qx")
     config = _load_config(args)
     honest = _resolve_honest(args.honest, config.spec.repeaters, (0, 2, 4))
     rows: list[list[Any]] = []
@@ -294,9 +287,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         "delta": delta,
         "delta_prime": hoeffding_deviation(epsilon, sample),
         "failure_bound_at_delta": sampling_failure_bound(delta, sample, rounds),
-        "epsilon_pa": ledger.epsilon_pa,
-        "epsilon_fail": ledger.epsilon_fail,
-        "smoothing": ledger.smoothing,
+        **ledger._asdict(),
     }
     _emit_json(payload, args.out)
     return 0
@@ -402,7 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.set_defaults(handler=cmd_mc_verify, ec_factor=BASELINE_EC_FACTOR, strict_leak=False)
 
     p_verify = sub.add_parser("verify", parents=[out, seed], help="self-verification suite")
-    p_verify.add_argument("--inject-fault", choices=("convolve",), default=None, help="negative control")
+    # verify.run_all holds the list of faults and refuses any other name.
+    p_verify.add_argument("--inject-fault", metavar="convolve", default=None, help="negative control")
     p_verify.set_defaults(handler=cmd_verify)
 
     return parser
@@ -412,7 +404,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ValueError as exc:  # ConfigError included
+    except ValueError as exc:  # config's own error type included
         print(f"chainrate: error: {exc}", file=sys.stderr)
         return 1
 

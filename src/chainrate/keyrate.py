@@ -84,8 +84,8 @@ class RateParams(namedtuple("RateParams", "n m epsilon p_star ec_factor strict_l
     ``n`` total rounds, ``m`` of them revealed for testing (admissible as
     ``sampling.require_admissible`` decides), ``p_star`` the honest-zone noise
     parameter, ``ec_factor`` the finite error-correction inefficiency,
-    ``strict_leak`` charges error correction on all rounds instead of the
-    kept ones.
+    ``strict_leak`` (a ``bool``) charges error correction on all rounds
+    instead of the kept ones.
     """
 
     __slots__ = ()
@@ -103,6 +103,8 @@ class RateParams(namedtuple("RateParams", "n m epsilon p_star ec_factor strict_l
         _require_p_star(p_star)
         if not (0.0 < ec_factor < math.inf):
             raise ValueError(f"error-correction factor must be positive and finite, got {ec_factor!r}")
+        if type(strict_leak) is not bool:
+            raise TypeError(f"strict_leak must be a bool, got {strict_leak!r}")
         return tuple.__new__(cls, (n, m, epsilon, p_star, ec_factor, strict_leak))
 
     _make = classmethod(_make_checked)

@@ -114,27 +114,21 @@ def _binomial_geometric(n: int, p: float, rng: random.Random) -> int:
 
 
 @functools.lru_cache(maxsize=256)
-def _btrs_setup(n: int, p: float) -> tuple[float, float, float, float, float]:
-    """BTRS's constants (a, b, c, v_r, alpha), computed once per (n, p)."""
+def _btrs_setup(n: int, p: float) -> tuple[float, float, float, float, float, float]:
+    """BTRS's constants (a, b, c, v_r, alpha) and log f(mode) of Binomial(n, p), computed once per (n, p)."""
     spq = math.sqrt(n * p * (1.0 - p))
     b = 1.15 + 2.53 * spq
     a = -0.0873 + 0.0248 * b + 0.01 * p
     c = n * p + 0.5
     v_r = 0.92 - 4.2 / b
     alpha = (2.83 + 5.1 / b) * spq
-    return a, b, c, v_r, alpha
-
-
-@functools.lru_cache(maxsize=256)
-def _btrs_log_f_mode(n: int, p: float) -> float:
-    """log f(mode) of Binomial(n, p), computed once per (n, p) and only when BTRS's squeeze rejects."""
-    return _binomial_log_pmf(n, p, math.floor((n + 1) * p))
+    return a, b, c, v_r, alpha, _binomial_log_pmf(n, p, math.floor((n + 1) * p))
 
 
 def _binomial_btrs(n: int, p: float, rng: random.Random) -> int:
     # Hoermann's BTRS for n p >= 10 and p <= 1/2; the acceptance test compares
     # with the exact log density ratio f(k) / f(mode).
-    a, b, c, v_r, alpha = _btrs_setup(n, p)
+    a, b, c, v_r, alpha, log_f_mode = _btrs_setup(n, p)
     while True:
         u = rng.random() - 0.5
         us = 0.5 - abs(u)
@@ -147,7 +141,7 @@ def _binomial_btrs(n: int, p: float, rng: random.Random) -> int:
         if us >= 0.07 and v <= v_r:
             return k
         v *= alpha / (a / (us * us) + b)
-        if math.log(v) <= _binomial_log_pmf(n, p, k) - _btrs_log_f_mode(n, p):
+        if math.log(v) <= _binomial_log_pmf(n, p, k) - log_f_mode:
             return k
 
 

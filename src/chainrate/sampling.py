@@ -31,18 +31,26 @@ def require_admissible(
 
     The one admissibility rule: MIN_EPSILON <= epsilon < 1, m >= 1,
     2 <= n <= MAX_ROUNDS, 2m <= n when both are given, and
-    1 <= trials <= MAX_TRIALS. Every size check in the package goes through
+    1 <= trials <= MAX_TRIALS. The counts are ``int``, not ``bool`` or
+    ``float`` (``TypeError``). Every size check in the package goes through
     here.
     """
+    # Each count's type is tested inside its range test, so an admissible call pays one ``is`` per count.
     if epsilon is not None and not (MIN_EPSILON <= epsilon < 1.0):
         raise ValueError(f"epsilon must be in [{MIN_EPSILON:g}, 1), got {epsilon!r}")
-    if m is not None and not m >= 1:
+    if m is not None and not (type(m) is int and m >= 1):
+        if type(m) is not int:
+            raise TypeError(f"test sample must be an int, got m={m!r}")
         raise ValueError(f"test sample must be >= 1, got m={m}")
-    if n is not None and not (2 <= n <= MAX_ROUNDS):
+    if n is not None and not (type(n) is int and 2 <= n <= MAX_ROUNDS):
+        if type(n) is not int:
+            raise TypeError(f"rounds must be an int, got n={n!r}")
         raise ValueError(f"rounds must be in 2..{MAX_ROUNDS}, got n={n}")
     if m is not None and n is not None and not 2 * m <= n:
         raise ValueError(f"need m <= n/2, got m={m}, n={n}")
-    if trials is not None and not (1 <= trials <= MAX_TRIALS):
+    if trials is not None and not (type(trials) is int and 1 <= trials <= MAX_TRIALS):
+        if type(trials) is not int:
+            raise TypeError(f"trials must be an int, got {trials!r}")
         raise ValueError(f"trials must be in 1..{MAX_TRIALS}, got {trials}")
 
 

@@ -224,6 +224,25 @@ def test_verify_fault_injection_is_caught(capsys):
     assert out.endswith("16/17 checks passed\n")
 
 
+def test_unknown_fault_is_refused_by_verify(capsys):
+    # verify.run_all owns the list of faults; the parser passes any name through to it.
+    rc, out, err = run(capsys, "verify", "--inject-fault", "bogus")
+    assert (rc, out, err) == (1, "", "chainrate: error: unknown fault 'bogus'\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["noise"],
+    ["rate-finite", "--sweep", "N"],
+    ["rate-finite", "--sweep", "qx"],
+    ["rate-asymptotic"],
+], ids=["noise", "rate-finite-N", "rate-finite-qx", "rate-asymptotic"])
+def test_honest_count_without_room_is_refused_by_chain_spec(capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli, "_emit", lambda text, out: pytest.fail("a row was printed"))
+    config = str(Path(__file__).parent / "golden" / "three_repeaters.json")
+    rc, out, err = run(capsys, *argv, "--config", config, "--honest", "4", "--steps", "2")
+    assert (rc, out, err) == (1, "", "chainrate: error: honest counts 2+2 exceed 3 stations\n")
+
+
 @pytest.mark.parametrize("command", ["simulate", "mc-verify", "verify"])
 def test_negative_seed_names_the_flag(capsys, command):
     with pytest.raises(SystemExit) as exit_info:

@@ -143,6 +143,17 @@ def test_rate_params_validation():
     assert RateParams(n=MAX_ROUNDS, m=10, epsilon=1e-9).n == MAX_ROUNDS
 
 
+def test_rate_params_types():
+    with pytest.raises(TypeError, match=r"^rounds must be an int, got n=1000000\.0$"):
+        RateParams(1e6, 1000, 1e-3)
+    with pytest.raises(TypeError, match=r"^test sample must be an int, got m=True$"):
+        RateParams(10**6, True, 1e-3)
+    for flag in ("no", 1, None):
+        with pytest.raises(TypeError, match=rf"^strict_leak must be a bool, got {flag!r}$"):
+            RateParams(10**6, 1000, 1e-3, strict_leak=flag)
+    assert RateParams(10**6, 1000, 1e-3, strict_leak=True).strict_leak is True
+
+
 def test_rate_params_replace_goes_through_the_constructor():
     params = RateParams(n=10**8, m=7 * 10**6, epsilon=1e-36)
     with pytest.raises(ValueError, match="error-correction factor must be positive and finite, got -1.0"):

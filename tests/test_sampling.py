@@ -57,6 +57,25 @@ def test_params_validation():
             require_admissible(trials=trials)
 
 
+@pytest.mark.parametrize("counts, message", [
+    (dict(m=10.0, n=100), r"^test sample must be an int, got m=10\.0$"),
+    (dict(m=True, n=100), r"^test sample must be an int, got m=True$"),
+    (dict(m=10, n=1e6), r"^rounds must be an int, got n=1000000\.0$"),
+    (dict(n=False), r"^rounds must be an int, got n=False$"),
+    (dict(trials=2.0), r"^trials must be an int, got 2\.0$"),
+    (dict(trials=True), r"^trials must be an int, got True$"),
+], ids=["m-float", "m-bool", "n-float", "n-bool", "trials-float", "trials-bool"])
+def test_counts_must_be_int(counts, message):
+    # A float or bool count can pass the range tests and reach the bounds' arithmetic.
+    with pytest.raises(TypeError, match=message):
+        require_admissible(epsilon=0.1, **counts)
+
+
+def test_deviation_refuses_a_fractional_sample():
+    with pytest.raises(TypeError, match=r"^test sample must be an int, got m=10\.5$"):
+        deviation_for_failure(0.1, 10.5, 100)
+
+
 def test_frozen_deviations():
     assert math.isclose(deviation_for_failure(1e-36, 700_000, 10**7), DELTA_7E5_1E7, rel_tol=1e-12)
     assert math.isclose(deviation_for_failure(1e-36, 7_000_000, 10**8), DELTA_7E6_1E8, rel_tol=1e-12)
