@@ -14,7 +14,7 @@ from collections import namedtuple
 from functools import reduce
 from typing import Iterable
 
-# Distributions must sum to 1 within this tolerance; entries must be >= 0.
+# Entries must be >= 0 and sum to 1 within this tolerance, added in index order as 0.0 + p0 + p1 + p2 + p3 on every Python.
 NORMALIZATION_TOL = 1e-12
 
 
@@ -50,7 +50,7 @@ def _checked(cls: type, probs: tuple) -> BellDiagonal:
     if not (p0 >= 0.0 and p1 >= 0.0 and p2 >= 0.0 and p3 >= 0.0):  # also rejects NaN
         bad = next(p for p in probs if not (p >= 0.0))
         raise ValueError(f"probabilities must be >= 0, got {bad!r}")
-    total = sum(probs)
+    total = 0.0 + p0 + p1 + p2 + p3
     if abs(total - 1.0) > NORMALIZATION_TOL:
         raise ValueError(f"probabilities must sum to 1 within {NORMALIZATION_TOL}, got {total!r}")
     return tuple.__new__(cls, (probs,))

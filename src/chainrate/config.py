@@ -84,7 +84,7 @@ def _parse_link(entry: Any, where: str) -> BellDiagonal:
         if not isinstance(probs, list) or len(probs) != 4:
             raise ConfigError(f"{where}.probs: expected a list of 4 numbers, got {probs!r}")
         values = [_require_number(p, f"{where}.probs[{i}]") for i, p in enumerate(probs)]
-        total = sum(values)
+        total = 0.0 + values[0] + values[1] + values[2] + values[3]
         if not (abs(total - 1.0) <= PROBS_SUM_TOL):  # also refuses a NaN total
             raise ConfigError(f"{where}.probs: must sum to 1 within {PROBS_SUM_TOL}, got {total}")
         return _build(f"{where}.probs", BellDiagonal, [v / total for v in values])
@@ -97,6 +97,7 @@ def parse_chain_config(data: Any, where: str = "config") -> ChainConfig:
     for key in ("repeaters", "honest_left", "honest_right"):
         if type(data[key]) is not int:  # refuses bool too
             raise ConfigError(f"{where}.{key}: expected an integer, got {data[key]!r}")
+        _require_number(data[key], f"{where}.{key}")  # a count past the float range is reported by its size, not printed by the record
     if not isinstance(data["links"], list):
         raise ConfigError(f"{where}.links: expected a list, got {data['links']!r}")
     links = [_parse_link(entry, f"{where}.links[{i}]") for i, entry in enumerate(data["links"])]

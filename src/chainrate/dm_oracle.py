@@ -170,10 +170,11 @@ def dm_to_bell_diagonal(states: np.ndarray) -> list[BellDiagonal]:
     if (cross > DM_TOL).any():
         raise ValueError(f"state is not diagonal in the entangled basis: cross term {cross[cross > DM_TOL][0]}")
     clipped = [[max(0.0, float(w)) for w in diagonal] for diagonal in coeffs.diagonal(axis1=1, axis2=2).real]
-    for total in map(sum, clipped):
+    totals = [0.0 + w0 + w1 + w2 + w3 for w0, w1, w2, w3 in clipped]
+    for total in totals:
         if abs(total - 1.0) > DM_TOL:
             raise ValueError(f"diagonal weights sum to {total}, expected 1")
-    return [BellDiagonal(tuple(w / total for w in weights)) for weights, total in zip(clipped, map(sum, clipped))]
+    return [BellDiagonal(tuple(w / total for w in weights)) for weights, total in zip(clipped, totals)]
 
 
 def _join(left: np.ndarray, right: np.ndarray) -> np.ndarray:

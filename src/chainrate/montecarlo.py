@@ -90,6 +90,8 @@ def binomial(n: int, p: float, rng: random.Random) -> int:
     transformed rejection (Hoermann 1993, about 1.2 pairs of uniforms per
     draw). Pure Python, so the stream depends only on ``rng``'s.
     """
+    if type(n) is not int:  # refuses bool too; a float n would draw a variate
+        raise TypeError(f"binomial needs an int n, got {n!r}")
     if n < 0 or not 0.0 <= p <= 1.0:
         raise ValueError(f"binomial needs n >= 0 and 0 <= p <= 1, got n={n}, p={p}")
     if p > 0.5:

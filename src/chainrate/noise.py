@@ -68,16 +68,18 @@ def observed_qx(spec: ChainSpec) -> float:
     return phase_error_prob(end_to_end_dist(spec))
 
 
-def honest_marginals(spec: ChainSpec) -> tuple[BellDiagonal, BellDiagonal]:
-    """Symbol distributions contributed by the honest left and right segments.
+def honest_segments(spec: ChainSpec) -> tuple[tuple[BellDiagonal, ...], tuple[BellDiagonal, ...]]:
+    """The links of the honest left and right segments: the first ``honest_left`` and the last ``honest_right``.
 
-    The left segment folds the first ``honest_left`` links, the right segment
-    the last ``honest_right``; the links adjacent to the corrupted zone belong
-    to neither. An empty segment contributes the deterministic (0,0) symbol.
+    The links adjacent to the corrupted zone belong to neither.
     """
-    left = fold_convolve(spec.links[: spec.honest_left])
-    right = fold_convolve(spec.links[len(spec.links) - spec.honest_right :])
-    return left, right
+    return spec.links[: spec.honest_left], spec.links[len(spec.links) - spec.honest_right :]
+
+
+def honest_marginals(spec: ChainSpec) -> tuple[BellDiagonal, BellDiagonal]:
+    """Symbol distributions of the two ``honest_segments``; an empty segment contributes the deterministic (0,0) symbol."""
+    left, right = honest_segments(spec)
+    return fold_convolve(left), fold_convolve(right)
 
 
 def noise_parameter(spec: ChainSpec) -> float:

@@ -180,11 +180,6 @@ def check_chain_noise_closed_form() -> CheckResult:
     return CheckResult("chain_noise_closed_form", ok, f"max deviation {worst:.3e}")
 
 
-def _honest_links(spec: ChainSpec) -> tuple[BellDiagonal, ...]:
-    """The honest-left links followed by the honest-right links."""
-    return spec.links[: spec.honest_left] + spec.links[len(spec.links) - spec.honest_right:]
-
-
 def check_noise_parameter_routes(seed: int) -> CheckResult:
     """The honest-zone double sum equals the two-marginal parity formula, and
     enumeration over honest links confirms both on small chains. On the preset
@@ -194,7 +189,8 @@ def check_noise_parameter_routes(seed: int) -> CheckResult:
     chains = 100
     rng = np.random.default_rng(seed)
     worst = 0.0
-    zones = [(_honest_links(_PRESET), noise.noise_parameter(_PRESET))]
+    left_links, right_links = noise.honest_segments(_PRESET)
+    zones = [(left_links + right_links, noise.noise_parameter(_PRESET))]
     for _ in range(chains):
         repeaters = int(rng.integers(1, 7))
         links = tuple(literal.random_dists(rng, repeaters + 1))
@@ -207,7 +203,8 @@ def check_noise_parameter_routes(seed: int) -> CheckResult:
         p_r = bell.phase_error_prob(right)
         parity = p_l * (1.0 - p_r) + p_r * (1.0 - p_l)
         worst = max(worst, abs(double_sum - parity))
-        honest_links = _honest_links(spec)
+        left_links, right_links = noise.honest_segments(spec)
+        honest_links = left_links + right_links
         worst = max(worst, abs(double_sum - literal.enumerate_phase_parity(honest_links)))
         if honest_links and len(zones) <= 10:
             zones.append((honest_links, double_sum))
@@ -339,10 +336,10 @@ def check_round_sampler(seed: int) -> CheckResult:
         freq = float(np.mean(symbols == index))
         sigma = math.sqrt(p * (1.0 - p) / draws)
         worst_sigma = max(worst_sigma, abs(freq - p) / sigma)
-    # Equal sample sizes: sum over cells of (a - b)**2 / (a + b).
-    per_link = np.bincount(symbols, minlength=4).tolist()
+    # Equal sample sizes: sum over cells, in cell order, of (a - b)**2 / (a + b).
     counted = montecarlo.multinomial(draws, expected.probs, random.Random(seed))
-    chi2 = sum((a - b) ** 2 / (a + b) for a, b in zip(per_link, counted))
+    c0, c1, c2, c3 = [(a - b) ** 2 / (a + b) for a, b in zip(np.bincount(symbols, minlength=4).tolist(), counted)]
+    chi2 = 0.0 + c0 + c1 + c2 + c3
     noiseless = noise.uniform_chain(2, 0.0, 1, 1)
     clean = montecarlo.sample_rounds(noiseless, 1000, np.random.default_rng(seed))
     ok = worst_sigma <= 4.0 and chi2 <= CHI2_3DOF_P1E4 and not np.any(clean)
@@ -374,10 +371,10 @@ def check_simulation_determinism(seed: int) -> CheckResult:
 
 
 def _corrupted_convolve(p: BellDiagonal, q: BellDiagonal) -> BellDiagonal:
-    out = list(bell.convolve(p, q).probs)
-    out[0] += 0.002
-    total = sum(out)
-    return BellDiagonal(tuple(v / total for v in out))
+    p0, p1, p2, p3 = bell.convolve(p, q).probs
+    p0 += 0.002
+    total = 0.0 + p0 + p1 + p2 + p3
+    return BellDiagonal((p0 / total, p1 / total, p2 / total, p3 / total))
 
 
 def run_all(seed: int, inject_fault: str | None = None) -> list[CheckResult]:

@@ -27,10 +27,11 @@ def _loop_check(probs):
     probs = tuple(float(p) for p in probs)
     if len(probs) != 4:
         return f"expected 4 probabilities, got {len(probs)}"
+    total = 0.0
     for p in probs:
         if not (p >= 0.0):
             return f"probabilities must be >= 0, got {p!r}"
-    total = sum(probs)
+        total += p  # index order from 0.0, as builtin sum() added floats before Python 3.12
     if abs(total - 1.0) > NORMALIZATION_TOL:
         return f"probabilities must sum to 1 within {NORMALIZATION_TOL}, got {total!r}"
     return probs
@@ -70,6 +71,10 @@ _ABOVE, _BELOW = 1.0 + NORMALIZATION_TOL, 1.0 - NORMALIZATION_TOL
         (_BELOW, 0.0, 0.0, 0.0),
         (math.nextafter(_BELOW, 0.0), 0.0, 0.0, 0.0),
         (1, 0, 0, 0),  # ints become floats from any iterable
+        # Accepted, then refused, on every Python: in index order the sums fall just inside and just
+        # outside the tolerance, and compensated summation (builtin sum() from Python 3.12 on) swaps them.
+        (0.7806789323891895, 0.09345066276822098, 0.0070642621800366965, 0.11880614266155273),
+        (0.5107570388741124, 0.004851804519561697, 0.36364636254019095, 0.120744794065135),
     ],
 )
 def test_distribution_validation(probs):

@@ -289,10 +289,15 @@ def test_deeply_nested_config_is_a_one_line_error(capsys, tmp_path):
 
 
 def test_huge_integer_in_config_is_a_one_line_error(capsys, tmp_path):
-    config = write_config(tmp_path, dict(THREE_REPEATERS, links=[{"type": "depolarizing", "q": 10**400}] * 4))
-    rc, out, err = run(capsys, "noise", "--config", config)
-    assert rc == 1 and out == ""
-    assert err.startswith(f"chainrate: error: {config}.links[0].q: ") and len(err.splitlines()) == 1
+    # A count of 4300 digits, the most JSON decoding takes, is too long for a record's message to print.
+    for key, payload in [
+        ("links[0].q", dict(THREE_REPEATERS, links=[{"type": "depolarizing", "q": 10**400}] * 4)),
+        ("repeaters", dict(THREE_REPEATERS, repeaters=int("9" * 4300))),
+    ]:
+        config = write_config(tmp_path, payload)
+        rc, out, err = run(capsys, "noise", "--config", config)
+        assert rc == 1 and out == ""
+        assert err.startswith(f"chainrate: error: {config}.{key}: ") and len(err.splitlines()) == 1
 
 
 def test_usage_errors_exit_one(capsys):

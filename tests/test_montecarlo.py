@@ -170,6 +170,9 @@ def test_binomial_degenerate_cases():
     for n, p in [(-1, 0.5), (5, -0.1), (5, 1.1), (5, float("nan"))]:
         with pytest.raises(ValueError):
             binomial(n, p, rng)
+    for n in (10.5, True):  # a float would draw a variate, and a bool is no trial count
+        with pytest.raises(TypeError, match=f"^binomial needs an int n, got {n!r}$"):
+            binomial(n, 0.3, rng)
 
 
 def test_multinomial_cells_stay_valid_when_a_share_rounds_above_one():

@@ -16,6 +16,7 @@ from chainrate.noise import (
     depolarizing_dist,
     end_to_end_dist,
     honest_marginals,
+    honest_segments,
     noise_parameter,
     noise_report,
     observed_qx,
@@ -126,6 +127,7 @@ def test_honest_marginals_use_only_end_links():
     # Distinct links so the selection is visible in the numbers.
     links = tuple(depolarizing_dist(q) for q in (0.02, 0.04, 0.06, 0.08, 0.10))
     spec = ChainSpec(4, 1, 2, links)
+    assert honest_segments(spec) == (links[:1], links[3:])
     left, right = honest_marginals(spec)
     assert left == links[0]
     expected_right = enumerate_phase_parity(links[3:])
@@ -134,6 +136,7 @@ def test_honest_marginals_use_only_end_links():
 
 def test_honest_marginals_empty_segments_are_deterministic():
     spec = uniform_chain(3, 0.2, 0, 0)
+    assert honest_segments(spec) == ((), ())
     left, right = honest_marginals(spec)
     assert left == BellDiagonal.point()
     assert right == BellDiagonal.point()
