@@ -37,6 +37,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from collections import Counter
 from typing import Any, Sequence
@@ -311,7 +312,12 @@ def cmd_mc_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    from . import verify as verify_mod
+    try:
+        from . import verify as verify_mod
+    except ModuleNotFoundError as exc:
+        if exc.name != "numpy":
+            raise
+        raise ValueError("verify needs numpy, which cannot be imported") from exc
     results = verify_mod.run_all(seed=args.seed, inject_fault=args.inject_fault)
     lines = []
     for result in results:
@@ -410,6 +416,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entry() -> None:
+    # Before numpy loads: verify's 4x4 and 16x16 products are too small for OpenBLAS to split, so its extra threads only spin.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(main(sys.argv[1:]))
 
 

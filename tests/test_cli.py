@@ -5,10 +5,13 @@ import csv
 import io
 import json
 import math
+import os
+import sys
 from pathlib import Path
 
 import pytest
 
+import chainrate
 from chainrate import cli, montecarlo, verify
 from chainrate.cli import build_parser, main
 from chainrate.keyrate import RateParams, finite_rate
@@ -278,6 +281,55 @@ def test_unwritable_out_is_a_one_line_error(capsys, monkeypatch, tmp_path, argv,
     rc, out, err = run(capsys, *argv, "--out", path)
     assert rc == 1 and out == ""
     assert err == f"chainrate: error: cannot write {path}: {reason}\n"
+
+
+def test_verify_without_numpy_is_a_one_line_error(capsys, monkeypatch):
+    # Unload verify so that the command imports it again, with numpy made unimportable.
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    monkeypatch.delitem(sys.modules, "chainrate.verify")
+    monkeypatch.delattr(chainrate, "verify")
+    rc, out, err = run(capsys, "verify")
+    assert rc == 1 and out == ""
+    assert err == "chainrate: error: verify needs numpy, which cannot be imported\n"
+
+
+def test_verify_lets_any_other_import_error_propagate(capsys, monkeypatch):
+    monkeypatch.setitem(sys.modules, "chainrate.verify", None)
+    monkeypatch.delattr(chainrate, "verify")
+    with pytest.raises(ModuleNotFoundError) as raised:
+        main(["verify"])
+    assert raised.value.name == "chainrate.verify"
+
+
+def without_blas_threads(monkeypatch):
+    """Remove OPENBLAS_NUM_THREADS for this test; teardown restores the value it had, or its absence."""
+    # delenv of an absent name records nothing to restore, so setenv first.
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "unset")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+
+
+def run_entry(capsys, monkeypatch, *argv):
+    monkeypatch.setattr(sys, "argv", ["chainrate", *argv])
+    with pytest.raises(SystemExit) as exited:
+        cli.entry()
+    capsys.readouterr()
+    return exited.value.code
+
+
+def test_entry_runs_blas_on_one_thread_unless_the_variable_is_set(capsys, monkeypatch):
+    without_blas_threads(monkeypatch)
+    assert run_entry(capsys, monkeypatch, "bounds", "--rounds", "1e7") == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    assert run_entry(capsys, monkeypatch, "bounds", "--rounds", "1e7") == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+
+
+def test_main_leaves_the_environment_alone(capsys, monkeypatch):
+    without_blas_threads(monkeypatch)
+    before = dict(os.environ)
+    assert run(capsys, "bounds", "--rounds", "1e7")[0] == 0
+    assert dict(os.environ) == before
 
 
 def test_deeply_nested_config_is_a_one_line_error(capsys, tmp_path):

@@ -5,6 +5,10 @@ import is about a third of ``import chainrate.cli``, so chainrate's records
 are named tuples. Each case runs in a fresh interpreter, so a module imported
 by an earlier test cannot hide or fake the import. The exhaustive subset
 estimator must also run where numpy cannot be imported.
+
+``chainrate``'s entry point runs numpy's BLAS on one thread unless
+``OPENBLAS_NUM_THREADS`` is set: ``test_entry_runs_blas_on_one_thread`` counts
+the process's threads after ``entry()`` has loaded numpy.
 """
 
 import functools
@@ -58,9 +62,34 @@ print(exhaustive_failure([1, 1, 0, 0, 1, 0, 0, 0], 4, (0.2, 0.6)))
 """
 
 
-def run_fresh(script: str, *argv: str) -> str:
-    """Stdout of ``script`` run with ``argv`` in a fresh interpreter, which must exit 0."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+#: ``entry()`` on a command that loads numpy through ``chainrate.verify`` and exits 1 before any check runs;
+#: prints the BLAS variable and the process's thread count.
+THREADS_AFTER_ENTRY = """
+import contextlib, io, os, sys
+import chainrate.cli as cli
+sys.argv = ["chainrate", "verify", "--inject-fault", "bogus"]
+with contextlib.redirect_stderr(io.StringIO()):
+    try:
+        cli.entry()
+    except SystemExit as exc:
+        assert exc.code == 1, exc.code
+assert "numpy" in sys.modules
+with open("/proc/self/status") as status:
+    threads = next(line.split()[1] for line in status if line.startswith("Threads:"))
+print(os.environ.get("OPENBLAS_NUM_THREADS", "unset"), threads)
+"""
+
+#: The variables OpenBLAS reads its thread count from.
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def run_fresh(script: str, *argv: str, environ: dict[str, str] | None = None) -> str:
+    """Stdout of ``script`` run with ``argv`` in a fresh interpreter, which must exit 0.
+
+    ``environ`` replaces the inherited environment; ``PYTHONPATH`` is prefixed with the package either way.
+    """
+    environ = os.environ if environ is None else environ
+    env = {**environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, environ.get("PYTHONPATH")]))}
     result = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     return result.stdout
@@ -109,3 +138,28 @@ def test_exhaustive_failure_runs_with_numpy_blocked():
 def test_verify_loads_numpy():
     # Control: the check sees an import when one happens (the density-matrix oracle needs numpy).
     assert loads_numpy(["verify"])
+
+
+def threads_after_entry(**blas_variables: str) -> tuple[str, int]:
+    """OPENBLAS_NUM_THREADS and the thread count after ``entry()`` loaded numpy, under ``blas_variables`` alone."""
+    environ = {name: value for name, value in os.environ.items() if name not in BLAS_THREAD_VARIABLES}
+    variable, threads = run_fresh(THREADS_AFTER_ENTRY, environ={**environ, **blas_variables}).split()
+    return variable, int(threads)
+
+
+needs_proc_status = pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads /proc/self/status")
+
+
+@needs_proc_status
+def test_entry_runs_blas_on_one_thread():
+    # By default OpenBLAS starts a worker per CPU at import; verify's small products never use them.
+    assert threads_after_entry() == ("1", 1)
+
+
+@needs_proc_status
+def test_entry_keeps_a_thread_count_the_user_set():
+    # Control: the probe sees the pool. OpenBLAS counts the CPUs this process may run on.
+    variable, threads = threads_after_entry(OPENBLAS_NUM_THREADS="2")
+    assert variable == "2"
+    if len(os.sched_getaffinity(0)) >= 2:
+        assert threads == 2
