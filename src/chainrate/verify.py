@@ -273,12 +273,13 @@ def check_sampling_empirical(seed: int) -> CheckResult:
 
 def check_baseline_identity() -> CheckResult:
     """Zero honest stations removes the whole advantage: the asymptotic chain
-    rate coincides with the asymptotic baseline, float for float."""
+    rate coincides with the asymptotic baseline, float for float, and both
+    thresholds lie within 2 ulp of the frozen root."""
     qs = [i / 1000 for i in range(491)]
     exact = all(keyrate.asymptotic_rate(q, 0.0) == keyrate.bb84_asymptotic(q) for q in qs)
     ours = keyrate.noise_tolerance(lambda q: keyrate.asymptotic_rate(q, 0.0))
     baseline = keyrate.noise_tolerance(keyrate.bb84_asymptotic)
-    close = all(abs(t - BB84_ASYMPTOTIC_THRESHOLD) <= 2e-6 for t in (ours, baseline))
+    close = all(abs(t - BB84_ASYMPTOTIC_THRESHOLD) <= 2 * math.ulp(BB84_ASYMPTOTIC_THRESHOLD) for t in (ours, baseline))
     return CheckResult(
         "baseline_identity",
         exact and close,

@@ -28,3 +28,5 @@ ASYM_PRESET = 0.39342837627405659
 RATE_1E8 = 0.23572388310027629
 RATE_1E8_STRICT = 0.1995135468784338
 BB84F_1E8 = 0.056959817377984221
+ASYM_THRESHOLD_H2 = 0.1305738063853126
+ASYM_THRESHOLD_H4 = 0.16914282726438404

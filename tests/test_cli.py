@@ -12,9 +12,10 @@ from pathlib import Path
 import pytest
 
 import chainrate
+import golden
 from chainrate import cli, montecarlo, verify
 from chainrate.cli import build_parser, main
-from chainrate.keyrate import RateParams, finite_rate
+from chainrate.keyrate import RateParams, finite_rate, noise_tolerance
 from chainrate.noise import noise_parameter, observed_qx, uniform_chain
 from frozen import DELTA_7E5_1E7, DPRIME_7E5, EPSILON_FAIL_1E36, EPSILON_PA_1E36, PRESET, SMOOTHING_1E36
 
@@ -100,6 +101,33 @@ def test_rate_asymptotic_table_and_threshold_row(capsys):
         assert row[1] == row[4]
     thresholds = [float(v) for v in rows[-1][1:]]
     assert thresholds[0] < thresholds[1] < thresholds[2]
+
+
+#: Every golden ``rate-asymptotic`` case that prints a table, and every honest count on the preset.
+THRESHOLD_ARGVS = [
+    argv for name, argv in golden.read_manifest().items() if argv[:1] == ["rate-asymptotic"] and golden.recorded(name)[2] == 0
+] + [["rate-asymptotic", "--honest", "0,1,2,3,4,5"]]
+
+
+@pytest.mark.parametrize("argv", THRESHOLD_ARGVS, ids=" ".join)
+def test_every_threshold_is_the_last_positive_float(monkeypatch, capsys, argv):
+    found = []
+
+    def recording(rate_fn):
+        # Checked at once: the command's rate functions may close over a loop variable.
+        threshold = noise_tolerance(rate_fn)
+        found.append((threshold, rate_fn(threshold), rate_fn(math.nextafter(threshold, 1.0))))
+        return threshold
+
+    monkeypatch.setattr(cli, "noise_tolerance", recording)
+    monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+    rc, out, err = run(capsys, *argv)
+    assert rc == 0 and err == ""
+    header, rows = parse_csv(out)
+    assert len(found) == len(header) - 1 == len(rows[-1]) - 1
+    for threshold, rate, rate_above in found:
+        assert 0.0 < threshold < 0.5
+        assert rate > 0.0 >= rate_above
 
 
 def test_bounds_report(capsys):

@@ -1,9 +1,11 @@
 """Rate formulas: entropies, the corrected phase, finite and asymptotic bounds."""
 
 import math
+import random
+import statistics
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from chainrate.keyrate import (
@@ -11,6 +13,8 @@ from chainrate.keyrate import (
     ARG_CLAMPED_LOW,
     BASELINE_EC_FACTOR,
     RateParams,
+    _from_ordinal,
+    _ordinal,
     asymptotic_rate,
     bb84_asymptotic,
     bb84_finite,
@@ -20,11 +24,13 @@ from chainrate.keyrate import (
     finite_rate,
     noise_tolerance,
 )
-from chainrate.noise import noise_parameter, observed_qx
+from chainrate.noise import noise_parameter, observed_qx, strength_for_observed_qx, uniform_chain
 from chainrate.sampling import MAX_ROUNDS
 from frozen import (
     ASYM_NAMED,
     ASYM_PRESET,
+    ASYM_THRESHOLD_H2,
+    ASYM_THRESHOLD_H4,
     BB84_ASYMPTOTIC_THRESHOLD,
     BB84F_1E8,
     CORRECTED_NAMED,
@@ -267,9 +273,37 @@ def test_bb84_asymptotic_domain(qx):
         bb84_asymptotic(qx)
 
 
+def identical_link_rate(repeaters, honest_left, honest_right):
+    """The asymptotic rate at observed phase noise qx of an identical-link chain, as ``rate-asymptotic`` rates it."""
+
+    def rate(qx):
+        strength = strength_for_observed_qx(qx, repeaters + 1)
+        return asymptotic_rate(qx, noise_parameter(uniform_chain(repeaters, strength, honest_left, honest_right)))
+
+    return rate
+
+
+def counted(rate_fn):
+    """``rate_fn`` and a one-element list that counts its calls."""
+    calls = [0]
+
+    def rate(qx):
+        calls[0] += 1
+        return rate_fn(qx)
+
+    return rate, calls
+
+
 def test_bb84_asymptotic_threshold_frozen():
     threshold = noise_tolerance(bb84_asymptotic)
-    assert abs(threshold - BB84_ASYMPTOTIC_THRESHOLD) < 2e-6
+    assert abs(threshold - BB84_ASYMPTOTIC_THRESHOLD) <= 2 * math.ulp(BB84_ASYMPTOTIC_THRESHOLD)
+
+
+@pytest.mark.parametrize("honest, reference", [(2, ASYM_THRESHOLD_H2), (4, ASYM_THRESHOLD_H4)])
+def test_preset_asymptotic_threshold_frozen(honest, reference):
+    # The search ends at adjacent floats, so only the rate's own rounding near its zero is left.
+    threshold = noise_tolerance(identical_link_rate(PRESET.repeaters, honest // 2, honest // 2))
+    assert abs(threshold - reference) <= 2 * math.ulp(reference)
 
 
 def test_noise_tolerance_never_positive_returns_lo():
@@ -281,7 +315,92 @@ def test_noise_tolerance_never_crossing_returns_hi_sentinel():
 
 
 def test_noise_tolerance_linear_crossing():
-    assert abs(noise_tolerance(lambda q: 0.2 - q) - 0.2) < 1e-6
+    assert noise_tolerance(lambda q: 0.2 - q) == math.nextafter(0.2, 0.0)
+
+
+def test_noise_tolerance_probes_the_last_float_below_one_half():
+    last = math.nextafter(0.5, 0.0)
+    assert noise_tolerance(lambda q: last - q) == math.nextafter(last, 0.0)
+
+
+@given(st.floats(min_value=0.0, max_value=0.5, exclude_max=True))
+@example(0.0)
+@example(5e-324)
+@example(math.nextafter(2.0**-1022, 0.0))
+@example(math.nextafter(2.0**-1021, 0.0))
+@example(2.0**-1021)
+def test_float_ordinal_counts_floats(x):
+    rank = _ordinal(x)
+    assert _from_ordinal(rank) == x
+    assert _from_ordinal(rank + 1) == math.nextafter(x, 1.0)
+
+
+def test_noise_tolerance_probe_count_on_swept_chains():
+    # Chains shaped like the benchmark's threshold sweep: 1-10 repeaters, about
+    # 0, 1/3, 2/3 or all of them honest, each split at random.
+    rng = random.Random(35)
+    probes = []
+    for repeaters in range(1, 11):
+        for share in range(4):
+            honest = round(repeaters * share / 3)
+            for _ in range(3):
+                left = rng.randint(0, honest)
+                rate_fn = identical_link_rate(repeaters, left, honest - left)
+                counted_fn, calls = counted(rate_fn)
+                threshold = noise_tolerance(counted_fn)
+                assert rate_fn(threshold) > 0.0 >= rate_fn(math.nextafter(threshold, 1.0))
+                probes.append(calls[0])
+    assert statistics.mean(probes) <= 12 and max(probes) <= 20
+
+
+@pytest.mark.parametrize(
+    "rate_fn",
+    [
+        lambda q: math.exp(-40.0 * q) - math.exp(-12.0),
+        lambda q: 0.3**10 - q**10,
+        lambda q: math.sqrt(0.3) - math.sqrt(q),
+    ],
+    ids=["exp", "power", "sqrt"],
+)
+def test_noise_tolerance_probe_count_on_lopsided_rates(rate_fn):
+    # Plain regula falsi creeps in from one end of these; the Anderson-Bjoerck scaling does not.
+    counted_fn, calls = counted(rate_fn)
+    threshold = noise_tolerance(counted_fn)
+    assert rate_fn(threshold) > 0.0 >= rate_fn(math.nextafter(threshold, 1.0))
+    assert calls[0] <= 30
+
+
+@pytest.mark.parametrize(
+    "rate_fn, threshold",
+    [
+        (lambda q: 0.25 - q if q < 0.25 else 0.0, math.nextafter(0.25, 0.0)),  # exactly zero on half the range
+        (lambda q: 1.0 if q == 0.0 else 0.0, 0.0),  # and everywhere but at 0
+    ],
+    ids=["zero_tail", "zero_past_zero"],
+)
+def test_noise_tolerance_probe_bound_on_zero_rates(rate_fn, threshold):
+    # The docstring's bound when every non-positive probe reads exactly 0.0.
+    counted_fn, calls = counted(rate_fn)
+    assert noise_tolerance(counted_fn) == threshold
+    assert calls[0] <= 2 * 62 + 2
+
+
+@pytest.mark.parametrize(
+    "rate_fn, threshold",
+    [
+        (lambda q: 1.0 if q < 0.3 else -1.0, math.nextafter(0.3, 0.0)),  # a step: no secant helps
+        (lambda q: 5e-310 - q, math.nextafter(5e-310, 0.0)),  # a root among the subnormal floats
+        (lambda q: 1.0 if q < 5e-310 else -1.0, math.nextafter(5e-310, 0.0)),  # and a step there
+        (lambda q: 1e300 if q < 0.2 else -1e300, math.nextafter(0.2, 0.0)),  # a jump of 2e300
+        (lambda q: 0.1 - q if q < 0.1 else -1e-300 * q, math.nextafter(0.1, 0.0)),  # a flat tail
+    ],
+    ids=["step", "subnormal_root", "subnormal_step", "huge_jump", "flat_tail"],
+)
+def test_noise_tolerance_stays_within_its_probe_bound(rate_fn, threshold):
+    # The docstring's bound: 5 probes at least halve the bracket, which starts under 2**62 floats wide.
+    counted_fn, calls = counted(rate_fn)
+    assert noise_tolerance(counted_fn) == threshold
+    assert calls[0] <= 5 * 62 + 2
 
 
 @pytest.mark.parametrize(
@@ -289,11 +408,11 @@ def test_noise_tolerance_linear_crossing():
     [
         lambda q: math.nan,  # at the left end
         lambda q: 0.2 - q if q < 0.2 else math.nan,  # at the right end
-        lambda q: math.nan if 0.24 < q < 0.26 else 0.3 - q,  # at the first midpoint only
+        lambda q: 0.3 - q if q in (0.0, math.nextafter(0.5, 0.0)) else math.nan,  # at every interior probe
     ],
 )
 def test_noise_tolerance_refuses_a_nan_rate(rate_fn):
-    # A NaN is neither positive nor not, so bisection would return a threshold the rate never crossed.
+    # A NaN is neither positive nor not, so the search would return a threshold the rate never crossed.
     with pytest.raises(ValueError, match="^rate is not a number at phase noise"):
         noise_tolerance(rate_fn)
 

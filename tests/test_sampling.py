@@ -16,6 +16,7 @@ from chainrate.sampling import (
     MAX_ROUNDS,
     MIN_EPSILON,
     EpsilonLedger,
+    _cube_root,
     deviation_for_failure,
     epsilon_ledger,
     frequency_limit,
@@ -206,9 +207,21 @@ def test_epsilon_ledger_frozen_values():
     ledger = epsilon_ledger(1e-36)
     assert isinstance(ledger, EpsilonLedger)
     assert ledger._fields == ("epsilon_pa", "epsilon_fail", "smoothing")
-    assert math.isclose(ledger.epsilon_pa, EPSILON_PA_1E36, rel_tol=1e-12)
-    assert math.isclose(ledger.epsilon_fail, EPSILON_FAIL_1E36, rel_tol=1e-12)
-    assert math.isclose(ledger.smoothing, SMOOTHING_1E36, rel_tol=1e-12)
+    for value, reference in zip(ledger, (EPSILON_PA_1E36, EPSILON_FAIL_1E36, SMOOTHING_1E36)):
+        assert abs(value - reference) <= math.ulp(reference)
+
+
+def test_epsilon_ledger_cube_root_within_one_ulp():
+    # (2 epsilon) ** (1/3) alone errs by up to ~57 ulp over this range.
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(20000)
+    worst = 0.0
+    with mpmath.mp.workprec(80):  # 27 bits beyond a float's, enough to measure a fraction of an ulp
+        for _ in range(20000):
+            x = 2.0 * 10 ** rng.uniform(-150, 0)
+            exact = mpmath.cbrt(x)
+            worst = max(worst, abs(float(_cube_root(x) - exact)) / math.ulp(float(exact)))
+    assert worst <= 1.0
 
 
 @given(st.floats(min_value=1e-40, max_value=1e-4))

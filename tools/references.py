@@ -77,6 +77,17 @@ def _bb84_finite(qx: mpf, n: int, m: int) -> mpf:
     return mpf(n - m) / n * (1 - pessimistic - mpf(EC_FACTOR) * pessimistic)
 
 
+def _preset_threshold(honest: int) -> mpf:
+    # Root of the asymptotic rate 1 - h(c) - h(qx) of the preset's six identical
+    # links with ``honest`` of its five stations honest: the links' phase error
+    # q/2 gives 1 - 2*qx = (1 - q)**6 and 1 - 2*p* = (1 - q)**honest, so
+    # 1 - 2*p* = (1 - 2*qx)**(honest/6), and c = (qx - p*)/(1 - 2*p*).
+    def rate(qx: mpf) -> mpf:
+        return _asymptotic(qx, (1 - (1 - 2 * qx) ** (mpf(honest) / 6)) / 2)
+
+    return mpmath.findroot(rate, (mpf("0.12"), mpf("0.18")), solver="anderson")
+
+
 def regenerate() -> dict[str, mpf]:
     """Every frozen constant, recomputed at DIGITS significant digits."""
     with mp.workdps(DIGITS):
@@ -109,6 +120,9 @@ def regenerate() -> dict[str, mpf]:
             "RATE_1E8": _finite(qx_preset, p_star_preset, 10**8, 7_000_000, strict_leak=False),
             "RATE_1E8_STRICT": _finite(qx_preset, p_star_preset, 10**8, 7_000_000, strict_leak=True),
             "BB84F_1E8": _bb84_finite(qx_preset, 10**8, 7_000_000),
+            # The preset's asymptotic thresholds with two and four honest stations.
+            "ASYM_THRESHOLD_H2": _preset_threshold(2),
+            "ASYM_THRESHOLD_H4": _preset_threshold(4),
         }
 
 
