@@ -269,7 +269,7 @@ def cmd_rate_asymptotic(args: argparse.Namespace) -> int:
     rows: list[list[Any]] = [
         [qx, *rates_at(qx, honest), bb84_asymptotic(qx)] for qx in _grid(args.qx_min, args.qx_max, args.steps)
     ]
-    thresholds = [noise_tolerance(lambda qx: rates_at(qx, (count,))[0]) for count in honest]
+    thresholds = [noise_tolerance(lambda qx, count=count: rates_at(qx, (count,))[0]) for count in honest]
     rows.append(["threshold", *thresholds, noise_tolerance(bb84_asymptotic)])
     _emit_csv(header, rows, args.out)
     return 0

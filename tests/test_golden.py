@@ -8,12 +8,21 @@ that claims identical output leaves the recordings as they are.
 ``tests/golden/readme_library.txt`` holds what the README's Library code
 prints. Each block of output the README prints must also appear in its
 golden file, so the README cannot drift from what the program prints.
+
+The manifest is numpy-free, so ``test_recordings_hold_on_other_pythons`` also
+runs every case under Python 3.10, 3.12 and 3.13 where this machine has them:
+the recordings must hold on every supported Python, not only on the one that
+wrote them.
 """
 
 import contextlib
+import functools
 import io
 import re
 import shlex
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -26,6 +35,21 @@ README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 CASES = golden.read_manifest()
 
+#: The Pythons besides the one running the suite that every recording must hold on.
+OTHER_PYTHONS = ("3.10", "3.12", "3.13")
+
+#: Runs every manifest case through ``tools/golden.py``; prints the number of cases, then each mismatch's name.
+MISMATCHES = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import golden
+cases = golden.read_manifest()
+print(len(cases))
+for name, argv in cases.items():
+    if golden.run(argv) != golden.recorded(name):
+        print(name)
+"""
+
 
 def readme_blocks() -> list[tuple[str, str]]:
     """Every fenced block of the README as (language, body)."""
@@ -36,6 +60,52 @@ def readme_blocks() -> list[tuple[str, str]]:
 def test_cli_case_matches_its_recording(name):
     # stdout, stderr and exit code, each compared exactly.
     assert golden.run(CASES[name]) == golden.recorded(name)
+
+
+def interpreter(version: str) -> str | None:
+    """A ``python<version>`` that runs and reports that version: installed beside this Python, or on ``PATH``."""
+    name = f"python{version}"
+    beside = sorted(Path(sys.base_prefix).parent.glob(f"*/bin/{name}"))
+    for candidate in filter(None, [*map(str, beside), shutil.which(name)]):
+        # A version manager's shim may be on PATH and still exit 127 for a version it does not select.
+        probe = subprocess.run([candidate, "-c", "import sys; print('%d.%d' % sys.version_info[:2])"],
+                               capture_output=True, text=True, timeout=60)
+        if probe.returncode == 0 and probe.stdout.strip() == version:
+            return candidate
+    return None
+
+
+@functools.cache
+def runs_on_other_pythons() -> dict[str, str | subprocess.CompletedProcess]:
+    """Version -> its interpreter's run of every case, all runs started at once, or why there is none."""
+    runs: dict[str, str | subprocess.Popen] = {}
+    for version in OTHER_PYTHONS:
+        if version == "%d.%d" % sys.version_info[:2]:
+            runs[version] = "this interpreter runs the cases in process"
+        elif (python := interpreter(version)) is None:
+            runs[version] = f"no python{version} found"
+        else:
+            # -B keeps another release's bytecode out of the checkout; -W error fails on any warning, as the suite does.
+            command = [python, "-B", "-W", "error", "-c", MISMATCHES, str(ROOT / "tools")]
+            runs[version] = subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    finished: dict[str, str | subprocess.CompletedProcess] = {}
+    for version, run in runs.items():
+        if isinstance(run, subprocess.Popen):
+            out, err = run.communicate(timeout=120)
+            run = subprocess.CompletedProcess(run.args, run.returncode, out, err)
+        finished[version] = run
+    return finished
+
+
+@pytest.mark.parametrize("version", OTHER_PYTHONS)
+def test_recordings_hold_on_other_pythons(version):
+    # From 3.12 on, builtin sum() adds floats with compensation: bytes recorded on one release may differ on another.
+    result = runs_on_other_pythons()[version]
+    if isinstance(result, str):
+        pytest.skip(result)
+    assert result.returncode == 0, result.stderr
+    checked, *mismatched = result.stdout.splitlines()
+    assert (int(checked), mismatched) == (len(CASES), []), result.args[0]
 
 
 def test_every_recording_belongs_to_a_case():

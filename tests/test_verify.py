@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from chainrate import verify
+from chainrate import sampling, verify
 from chainrate.bell import BellDiagonal, fold_convolve
 from chainrate.literal import enumerate_phase_parity, random_dists
 from chainrate.noise import depolarizing_dist
@@ -103,6 +103,12 @@ def test_individual_fast_checks():
     assert check_depolarizing_decomposition().ok
     assert check_epsilon_ledger().ok
     assert check_baseline_identity().ok
+
+
+def test_epsilon_ledger_refuses_the_bare_power_cube_root(monkeypatch):
+    # The bare power lands ~10 ulp from the frozen ledger at epsilon 1e-36: within a relative 1e-12, outside 2 ulp.
+    monkeypatch.setattr(sampling, "_cube_root", lambda x: x ** (1.0 / 3.0))
+    assert not check_epsilon_ledger().ok
 
 
 def test_oracle_equivalence_accepts_custom_fold():

@@ -12,7 +12,9 @@ warnings turned into errors, and writes three files next to the manifest:
 It rewrites every recording and removes those of cases no longer listed, so
 ``git diff tests/golden/cli`` is the review of what changed.
 ``tests/test_golden.py`` runs the same cases and compares all three facts
-byte for byte. Standard library only.
+byte for byte; its ``test_recordings_hold_on_other_pythons`` is the
+cross-Python check, which runs ``read_manifest``, ``run`` and ``recorded``
+under Python 3.10, 3.12 and 3.13. Standard library only.
 """
 
 from __future__ import annotations
