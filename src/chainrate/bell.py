@@ -5,13 +5,13 @@ A symbol is an index ``s`` in 0..3 packing two bits: the bit-flip coordinate
 coordinate-wise modulo 2, which on the index is ``a ^ b``, so the four symbols
 form the Klein group. Distributions over the symbols compose under
 XOR-convolution, which is exactly how link noise folds together when a chain
-of entangled pairs is swapped end to end.
+of entangled pairs is swapped end to end. ``convolve(*dists)`` folds a whole
+chain in one call and builds one record for the result.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import reduce
 from typing import Iterable
 
 # Entries must be >= 0 and sum to 1 within this tolerance, added in index order as 0.0 + p0 + p1 + p2 + p3 on every Python.
@@ -59,30 +59,28 @@ def _checked(cls: type, probs: tuple) -> BellDiagonal:
 _POINT = BellDiagonal((1.0, 0.0, 0.0, 0.0))
 
 
-def convolve(p: BellDiagonal, q: BellDiagonal) -> BellDiagonal:
-    """XOR-convolution: out(s) = sum_a p(a) * q(s ^ a).
+def convolve(*dists: BellDiagonal) -> BellDiagonal:
+    """XOR-convolution of the dists, left to right: out(s) = sum_a p(a) * q(s ^ a) at each step.
 
-    Models one ideal swap of two noisy links: the end-to-end symbol is the sum
-    of the per-link symbols, so its law is the convolution over the group.
-    Each entry is ``0.0`` plus its four products in the order of ``for a in range(4)``:
-    the float operations of ``acc += p(a) * q(s ^ a)``, so bit-identical to that loop.
+    Models ideal swaps of noisy links: the end-to-end symbol is the sum of the per-link symbols. None gives
+    ``point()``, one comes back as it is (exact: ``0.0 + 1.0 * d + 0.0 * ...`` is ``d`` for finite d >= 0 but -0.0).
+    Each step adds ``0.0`` and its four products as ``acc += p(a) * q(s ^ a)`` does for ``a in range(4)``, so it is
+    bit-identical to that loop, and passes ``_checked``'s test, so a fold raises where a pairwise fold would.
     """
-    (p0, p1, p2, p3), (q0, q1, q2, q3) = p.probs, q.probs
-    return _checked(BellDiagonal, (
-        0.0 + p0 * q0 + p1 * q1 + p2 * q2 + p3 * q3,
-        0.0 + p0 * q1 + p1 * q0 + p2 * q3 + p3 * q2,
-        0.0 + p0 * q2 + p1 * q3 + p2 * q0 + p3 * q1,
-        0.0 + p0 * q3 + p1 * q2 + p2 * q1 + p3 * q0,
-    ))
-
-
-def fold_convolve(dists: Iterable[BellDiagonal]) -> BellDiagonal:
-    """Convolution of any number of distributions: none gives the identity, one comes back as it is.
-
-    Starting from the first instead of ``point()`` is exact: ``0.0 + 1.0 * d + 0.0 * ...`` is ``d`` for finite ``d >= 0`` except ``-0.0``.
-    """
-    rest = iter(dists)
-    return reduce(convolve, rest, next(rest, None) or BellDiagonal.point())
+    if len(dists) < 2:
+        return dists[0] if dists else _POINT
+    p0, p1, p2, p3 = dists[0].probs
+    for q in dists[1:]:
+        q0, q1, q2, q3 = q.probs
+        p0, p1, p2, p3 = (
+            0.0 + p0 * q0 + p1 * q1 + p2 * q2 + p3 * q3,
+            0.0 + p0 * q1 + p1 * q0 + p2 * q3 + p3 * q2,
+            0.0 + p0 * q2 + p1 * q3 + p2 * q0 + p3 * q1,
+            0.0 + p0 * q3 + p1 * q2 + p2 * q1 + p3 * q0,
+        )
+        if not (p0 >= 0.0 and p1 >= 0.0 and p2 >= 0.0 and p3 >= 0.0 and abs(0.0 + p0 + p1 + p2 + p3 - 1.0) <= NORMALIZATION_TOL):
+            _checked(BellDiagonal, (p0, p1, p2, p3))  # raises with the record's message
+    return tuple.__new__(BellDiagonal, ((p0, p1, p2, p3),))
 
 
 def phase_error_prob(p: BellDiagonal) -> float:

@@ -16,7 +16,7 @@ from collections import namedtuple
 from typing import NamedTuple
 
 from .bell import _make_checked
-from .sampling import deviation_for_failure, epsilon_ledger, hoeffding_deviation, require_admissible
+from .sampling import _deviation_for_failure, _epsilon_ledger, _hoeffding_deviation, require_admissible
 
 ARG_CLAMPED_LOW = "arg_clamped_low"
 ARG_CLAMPED_HIGH = "arg_clamped_high"
@@ -131,12 +131,14 @@ def finite_rate(qx_observed: float, params: RateParams) -> RateReport:
     rate = ((n - m)/n) * (1 - h_capped(corrected)) - leak_ec - log2(1/eps)/n,
     with leak_ec = ec_factor * h_capped(qx + delta) scaled by (n - m)/n unless
     ``strict_leak``. Negative values are reported raw; ``rate_clamped`` floors
-    at zero.
+    at zero. Only a ``RateParams`` is taken: it has admitted its (n, m, epsilon).
     """
-    delta = deviation_for_failure(params.epsilon, params.m, params.n)
-    delta_prime = hoeffding_deviation(params.epsilon, params.m)
+    if not isinstance(params, RateParams):
+        raise TypeError(f"finite_rate needs RateParams, got {type(params).__name__}")
+    delta = _deviation_for_failure(params.epsilon, params.m, params.n)
+    delta_prime = _hoeffding_deviation(params.epsilon, params.m)
     corrected, flags = corrected_phase(qx_observed, params.p_star, delta, delta_prime)
-    ledger = epsilon_ledger(params.epsilon)
+    ledger = _epsilon_ledger(params.epsilon)
     min_entropy = 1.0 - capped_entropy(corrected)
     kept_fraction = (params.n - params.m) / params.n
     leak = params.ec_factor * capped_entropy(min(1.0, qx_observed + delta))

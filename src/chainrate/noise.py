@@ -6,7 +6,8 @@ first ``honest_left`` stations (next to the left end) and the last
 between them is treated as controlled by the adversary. The honest-zone noise
 parameter is the probability that the phase coordinates contributed by the two
 honest segments disagree; links touching the corrupted zone are excluded from
-both segments because their noise is attributed to the adversary.
+both segments because their noise is attributed to the adversary. Each fold of
+link noise is one ``bell.convolve(*links)`` call, which reads every link once.
 """
 
 from __future__ import annotations
@@ -14,14 +15,15 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import NamedTuple
 
-from .bell import BellDiagonal, _make_checked, fold_convolve, phase_error_prob
+from .bell import BellDiagonal, _checked, _make_checked, convolve, phase_error_prob
 
 
 def depolarizing_dist(q: float) -> BellDiagonal:
     """Symbol distribution of a pair sent through a depolarizing channel of strength ``q``."""
     if not (0.0 <= q <= 1.0):
         raise ValueError(f"depolarizing strength must be in [0, 1], got {q!r}")
-    return BellDiagonal((1.0 - 0.75 * q, 0.25 * q, 0.25 * q, 0.25 * q))
+    quarter = float(0.25 * q)
+    return _checked(BellDiagonal, (float(1.0 - 0.75 * q), quarter, quarter, quarter))
 
 
 class ChainSpec(namedtuple("ChainSpec", "repeaters honest_left honest_right links")):
@@ -60,7 +62,7 @@ def uniform_chain(repeaters: int, q: float, honest_left: int, honest_right: int)
 
 def end_to_end_dist(spec: ChainSpec) -> BellDiagonal:
     """Symbol distribution between the two ends after all stations swap honestly."""
-    return fold_convolve(spec.links)
+    return convolve(*spec.links)
 
 
 def observed_qx(spec: ChainSpec) -> float:
@@ -79,7 +81,7 @@ def honest_segments(spec: ChainSpec) -> tuple[tuple[BellDiagonal, ...], tuple[Be
 def honest_marginals(spec: ChainSpec) -> tuple[BellDiagonal, BellDiagonal]:
     """Symbol distributions of the two ``honest_segments``; an empty segment contributes the deterministic (0,0) symbol."""
     left, right = honest_segments(spec)
-    return fold_convolve(left), fold_convolve(right)
+    return convolve(*left), convolve(*right)
 
 
 def noise_parameter(spec: ChainSpec) -> float:

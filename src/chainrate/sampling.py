@@ -98,12 +98,22 @@ def frequency_limit(bound: float, trials: int) -> float:
 def deviation_for_failure(epsilon: float, m: int, n: int) -> float:
     """Deviation tolerance whose sampling failure bound equals epsilon**2."""
     require_admissible(epsilon=epsilon, m=m, n=n)
+    return _deviation_for_failure(epsilon, m, n)
+
+
+def _deviation_for_failure(epsilon: float, m: int, n: int) -> float:
+    """``deviation_for_failure`` for an (epsilon, m, n) already admitted."""
     return math.sqrt((n + 2) * math.log(2.0 / epsilon**2) / (m * n))
 
 
 def hoeffding_deviation(epsilon: float, m: int) -> float:
     """Deviation such that an i.i.d. sample mean of m bits exceeds it with probability <= epsilon."""
     require_admissible(epsilon=epsilon, m=m)
+    return _hoeffding_deviation(epsilon, m)
+
+
+def _hoeffding_deviation(epsilon: float, m: int) -> float:
+    """``hoeffding_deviation`` for an (epsilon, m) already admitted."""
     return math.sqrt(math.log(2.0 / epsilon) / (2.0 * m))
 
 
@@ -133,6 +143,11 @@ def epsilon_ledger(epsilon: float) -> EpsilonLedger:
     i.e. the guarantees would be vacuous.
     """
     require_admissible(epsilon=epsilon)
+    return _epsilon_ledger(epsilon)
+
+
+def _epsilon_ledger(epsilon: float) -> EpsilonLedger:
+    """``epsilon_ledger`` for an epsilon already admitted."""
     cube_root = _cube_root(2.0 * epsilon)
     ledger = EpsilonLedger(
         epsilon_pa=17.0 * epsilon + 4.0 * cube_root,

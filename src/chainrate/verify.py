@@ -173,7 +173,7 @@ def check_chain_noise_closed_form() -> CheckResult:
         links = [depolarizing_dist(q)] * 6
         closed = (1.0 - (1.0 - q) ** 6) / 2.0
         enumerated = literal.enumerate_phase_parity(links)
-        folded = bell.phase_error_prob(bell.fold_convolve(links))
+        folded = bell.phase_error_prob(bell.convolve(*links))
         worst = max(worst, abs(enumerated - closed), abs(folded - closed))
         worst_pair = max(worst_pair, abs(enumerated - folded))
     ok = worst <= 1e-12 and worst_pair <= 1e-12

@@ -3,12 +3,13 @@
 import math
 import random
 import re
+from functools import reduce
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chainrate.bell import NORMALIZATION_TOL, BellDiagonal, bit_error_prob, convolve, fold_convolve, phase_error_prob
+from chainrate.bell import NORMALIZATION_TOL, BellDiagonal, bit_error_prob, convolve, phase_error_prob
 
 UNIFORM = BellDiagonal((0.25, 0.25, 0.25, 0.25))
 
@@ -178,28 +179,32 @@ def test_phase_marginal_composes_independently(p, q):
 
 
 def test_convolve_is_bit_identical_to_the_attribute_loop():
-    # The sum order, and so every float, must match this loop; -0.0 passes the >= 0 check, and the
-    # loop's sums start at 0.0, so the last pair's all-negative-zero sums must come out as 0.0.
+    # The sum order, and so every float, must match this loop run link by link from the first link;
+    # -0.0 passes the >= 0 check, and the loop's sums start at 0.0, so all-negative-zero sums must come out as 0.0.
     rng = random.Random(16)
 
     def draw():
         raw = [rng.random() for _ in range(4)]
         return BellDiagonal(tuple(v / sum(raw) for v in raw))
 
-    pairs = [(draw(), draw()) for _ in range(500)]
-    pairs.append((BellDiagonal((1.0, -0.0, 0.0, 0.0)), BellDiagonal((1.0, -0.0, -0.0, -0.0))))
-    for p, q in pairs:
-        want = [0.0, 0.0, 0.0, 0.0]
-        for s in range(4):
-            acc = 0.0
-            for a in range(4):
-                acc += p.probs[a] * q.probs[s ^ a]
-            want[s] = acc
-        assert [x.hex() for x in convolve(p, q).probs] == [x.hex() for x in want]
+    folds = [[draw(), draw()] for _ in range(500)]
+    folds += [[draw() for _ in range(length)] for length in range(11) for _ in range(30)]
+    signed = [BellDiagonal((1.0, -0.0, 0.0, 0.0)), BellDiagonal((1.0, -0.0, -0.0, -0.0))]
+    folds += [signed, signed * 2, signed[1:] * 5]
+    for links in folds:
+        want = list(links[0].probs) if links else [1.0, 0.0, 0.0, 0.0]
+        for q in links[1:]:
+            p, want = want, [0.0, 0.0, 0.0, 0.0]
+            for s in range(4):
+                acc = 0.0
+                for a in range(4):
+                    acc += p[a] * q.probs[s ^ a]
+                want[s] = acc
+        assert [x.hex() for x in convolve(*links).probs] == [x.hex() for x in want]
 
 
-def test_fold_convolve_empty_is_identity():
-    assert fold_convolve([]) is BellDiagonal.point()
+def test_convolve_of_nothing_is_the_shared_identity():
+    assert convolve() is BellDiagonal.point()
 
 
 def test_convolve_keeps_the_sum_check():
@@ -209,10 +214,21 @@ def test_convolve_keeps_the_sum_check():
         convolve(a, a)
 
 
-def test_fold_convolve_single():
+def test_convolve_checks_every_step_of_a_fold():
+    # a * a sums to 1.0000000000016, outside the tolerance; folding in b twice brings the sum back within it,
+    # so a check on the result alone would pass. The pairwise fold refuses a * a, and so must one call.
+    a = BellDiagonal((0.5 + 0.8e-12, 0.5, 0.0, 0.0))
+    b = BellDiagonal((0.5 - 0.8e-12, 0.5, 0.0, 0.0))
+    message = r"^probabilities must sum to 1 within 1e-12, got 1\.0000000000016$"
+    with pytest.raises(ValueError, match=message):
+        reduce(convolve, (a, b, b), a)
+    with pytest.raises(ValueError, match=message):
+        convolve(a, a, b, b)
+
+
+def test_convolve_single_comes_back_as_it_is():
     d = BellDiagonal((0.7, 0.1, 0.1, 0.1))
-    assert fold_convolve([d]) is d
-    assert fold_convolve(iter([d])) is d
+    assert convolve(d) is d
 
 
 def test_error_prob_readout():

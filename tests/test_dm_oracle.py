@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from chainrate import dm_oracle, noise
-from chainrate.bell import BellDiagonal, convolve, fold_convolve
+from chainrate.bell import BellDiagonal, convolve
 from chainrate.config import default_chain_config, load_chain_config
 from chainrate.dm_oracle import (
     MAX_LINKS,
@@ -325,7 +325,7 @@ def test_chain_simulation_matches_convolution(n_links):
     rng = np.random.default_rng([413, n_links])
     links = random_dists(rng, n_links)
     exact = simulate_chain_exact([links])[0]
-    fast = fold_convolve(links)
+    fast = convolve(*links)
     assert max(abs(a - b) for a, b in zip(exact.probs, fast.probs)) < 1e-10
 
 
@@ -366,7 +366,7 @@ def test_chain_simulation_decomposes_no_product_state(monkeypatch):
 
     monkeypatch.setattr(dm_oracle.np.linalg, "eigvalsh", recording_eigvalsh)
     monkeypatch.setattr(dm_oracle, "_swap_branches", recording_swap_branches)
-    fast = fold_convolve(links)
+    fast = convolve(*links)
     orders = [(1, 2, 3, 4, 5), (5, 4, 3, 2, 1), (3, 1, 5, 2, 4), (2, 4, 1, 5, 3)]
     for order in orders:
         eig_dims.clear()
@@ -412,7 +412,7 @@ def test_chain_simulation_station_order_is_irrelevant():
 def test_chain_simulation_every_order_on_five_links_matches_convolution():
     rng = np.random.default_rng(4138)
     links = random_dists(rng, 5)
-    fast = fold_convolve(links)
+    fast = convolve(*links)
     orders = list(itertools.permutations(range(1, 5)))
     assert len(orders) == 24
     for exact in simulate_chain_exact([links] * len(orders), orders):

@@ -3,6 +3,7 @@
 import math
 import random
 import statistics
+from collections import namedtuple
 
 import pytest
 from hypothesis import example, given
@@ -226,6 +227,15 @@ def test_finite_rate_domain():
     params = RateParams(n=1000, m=100, epsilon=1e-9)
     with pytest.raises(ValueError):
         finite_rate(1.5, params)
+
+
+def test_finite_rate_takes_only_rate_params():
+    # finite_rate skips the (n, m, epsilon) check that RateParams made; a tuple or a look-alike never passed it.
+    fields = (1000, 100, 1e-9, 0.0, BASELINE_EC_FACTOR, False)
+    look_alike = namedtuple("LookAlike", RateParams._fields)(*fields)
+    for params, name in ((fields, "tuple"), (look_alike, "LookAlike")):
+        with pytest.raises(TypeError, match=f"^finite_rate needs RateParams, got {name}$"):
+            finite_rate(0.05, params)
 
 
 def test_honest_credit_raises_the_rate():

@@ -2,6 +2,8 @@
 
 import math
 import random
+from collections import Counter
+from fractions import Fraction
 from functools import reduce
 
 import numpy as np
@@ -10,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainrate import bell
-from chainrate.bell import BellDiagonal, bit_error_prob, fold_convolve, phase_error_prob
+from chainrate.bell import BellDiagonal, bit_error_prob, phase_error_prob
 from chainrate.noise import (
     ChainSpec,
     depolarizing_dist,
@@ -69,7 +71,14 @@ def test_depolarizing_dist_extremes():
     assert depolarizing_dist(1.0) == BellDiagonal((0.25, 0.25, 0.25, 0.25))
 
 
-@pytest.mark.parametrize("q", [-0.01, 1.01])
+@pytest.mark.parametrize("q", [0, 1, True, 0.3, np.float64(0.3), Fraction(1, 3)])
+def test_depolarizing_dist_is_the_constructor_record_with_float_entries(q):
+    d = depolarizing_dist(q)
+    assert d == BellDiagonal((1.0 - 0.75 * q, 0.25 * q, 0.25 * q, 0.25 * q))
+    assert [type(p) for p in d.probs] == [float] * 4
+
+
+@pytest.mark.parametrize("q", [-0.01, 1.01, math.nan])
 def test_depolarizing_dist_domain(q):
     with pytest.raises(ValueError):
         depolarizing_dist(q)
@@ -146,7 +155,7 @@ def test_honest_marginals_empty_segments_are_deterministic():
 @given(SEEDS)
 def test_fold_is_bit_identical_to_a_fold_from_the_identity(seed):
     links = sparse_chain(seed).links[: seed % 10]
-    folded = fold_convolve(links).probs
+    folded = bell.convolve(*links).probs
     from_point = reduce(bell.convolve, links, BellDiagonal.point()).probs
     assert [x.hex() for x in folded] == [x.hex() for x in from_point]
 
@@ -177,23 +186,35 @@ def test_reversed_chain_with_swapped_split_has_the_same_noise(seed):
     assert abs(noise_parameter(mirror) - noise_parameter(spec)) <= 1e-15
 
 
-def test_folds_convolve_once_per_link_after_the_first(monkeypatch):
-    calls = []
-    convolve = bell.convolve
-    monkeypatch.setattr(bell, "convolve", lambda p, q: calls.append(1) or convolve(p, q))
+class CountingDist(BellDiagonal):
+    """A link that counts the reads of its ``probs``."""
+
+    __slots__ = ()
+    reads = 0
+
+    @property
+    def probs(self):
+        CountingDist.reads += 1
+        return tuple.__getitem__(self, 0)
+
+
+def test_each_fold_reads_each_link_once():
+    # One read per link per fold. A one-link segment comes back as the link itself, so the double sum's read of
+    # that record is the segment's one read; an empty segment reads nothing.
+    link = CountingDist(depolarizing_dist(0.03).probs)
+    totals = Counter()
     for repeaters in range(1, 7):
         for left in range(repeaters + 1):
             for right in range(repeaters - left + 1):
-                spec = uniform_chain(repeaters, 0.03, left, right)
-                calls.clear()
-                end_to_end_dist(spec)
-                assert len(calls) == repeaters
-                calls.clear()
-                noise_parameter(spec)
-                assert len(calls) == max(left - 1, 0) + max(right - 1, 0)
-                calls.clear()
-                noise_report(spec)
-                assert len(calls) == repeaters + max(left - 1, 0) + max(right - 1, 0)
+                spec = ChainSpec(repeaters, left, right, (link,) * (repeaters + 1))
+                expected = {end_to_end_dist: repeaters + 1, noise_parameter: left + right}
+                expected[noise_report] = expected[end_to_end_dist] + expected[noise_parameter]
+                for fn, reads in expected.items():
+                    CountingDist.reads = 0
+                    fn(spec)
+                    assert CountingDist.reads == reads, (fn.__name__, repeaters, left, right)
+                    totals[fn.__name__] += reads
+    assert totals == {"end_to_end_dist": 461, "noise_parameter": 252, "noise_report": 713}
 
 
 def test_noise_parameter_zero_requires_no_honest_stations():

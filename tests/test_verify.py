@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from chainrate import sampling, verify
-from chainrate.bell import BellDiagonal, fold_convolve
+from chainrate.bell import BellDiagonal, convolve
 from chainrate.literal import enumerate_phase_parity, random_dists
 from chainrate.noise import depolarizing_dist
 from chainrate.verify import (
@@ -25,7 +25,7 @@ from chainrate.verify import (
 
 def test_enumeration_matches_convolution():
     dists = [depolarizing_dist(0.1), depolarizing_dist(0.2), BellDiagonal((0.25, 0.25, 0.25, 0.25))]
-    folded = fold_convolve(dists)
+    folded = convolve(*dists)
     assert abs(enumerate_phase_parity(dists) - (folded.probs[1] + folded.probs[3])) < 1e-14
 
 
