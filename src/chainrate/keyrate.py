@@ -12,6 +12,7 @@ All logarithms are base 2; rates are per protocol round.
 from __future__ import annotations
 
 import math
+import struct
 from collections import namedtuple
 from typing import NamedTuple
 
@@ -194,24 +195,20 @@ def bb84_asymptotic(qx: float) -> float:
 #: halved its bracket.
 _STALL_LIMIT = 4
 
-#: Every float below this one is a whole multiple of 2**-1074, the smallest
-#: subnormal, and that multiple is its ordinal.
-_ORDINAL_SPLIT = 2.0**-1021
+#: Eight bytes read as a float and as an integer: for a float x >= 0 the integer is x's rank among the floats.
+_FLOAT, _RANK = struct.Struct("<d"), struct.Struct("<q")
+#: The same for a bracket's two ends at once, one conversion per regula falsi step.
+_FLOATS, _RANKS = struct.Struct("<2d"), struct.Struct("<2q")
 
 
 def _ordinal(x: float) -> int:
-    """The IEEE-754 bit pattern of a float x >= 0 read as an integer: x's rank among the floats."""
-    if x < _ORDINAL_SPLIT:
-        return int(math.ldexp(x, 1074))
-    mantissa, exponent = math.frexp(x)
-    return ((exponent + 1021) << 52) + int(math.ldexp(mantissa, 53))
+    """The rank of a float x >= 0: its bit pattern read as an integer."""
+    return _RANK.unpack(_FLOAT.pack(x))[0]
 
 
 def _from_ordinal(rank: int) -> float:
     """The float whose ``_ordinal`` is ``rank``."""
-    if rank < 1 << 53:
-        return math.ldexp(rank, -1074)
-    return math.ldexp((rank & ((1 << 52) - 1)) | (1 << 52), (rank >> 52) - 1075)
+    return _FLOAT.unpack(_RANK.pack(rank))[0]
 
 
 def noise_tolerance(rate_fn) -> float:
@@ -226,20 +223,20 @@ def noise_tolerance(rate_fn) -> float:
     since its sign is unknown.
 
     The two end probes bracket the sign change as [a, b] with rate(a) > 0 >=
-    rate(b). Anderson-Bjoerck steps (Anderson & Bjoerck 1973) narrow it: a
-    regula falsi step that, after two probes in a row on one side, scales the
-    other end's rate by 1 - rate(new)/rate(replaced), or by 1/2 when that
-    factor is not positive. A step that rounds onto or past an end probes
-    that end's inward neighbour instead, which is how the bracket closes to
-    adjacent floats. While rate(b) is exactly 0.0 the step would land on b,
-    so it probes 1, 2, 4, ... floats inward from b, never past the bracket's
-    midpoint: a rate that reads exactly 0.0 wherever it is not positive costs
-    at most 2 * 62 + 2 = 126 probes. As in Brent (1973) a bisection guards
-    the rest: after 4 probes in a row that leave the bracket wider than half
-    its width at the last halving, the next probe bisects it in float-ordinal
-    space (the IEEE-754 bit pattern read as an integer). The bracket starts
-    under 2**62 floats wide and every 5 probes at least halve it, so any rate
-    function costs at most 5 * 62 + 2 = 312 probes. The asymptotic rates of
+    rate(b), held as the ranks of a and b among the floats. Anderson-Bjoerck
+    steps (Anderson & Bjoerck 1973) narrow it: a regula falsi step that, after
+    two probes in a row on one side, scales the other end's rate by
+    1 - rate(new)/rate(replaced), or by 1/2 when that factor is not positive. A
+    step that rounds onto or past an end probes that end's inward neighbour
+    instead, which is how the bracket closes to adjacent floats. While rate(b)
+    is exactly 0.0 the step would land on b, so it probes 1, 2, 4, ... floats
+    inward from b, never past the bracket's midpoint: a rate that reads
+    exactly 0.0 wherever it is not positive costs at most 2 * 62 + 2 = 126
+    probes. As in Brent (1973) a bisection guards the rest: after 4 probes in
+    a row that leave the bracket wider than half its width at the last
+    halving, the next probe bisects it in rank. The bracket starts under 2**62
+    floats wide and every 5 probes at least halve it, so any rate function
+    costs at most 5 * 62 + 2 = 312 probes. The asymptotic rates of
     identical-link chains take 10 to 15.
     """
 
@@ -252,11 +249,10 @@ def noise_tolerance(rate_fn) -> float:
     fa = rate(0.0)
     if not fa > 0.0:
         return 0.0
-    b = math.nextafter(0.5, 0.0)
-    fb = rate(b)
+    lo, hi = 0, _ordinal(0.5) - 1
+    fb = rate(_from_ordinal(hi))
     if fb > 0.0:
         return 0.5
-    a, lo, hi = 0.0, 0, _ordinal(b)
     halved_at, stalled, zero_steps, last_positive = hi, 0, 0, None
     while hi - lo > 1:
         if stalled == _STALL_LIMIT:
@@ -265,26 +261,27 @@ def noise_tolerance(rate_fn) -> float:
             x = _from_ordinal(max(hi - (1 << zero_steps), (lo + hi) // 2))
             zero_steps += 1
         else:
+            a, b = _FLOATS.unpack(_RANKS.pack(lo, hi))
             x = a + (b - a) * (fa / (fa - fb))
             if not x > a:
-                x = math.nextafter(a, 1.0)
+                x = _from_ordinal(lo + 1)
             elif not x < b:
-                x = math.nextafter(b, 0.0)
-        fx = rate(x)
+                x = _from_ordinal(hi - 1)
+        fx, rank = rate(x), _ordinal(x)
         positive = fx > 0.0
         if positive:
             if last_positive is True:
                 scale = 1.0 - fx / fa
                 fb *= scale if scale > 0.0 else 0.5
-            a, fa, lo = x, fx, _ordinal(x)
+            fa, lo = fx, rank
         else:
             if last_positive is False and fb:  # a zero rate gives no scale
                 scale = 1.0 - fx / fb
                 fa *= scale if scale > 0.0 else 0.5
-            b, fb, hi = x, fx, _ordinal(x)
+            fb, hi = fx, rank
         last_positive = positive
         if stalled == _STALL_LIMIT or 2 * (hi - lo) <= halved_at:
             halved_at, stalled = hi - lo, 0
         else:
             stalled += 1
-    return a
+    return _from_ordinal(lo)

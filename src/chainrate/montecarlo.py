@@ -31,7 +31,7 @@ from typing import NamedTuple, Sequence
 from .bell import BellDiagonal, bit_error_prob, phase_error_prob
 from .keyrate import RateParams, RateReport, finite_rate
 from .noise import ChainSpec, end_to_end_dist, observed_qx
-from .sampling import deviation_for_failure, frequency_limit, hoeffding_deviation, require_admissible, subset_deviates
+from .sampling import _deviation_for_failure, _hoeffding_deviation, frequency_limit, require_admissible, subset_deviates
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -210,8 +210,11 @@ def simulate_e91(spec: ChainSpec, params: RateParams, seed: int) -> MCReport:
     index & 1), qz_hat the hidden rounds' bit-error fraction (bt = 1,
     index >> 1), and the subset check compares the test and hidden phase
     weights. Identical arguments reproduce the report bit for bit, on every
-    supported Python.
+    supported Python. Only a ``RateParams`` is taken: it has admitted its
+    (n, m, epsilon).
     """
+    if not isinstance(params, RateParams):
+        raise TypeError(f"simulate_e91 needs RateParams, got {type(params).__name__}")
     rng = random.Random(seed)
     n, m = params.n, params.m
     dist = end_to_end_dist(spec)
@@ -221,7 +224,7 @@ def simulate_e91(spec: ChainSpec, params: RateParams, seed: int) -> MCReport:
     qx_hat = (test[1] + test[3]) / m
     qz_hat = (hidden[2] + hidden[3]) / (n - m)
 
-    delta = deviation_for_failure(params.epsilon, m, n)
+    delta = _deviation_for_failure(params.epsilon, m, n)
     violations = int(subset_deviates(test[1] + test[3], hidden[1] + hidden[3], m, n, delta))
 
     return MCReport(
@@ -279,12 +282,15 @@ def verify_concentration(spec: ChainSpec, params: RateParams, trials: int, seed:
     The subset check compares revealed and hidden weights against the
     subset-sampling tolerance; the mean check compares the flipped revealed
     mean with its expectation against the i.i.d. tolerance. Frequencies must
-    stay within bound plus three binomial standard deviations.
+    stay within bound plus three binomial standard deviations. Only a
+    ``RateParams`` is taken: it has admitted its (n, m, epsilon).
     """
+    if not isinstance(params, RateParams):
+        raise TypeError(f"verify_concentration needs RateParams, got {type(params).__name__}")
     require_admissible(trials=trials)
     n, m, epsilon, p_star = params.n, params.m, params.epsilon, params.p_star
-    delta = deviation_for_failure(epsilon, m, n)
-    delta_prime = hoeffding_deviation(epsilon, m)
+    delta = _deviation_for_failure(epsilon, m, n)
+    delta_prime = _hoeffding_deviation(epsilon, m)
 
     rng = random.Random(seed)
     qx = observed_qx(spec)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import random
-from functools import reduce
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -44,15 +43,6 @@ class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str
-
-
-def _named_pool() -> list[BellDiagonal]:
-    return [
-        BellDiagonal.point(),
-        depolarizing_dist(0.01),
-        depolarizing_dist(0.05),
-        depolarizing_dist(0.3),
-    ]
 
 
 def check_states_orthonormal() -> CheckResult:
@@ -104,17 +94,18 @@ def check_pauli_correction() -> CheckResult:
 
 def check_oracle_equivalence(
     seed: int,
-    convolve_fn: Callable[[BellDiagonal, BellDiagonal], BellDiagonal] | None = None,
+    convolve_fn: Callable[..., BellDiagonal] | None = None,
 ) -> CheckResult:
-    """Folded convolution equals the exact multi-qubit simulation, link for link.
+    """The fold every command runs, ``convolve(*links)``, equals the exact multi-qubit simulation.
 
-    Covers every single link over the whole pool, every ordered pair of the
-    named distributions, the preset chain, and seeded random 2-, 3-, 4- and
-    6-link chains, 10 of each length.
+    Each chain is folded in one ``convolve_fn(*links)`` call. Covers every
+    single link over the whole pool, every ordered pair of the named
+    distributions, the preset chain, and seeded random 2-, 3-, 4- and 6-link
+    chains, 10 of each length.
     """
     fn = convolve_fn if convolve_fn is not None else bell.convolve
     rng = np.random.default_rng(seed)
-    named = _named_pool()
+    named = [BellDiagonal.point(), depolarizing_dist(0.01), depolarizing_dist(0.05), depolarizing_dist(0.3)]
     pool = named + literal.random_dists(rng, 10)
     chains: list[list[BellDiagonal]] = [[d] for d in pool]
     chains += [[a, b] for a in named for b in named]
@@ -124,7 +115,7 @@ def check_oracle_equivalence(
             chains.append([pool[i] for i in rng.integers(0, len(pool), size=length)])
     worst = 0.0
     for links, exact in zip(chains, dm_oracle.simulate_chain_exact(chains)):
-        folded = reduce(fn, links, BellDiagonal.point())
+        folded = fn(*links)
         deviation = max(abs(p - q) for p, q in zip(exact.probs, folded.probs))
         worst = max(worst, deviation)
     return CheckResult(
@@ -371,8 +362,9 @@ def check_simulation_determinism(seed: int) -> CheckResult:
     return CheckResult("simulation_determinism", first == second, f"qx_hat {first.qx_hat:.6f}")
 
 
-def _corrupted_convolve(p: BellDiagonal, q: BellDiagonal) -> BellDiagonal:
-    p0, p1, p2, p3 = bell.convolve(p, q).probs
+def _corrupted_convolve(*dists: BellDiagonal) -> BellDiagonal:
+    """The fold with its symbol-0 weight raised by 0.002 and renormalised, once per chain."""
+    p0, p1, p2, p3 = bell.convolve(*dists).probs
     p0 += 0.002
     total = 0.0 + p0 + p1 + p2 + p3
     return BellDiagonal((p0 / total, p1 / total, p2 / total, p3 / total))

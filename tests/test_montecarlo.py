@@ -3,6 +3,7 @@
 import math
 import random
 import re
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -46,6 +47,15 @@ def test_concentration_trials_validation():
         verify_concentration(PRESET, params, 0, seed=0)
     with pytest.raises(ValueError, match="trials must be in"):
         verify_concentration(PRESET, params, MAX_TRIALS + 1, seed=0)
+
+
+def test_runs_take_only_rate_params():
+    # Both runs skip the (n, m, epsilon) check that RateParams made; a look-alike never passed it.
+    look_alike = namedtuple("LookAlike", RateParams._fields)(*_params(PRESET, 100, 50))
+    with pytest.raises(TypeError, match="^simulate_e91 needs RateParams, got LookAlike$"):
+        simulate_e91(PRESET, look_alike, seed=0)
+    with pytest.raises(TypeError, match="^verify_concentration needs RateParams, got LookAlike$"):
+        verify_concentration(PRESET, look_alike, 10, seed=0)
 
 
 def test_sample_rounds_matches_the_analytic_law():

@@ -111,6 +111,24 @@ def test_epsilon_ledger_refuses_the_bare_power_cube_root(monkeypatch):
     assert not check_epsilon_ledger().ok
 
 
+def test_oracle_equivalence_folds_each_chain_in_one_call(monkeypatch):
+    # The check certifies convolve(*links), the fold every command runs, not a pairwise fold.
+    chains, calls = [], []
+    exact = verify.dm_oracle.simulate_chain_exact
+
+    def recording_oracle(given):
+        chains.extend(tuple(links) for links in given)
+        return exact(given)
+
+    def recording_fold(*dists):
+        calls.append(dists)
+        return convolve(*dists)
+
+    monkeypatch.setattr(verify.dm_oracle, "simulate_chain_exact", recording_oracle)
+    assert check_oracle_equivalence(seed=11, convolve_fn=recording_fold).ok
+    assert len(chains) == 71 and calls == chains
+
+
 def test_oracle_equivalence_accepts_custom_fold():
     corrupted = check_oracle_equivalence(seed=11, convolve_fn=_corrupted_convolve)
     assert not corrupted.ok

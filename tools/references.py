@@ -11,8 +11,8 @@ from anywhere:
 
 It prints one line per constant and exits 1 if any frozen float is more
 than 1 ulp from the nearest float of the regenerated value, or lacks a
-formula, or a formula lacks its float (one line for each such name). mpmath is not a
-dependency of the package; ``tests/test_references.py`` skips without it.
+formula, or a formula lacks its float (one line for each such name). mpmath is a
+test dependency, not a package one; ``tests/test_references.py`` skips without it.
 """
 
 from __future__ import annotations
