@@ -71,6 +71,11 @@ def corrected_phase(
     _require_p_star(p_star)
     if not (delta >= 0.0 and delta_prime >= 0.0):
         raise ValueError("deviation terms must be >= 0")
+    return _corrected_phase(qx, p_star, delta, delta_prime)
+
+
+def _corrected_phase(qx: float, p_star: float, delta: float, delta_prime: float) -> tuple[float, tuple[str, ...]]:
+    """``corrected_phase`` for a caller that has checked its arguments."""
     raw = (qx - p_star + delta_prime) / (1.0 - 2.0 * p_star) + delta
     if raw < 0.0:
         return 0.0, (ARG_CLAMPED_LOW,)
@@ -138,7 +143,8 @@ def finite_rate(qx_observed: float, params: RateParams) -> RateReport:
         raise TypeError(f"finite_rate needs RateParams, got {type(params).__name__}")
     delta = _deviation_for_failure(params.epsilon, params.m, params.n)
     delta_prime = _hoeffding_deviation(params.epsilon, params.m)
-    corrected, flags = corrected_phase(qx_observed, params.p_star, delta, delta_prime)
+    _require_phase_rate(qx_observed)  # RateParams has checked p*, and both deviations are >= 0
+    corrected, flags = _corrected_phase(qx_observed, params.p_star, delta, delta_prime)
     ledger = _epsilon_ledger(params.epsilon)
     min_entropy = 1.0 - capped_entropy(corrected)
     kept_fraction = (params.n - params.m) / params.n

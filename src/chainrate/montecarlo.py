@@ -34,6 +34,7 @@ from .noise import ChainSpec, end_to_end_dist, observed_qx
 from .sampling import _deviation_for_failure, _hoeffding_deviation, frequency_limit, require_admissible, subset_deviates
 
 _LOG_2PI = math.log(2.0 * math.pi)
+_BLOCK = 2**14  # rounds per block of sample_rounds: its float64 and int64 temporaries never outgrow one block
 
 
 def _stirling_error(k: int) -> float:
@@ -185,7 +186,11 @@ class MCReport(NamedTuple):
 
 
 def sample_rounds(spec: ChainSpec, rounds: int, rng: "np.random.Generator") -> "np.ndarray":
-    """Draw ``rounds`` end-to-end symbol indices: one draw per link, XOR-folded."""
+    """Draw ``rounds`` end-to-end symbol indices: one draw per link, XOR-folded.
+
+    Each link is drawn ``_BLOCK`` rounds at a time, so ``rng`` yields the doubles of one ``rng.random(rounds)`` per
+    link and only the uint8 output, one byte per round, grows with ``rounds``.
+    """
     import numpy as np
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
@@ -193,8 +198,8 @@ def sample_rounds(spec: ChainSpec, rounds: int, rng: "np.random.Generator") -> "
     for link in spec.links:
         cdf = np.cumsum(np.asarray(link.probs, dtype=float))
         cdf[-1] = 1.0  # guard against cumulative rounding at the top
-        draws = np.searchsorted(cdf, rng.random(rounds), side="right")
-        folded ^= draws.astype(np.uint8)
+        for block in (folded[start:start + _BLOCK] for start in range(0, rounds, _BLOCK)):
+            block ^= np.searchsorted(cdf, rng.random(block.size), side="right").astype(np.uint8)
     return folded
 
 

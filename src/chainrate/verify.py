@@ -322,15 +322,11 @@ def check_round_sampler(seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
     symbols = montecarlo.sample_rounds(_SKEWED, draws, rng)
     expected = noise.end_to_end_dist(_SKEWED)
-    worst_sigma = 0.0
-    for index in range(4):
-        p = expected.probs[index]
-        freq = float(np.mean(symbols == index))
-        sigma = math.sqrt(p * (1.0 - p) / draws)
-        worst_sigma = max(worst_sigma, abs(freq - p) / sigma)
+    sampled = [np.count_nonzero(symbols == index) for index in range(4)]
+    worst_sigma = max(abs(count / draws - p) / math.sqrt(p * (1.0 - p) / draws) for p, count in zip(expected.probs, sampled))
     # Equal sample sizes: sum over cells, in cell order, of (a - b)**2 / (a + b).
     counted = montecarlo.multinomial(draws, expected.probs, random.Random(seed))
-    c0, c1, c2, c3 = [(a - b) ** 2 / (a + b) for a, b in zip(np.bincount(symbols, minlength=4).tolist(), counted)]
+    c0, c1, c2, c3 = [(a - b) ** 2 / (a + b) for a, b in zip(sampled, counted)]
     chi2 = 0.0 + c0 + c1 + c2 + c3
     noiseless = noise.uniform_chain(2, 0.0, 1, 1)
     clean = montecarlo.sample_rounds(noiseless, 1000, np.random.default_rng(seed))

@@ -225,8 +225,9 @@ def test_finite_rate_internal_consistency():
 
 def test_finite_rate_domain():
     params = RateParams(n=1000, m=100, epsilon=1e-9)
-    with pytest.raises(ValueError):
-        finite_rate(1.5, params)
+    for qx in (1.5, math.nan, -1e-300):
+        with pytest.raises(ValueError, match=r"^observed phase rate must be in \[0, 1\], got "):
+            finite_rate(qx, params)
 
 
 def test_finite_rate_takes_only_rate_params():

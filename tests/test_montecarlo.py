@@ -3,6 +3,7 @@
 import math
 import random
 import re
+import tracemalloc
 from collections import namedtuple
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from chainrate.montecarlo import (
     ConcentrationSummary,
     MCReport,
+    _BLOCK,
     _binomial_log_pmf,
     binomial,
     multinomial,
@@ -27,6 +29,7 @@ from chainrate.sampling import (
     deviation_for_failure,
     hoeffding_deviation,
 )
+from chainrate.verify import _SKEWED
 from frozen import PRESET
 
 # qx ~0.44 and p* ~0.38: at epsilon 0.9 both bounds are violated in
@@ -78,6 +81,54 @@ def test_sample_rounds_noiseless_chain_is_silent():
 def test_sample_rounds_validation():
     with pytest.raises(ValueError):
         sample_rounds(PRESET, 0, np.random.default_rng(0))
+
+
+def _one_shot_rounds(spec, rounds, rng):
+    """The per-link sampler drawing each link's uniforms in one ``rng.random(rounds)`` call."""
+    folded = np.zeros(rounds, dtype=np.uint8)
+    for link in spec.links:
+        cdf = np.cumsum(np.asarray(link.probs, dtype=float))
+        cdf[-1] = 1.0
+        draws = np.searchsorted(cdf, rng.random(rounds), side="right")
+        folded ^= draws.astype(np.uint8)
+    return folded
+
+
+_LINK_POOL = (
+    BellDiagonal((0.88, 0.07, 0.04, 0.01)),
+    BellDiagonal((0.5, 0.0, 0.5, 0.0)),
+    BellDiagonal((0.7, 0.1, 0.1, 0.1)),
+    BellDiagonal((0.0, 0.25, 0.25, 0.5)),
+)
+#: 2- to 6-link chains over unequal links (a ChainSpec has at least two), and a noiseless one.
+STREAM_CHAINS = [
+    ChainSpec(links - 1, 0, 0, tuple(_LINK_POOL[i % len(_LINK_POOL)] for i in range(links))) for links in range(2, 7)
+] + [uniform_chain(3, 0.0, 1, 1)]
+
+
+@pytest.mark.parametrize("rounds", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7, 200_000])
+def test_sample_rounds_draws_the_one_shot_stream(rounds):
+    # Blocked draws are the same doubles in the same order: same symbols, same generator state after.
+    for seed in range(3):
+        for spec in STREAM_CHAINS:
+            blocked_rng, one_shot_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            symbols = sample_rounds(spec, rounds, blocked_rng)
+            assert symbols.dtype == np.uint8
+            assert np.array_equal(symbols, _one_shot_rounds(spec, rounds, one_shot_rng))
+            assert blocked_rng.bit_generator.state == one_shot_rng.bit_generator.state
+
+
+def test_sample_rounds_holds_one_byte_per_round():
+    # numpy reports its buffers to tracemalloc. Drawing each link in one call peaks at ~24 MiB on this input.
+    rounds = 10**6
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        sample_rounds(_SKEWED, rounds, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= rounds + 2**20
 
 
 def test_sample_rounds_deterministic():
