@@ -16,6 +16,8 @@ from typing import Iterable
 
 # Entries must be >= 0 and sum to 1 within this tolerance, added in index order as 0.0 + p0 + p1 + p2 + p3 on every Python.
 NORMALIZATION_TOL = 1e-12
+#: Entry types that are not probabilities, although float() reads '1', b'1' and True all as 1.0.
+_NOT_NUMBERS = (bool, str, bytes, bytearray)
 
 
 def _make_checked(cls, iterable):
@@ -29,9 +31,14 @@ class BellDiagonal(namedtuple("BellDiagonal", "probs")):
     __slots__ = ()
 
     def __new__(cls, probs: Iterable[float]) -> "BellDiagonal":
-        if isinstance(probs, (str, bytes, bytearray)):  # text, read entry by entry, could pass as numbers
-            raise TypeError(f"probabilities must be numbers, not {type(probs).__name__}")
-        probs = tuple(map(float, probs))
+        entries = (probs,) if isinstance(probs, _NOT_NUMBERS) else tuple(probs)
+        for p in entries:
+            if isinstance(p, _NOT_NUMBERS):
+                raise TypeError(f"probabilities must be numbers, not {type(p).__name__}")
+        try:
+            probs = tuple(map(float, entries))
+        except OverflowError as exc:  # an int past the float range; printing it could pass the digit limit
+            raise ValueError(f"probabilities must lie in the float range: {exc}") from None
         if len(probs) != 4:
             raise ValueError(f"expected 4 probabilities, got {len(probs)}")
         return _checked(cls, probs)

@@ -147,7 +147,7 @@ def pauli_correct(states: np.ndarray, outcomes: Sequence[int], target: int) -> n
     if not (0 <= target < n_qubits):
         raise ValueError(f"target qubit {target} out of range for {n_qubits} qubits")
     outcomes = np.asarray(outcomes)
-    if outcomes.shape != np.shape(states)[:-2] or not set(outcomes.ravel().tolist()) <= {0, 1, 2, 3}:
+    if outcomes.shape != np.shape(states)[:-2] or outcomes.dtype.kind not in "iu" or not set(outcomes.ravel().tolist()) <= {0, 1, 2, 3}:
         raise ValueError(f"expected one symbol in 0..3 per state, got {outcomes.tolist()} for shape {np.shape(states)}")
     gates = _CORRECTIONS[outcomes]
     tensor = np.asarray(states, dtype=complex).reshape(np.shape(states)[:-2] + (2,) * (2 * n_qubits))

@@ -218,15 +218,14 @@ def _from_ordinal(rank: int) -> float:
 
 
 def noise_tolerance(rate_fn) -> float:
-    """Largest float in [0, 1/2) at which ``rate_fn`` is positive.
+    """Where ``rate_fn`` turns non-positive: a float t in [0, 1/2) with rate(t) > 0 >= rate(nextafter(t, 1)).
 
     ``rate_fn`` maps a phase-noise level to a rate and must cross zero at most
     once on [0, 1/2). Returns 0.0 when rate(0) <= 0, and 1/2 as a sentinel when
-    the rate is still positive at the float below 1/2. Otherwise it returns
-    the float t with rate(t) > 0 >= rate(nextafter(t, 1)), both of them probed;
-    where rounding flips a rate's sign within a few floats of its zero, t is
-    one of those crossings. A NaN rate at any probe raises ``ValueError``,
-    since its sign is unknown.
+    the rate is still positive at the float below 1/2. Otherwise both t and
+    nextafter(t, 1) are probed; where rounding flips a rate's sign within a
+    few floats of its zero, t is one of those crossings. A NaN rate at any
+    probe raises ``ValueError``, since its sign is unknown.
 
     The two end probes bracket the sign change as [a, b] with rate(a) > 0 >=
     rate(b), held as the ranks of a and b among the floats. Anderson-Bjoerck

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,6 +37,8 @@ _PRESET = default_chain_config().spec
 _SKEWED = noise.ChainSpec(1, 0, 0, (BellDiagonal((0.88, 0.07, 0.04, 0.01)),) * 2)
 
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
+#: The four entangled basis vectors, indexed by symbol, built once for the state-level checks.
+_BASIS = [dm_oracle.bell_state_vector(s) for s in range(4)]
 
 
 class CheckResult(NamedTuple):
@@ -45,14 +47,20 @@ class CheckResult(NamedTuple):
     detail: str
 
 
+def _gap(first: Sequence[BellDiagonal], second: Sequence[BellDiagonal]) -> float:
+    """Largest entrywise |p - q| over the paired records of ``first`` and ``second``."""
+    return max(abs(p - q) for a, b in zip(first, second) for p, q in zip(a.probs, b.probs))
+
+
+def _words(seed: int, n: int) -> dict[str, list[int]]:
+    """The subset checks' two n-bit words: half ones, and one seeded draw at the preset's observed rate."""
+    sampled = np.random.default_rng(seed).random(n) < noise.observed_qx(_PRESET)
+    return {"balanced": [1] * (n // 2) + [0] * (n - n // 2), "chain_sampled": sampled.astype(int).tolist()}
+
+
 def check_states_orthonormal() -> CheckResult:
     """The four entangled basis vectors are orthonormal."""
-    worst = 0.0
-    for a in range(4):
-        for b in range(4):
-            overlap = complex(dm_oracle.bell_state_vector(a).conj() @ dm_oracle.bell_state_vector(b))
-            expected = 1.0 if a == b else 0.0
-            worst = max(worst, abs(overlap - expected))
+    worst = max(abs(complex(u.conj() @ v) - float(a == b)) for a, u in enumerate(_BASIS) for b, v in enumerate(_BASIS))
     return CheckResult("states_orthonormal", worst <= 1e-12, f"max deviation {worst:.3e}")
 
 
@@ -61,15 +69,13 @@ def check_swap_identity() -> CheckResult:
     each collapsing the outer pair to the label sum plus the outcome."""
     worst_prob = 0.0
     worst_fidelity = 1.0
-    for a in range(4):
-        for b in range(4):
-            vec_a = dm_oracle.bell_state_vector(a)
-            vec_b = dm_oracle.bell_state_vector(b)
+    for a, vec_a in enumerate(_BASIS):
+        for b, vec_b in enumerate(_BASIS):
             rho = np.kron(np.outer(vec_a, vec_a.conj()), np.outer(vec_b, vec_b.conj()))
             weights, posts = dm_oracle.bell_swap(rho, (1, 2))
             worst_prob = max(worst_prob, float(np.abs(weights - 0.25).max()))
             for x in range(4):
-                target = dm_oracle.bell_state_vector(a ^ b ^ x)
+                target = _BASIS[a ^ b ^ x]
                 fidelity = float((target.conj() @ posts[x] @ target).real)
                 worst_fidelity = min(worst_fidelity, fidelity)
     ok = worst_prob <= 1e-10 and worst_fidelity >= 1.0 - 1e-10
@@ -83,8 +89,8 @@ def check_swap_identity() -> CheckResult:
 def check_pauli_correction() -> CheckResult:
     """The announced-outcome correction restores the label on either qubit."""
     labels = [(s, x) for s in range(4) for x in range(4)]
-    shifted = np.array([dm_oracle.bell_state_vector(s ^ x) for s, x in labels])
-    targets = np.array([dm_oracle.bell_state_vector(s) for s, _ in labels])
+    shifted = np.array([_BASIS[s ^ x] for s, x in labels])
+    targets = np.array([_BASIS[s] for s, _ in labels])
     states = np.einsum("ki,kj->kij", shifted, shifted.conj())
     expected = np.einsum("ki,kj->kij", targets, targets.conj())
     outcomes = [x for _, x in labels]
@@ -113,11 +119,7 @@ def check_oracle_equivalence(
     for length in (2, 3, 4, 6):
         for _ in range(10):
             chains.append([pool[i] for i in rng.integers(0, len(pool), size=length)])
-    worst = 0.0
-    for links, exact in zip(chains, dm_oracle.simulate_chain_exact(chains)):
-        folded = fn(*links)
-        deviation = max(abs(p - q) for p, q in zip(exact.probs, folded.probs))
-        worst = max(worst, deviation)
+    worst = _gap(dm_oracle.simulate_chain_exact(chains), [fn(*links) for links in chains])
     return CheckResult(
         "oracle_equivalence",
         worst <= 1e-10,
@@ -136,22 +138,16 @@ def check_swap_order(seed: int) -> CheckResult:
     chains += [literal.random_dists(rng, 6) for _ in range(4)]
     orders = [range(1, 6)] * len(chains) + [rng.permutation(range(1, 6)).tolist() for _ in chains]
     exact = dm_oracle.simulate_chain_exact(chains * 2, orders)
-    worst = 0.0
-    for left_first, shuffled in zip(exact[: len(chains)], exact[len(chains):]):
-        worst = max(worst, max(abs(p - q) for p, q in zip(left_first.probs, shuffled.probs)))
+    worst = _gap(exact[: len(chains)], exact[len(chains):])
     return CheckResult("swap_order", worst <= 1e-10, f"max deviation {worst:.3e}")
 
 
 def check_depolarizing_decomposition() -> CheckResult:
     """One-sided depolarizing of a perfect pair decomposes to (1-3q/4, q/4, q/4, q/4)."""
-    perfect = dm_oracle.bell_state_vector(0)
-    rho_perfect = np.outer(perfect, perfect.conj())
-    worst = 0.0
-    for q in (0.0, 0.01, 0.05, 0.3, 0.5, 1.0):
-        mixed = (1.0 - q) * rho_perfect + (q / 4.0) * np.eye(4, dtype=complex)
-        decomposed = dm_oracle.dm_to_bell_diagonal(mixed[None])[0]
-        expected = depolarizing_dist(q)
-        worst = max(worst, max(abs(p - e) for p, e in zip(decomposed.probs, expected.probs)))
+    rho_perfect = np.outer(_BASIS[0], _BASIS[0].conj())
+    qs = (0.0, 0.01, 0.05, 0.3, 0.5, 1.0)
+    mixed = np.array([(1.0 - q) * rho_perfect + (q / 4.0) * np.eye(4, dtype=complex) for q in qs])
+    worst = _gap(dm_oracle.dm_to_bell_diagonal(mixed), [depolarizing_dist(q) for q in qs])
     return CheckResult("depolarizing_decomposition", worst <= 1e-12, f"max deviation {worst:.3e}")
 
 
@@ -227,16 +223,10 @@ def check_sampling_roundtrip() -> CheckResult:
 
 def check_sampling_exhaustive(seed: int) -> CheckResult:
     """Exact subset enumeration honors the analytic bound at n=20, m=10."""
-    rng = np.random.default_rng(seed)
-    sampled = (rng.random(20) < noise.observed_qx(_PRESET)).astype(int)
-    words = {
-        "balanced": [1] * 10 + [0] * 10,
-        "chain_sampled": sampled.tolist(),
-    }
     details = []
     ok = True
     deltas = (0.15, 0.3, 0.45)
-    for label, bits in words.items():
+    for label, bits in _words(seed, 20).items():
         for delta, exact in zip(deltas, literal.exhaustive_failure(bits, 10, deltas)):
             bound = sampling.sampling_failure_bound(delta, 10, 20)
             ok = ok and exact <= bound
@@ -247,14 +237,9 @@ def check_sampling_exhaustive(seed: int) -> CheckResult:
 def check_sampling_empirical(seed: int) -> CheckResult:
     """Monte Carlo subset failure stays within the bound plus sampling slack."""
     n, m, trials, delta = 1000, 50, 20_000, 0.2
-    rng = np.random.default_rng(seed)
-    words = {
-        "balanced": [1] * (n // 2) + [0] * (n - n // 2),
-        "chain_sampled": (rng.random(n) < noise.observed_qx(_PRESET)).astype(int).tolist(),
-    }
     details = []
     ok = True
-    for label, bits in words.items():
+    for label, bits in _words(seed, n).items():
         freq = literal.empirical_failure_bits(bits, m, delta, trials, seed)
         limit = sampling.frequency_limit(sampling.sampling_failure_bound(delta, m, n), trials)
         ok = ok and freq <= limit
@@ -298,8 +283,7 @@ def check_measurement_semantics() -> CheckResult:
     same-basis Z disagreement is bt, X disagreement is ph."""
     worst = 0.0
     basis_change = np.kron(_HADAMARD, _HADAMARD)
-    for s in range(4):
-        vec = dm_oracle.bell_state_vector(s)
+    for s, vec in enumerate(_BASIS):
         z_probs = np.abs(vec) ** 2
         worst = max(worst, abs(float(z_probs[1] + z_probs[2]) - (s >> 1)))
         x_probs = np.abs(basis_change @ vec) ** 2

@@ -136,7 +136,7 @@ def test_criterion_07_baseline_reduction():
         7,
         result.ok,
         f"zero-credit rate equals the baseline exactly on the 0..0.49 grid, noise tolerances "
-        f"within 2e-6 of {BB84_ASYMPTOTIC_THRESHOLD:.6f}: {result.detail}",
+        f"within 2 ulp of {BB84_ASYMPTOTIC_THRESHOLD:.6f}: {result.detail}",
     )
 
 

@@ -5,6 +5,7 @@ import random
 import re
 from functools import reduce
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -94,6 +95,33 @@ def test_text_is_not_a_distribution(text):
     # float() would read each character or byte as one entry and accept the point distribution.
     with pytest.raises(TypeError, match="^probabilities must be numbers, not "):
         BellDiagonal(text)
+
+
+@pytest.mark.parametrize(
+    "entries, kind",
+    [
+        ([True, 0, 0, 0], "bool"),
+        ((0, 0, 0, True), "bool"),
+        (["1", "0", "0", "0"], "str"),
+        ([1.0, 0.0, b"0", 0.0], "bytes"),
+        ([bytearray(b"1"), 0, 0, 0], "bytearray"),
+    ],
+)
+def test_an_entry_that_is_not_a_number_is_refused(entries, kind):
+    # float() reads each of these as a number, so True or '1' would pass as the point distribution.
+    for given_entries in (entries, tuple(entries), (p for p in entries)):
+        with pytest.raises(TypeError, match=f"^probabilities must be numbers, not {kind}$"):
+            BellDiagonal(given_entries)
+
+
+@pytest.mark.parametrize("entries", [(10**400, 0, 0, 0), (0.5, 0.5, 0, -(10**309))])
+def test_an_int_past_the_float_range_is_a_value_error(entries):
+    with pytest.raises(ValueError, match="^probabilities must lie in the float range: int too large to convert to float$"):
+        BellDiagonal(entries)
+
+
+def test_numpy_scalars_are_numbers():
+    assert BellDiagonal([np.float64(0.5), np.int64(0), np.float32(0.25), 0.25]).probs == (0.5, 0.0, 0.25, 0.25)
 
 
 def test_int_entries_give_float_error_probabilities():

@@ -429,6 +429,14 @@ def test_unread_flags_are_usage_errors(capsys, argv):
     assert captured.out == "" and len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
 
 
+def test_honest_list_refuses_a_non_integer(capsys):
+    # Without this case only the hypothesis fuzz reaches the refusal, so tools/coverage.py's verdict hung on its draws.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["noise", "--honest", "1,x"])
+    assert exit_info.value.code == 1
+    assert capsys.readouterr().err == "chainrate noise: error: argument --honest: expected comma-separated integers, got '1,x'\n"
+
+
 def test_q_sets_the_round_sweep_links(capsys):
     _, out, _ = run(capsys, "rate-finite", "--q", "0.05", "--n-min", "1e7", "--n-max", "1e8", "--per-decade", "1")
     _, rows = parse_csv(out)

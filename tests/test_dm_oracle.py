@@ -200,10 +200,13 @@ def test_pauli_correction_target_range():
         pauli_correct(rho[None], [0b10], 2)
 
 
-@pytest.mark.parametrize("outcomes", [[-1], [4], [0, 1]], ids=["negative", "too-large", "too-many"])
+@pytest.mark.parametrize(
+    "outcomes", [[-1], [4], [0, 1], [True], [1.0]], ids=["negative", "too-large", "too-many", "bool", "float"]
+)
 def test_pauli_correction_checks_its_outcomes(outcomes):
-    """A symbol outside 0..3 or an outcome count other than the stack's is refused
-    in one line, not applied as another symbol or left to numpy's indexing."""
+    """A symbol outside 0..3, one that is not an integer (``True == 1 == 1.0``), or an
+    outcome count other than the stack's is refused in one line, not applied as
+    another symbol or left to numpy's indexing."""
     rho = bell_diagonal_dm(UNIFORM)
     with pytest.raises(ValueError) as raised:
         pauli_correct(rho[None], outcomes, 0)

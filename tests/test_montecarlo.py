@@ -163,11 +163,9 @@ def test_simulate_report_statistics():
 
 
 def test_multinomial_counts_follow_the_analytic_law():
-    # The simulator's draw: unequal Pauli weights (end-to-end cells 1, 2, 3 near
-    # 0.12, 0.07, 0.02), so counts that land in the wrong error cell show.
-    spec = ChainSpec(1, 0, 0, (BellDiagonal((0.88, 0.07, 0.04, 0.01)),) * 2)
+    # The simulator's draw on ``_SKEWED``'s unequal weights, so counts that land in the wrong error cell show.
     n = 200_000
-    expected = end_to_end_dist(spec).probs
+    expected = end_to_end_dist(_SKEWED).probs
     counts = multinomial(n, expected, random.Random(5))
     assert sum(counts) == n
     for index in range(4):

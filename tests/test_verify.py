@@ -134,3 +134,46 @@ def test_oracle_equivalence_accepts_custom_fold():
     assert not corrupted.ok
     honest = check_oracle_equivalence(seed=11)
     assert honest.ok
+
+
+def _shift(record):
+    """``record`` with 1e-9 moved from symbol 0 to symbol 1: past every record gate of ``verify``."""
+    p0, p1, p2, p3 = record.probs
+    return BellDiagonal((p0 - 1e-9, p1 + 1e-9, p2, p3))
+
+
+def _shift_shuffled_half(monkeypatch):
+    exact = verify.dm_oracle.simulate_chain_exact
+
+    def oracle(chains, orders=None):
+        records = exact(chains, orders)
+        half = len(records) // 2
+        return records[:half] + [_shift(r) for r in records[half:]]
+
+    monkeypatch.setattr(verify.dm_oracle, "simulate_chain_exact", oracle)
+
+
+@pytest.mark.parametrize(
+    "check, args, break_oracle",
+    [
+        ("check_swap_order", (0,), _shift_shuffled_half),
+        (
+            "check_depolarizing_decomposition",
+            (),
+            lambda mp: mp.setattr(verify, "depolarizing_dist", lambda q: _shift(depolarizing_dist(q))),
+        ),
+        ("check_states_orthonormal", (), lambda mp: mp.setattr(verify, "_BASIS", verify._BASIS[:3] + verify._BASIS[:1])),
+        (
+            "check_sampling_exhaustive",
+            (0,),
+            lambda mp: mp.setattr(verify.literal, "exhaustive_failure", lambda bits, m, deltas: [1.0] * len(deltas)),
+        ),
+        ("check_sampling_empirical", (0,), lambda mp: mp.setattr(verify.literal, "empirical_failure_bits", lambda *a: 0.5)),
+    ],
+    ids=["swap_order", "depolarizing_decomposition", "states_orthonormal", "sampling_exhaustive", "sampling_empirical"],
+)
+def test_each_check_fails_when_its_oracle_side_is_wrong(monkeypatch, check, args, break_oracle):
+    # Negative controls: a comparison that always read 0, or a word that never reached the estimator, would pass.
+    assert getattr(verify, check)(*args).ok
+    break_oracle(monkeypatch)
+    assert not getattr(verify, check)(*args).ok
